@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError
-from .quadratic import EquationParams, as_map, residual_gq
-from .space import STREAM_SHELL, SpaceSpec, _unit_rows, generator, norm_eval
+from .errors import ParameterError
+from .quadratic import EquationParams, as_map_on, residual_gq
+from .space import STREAM_SHELL, SpaceSpec, _unit_rows, generator, norm_eval, row_norms
 
 VERDICT_DECAYING = "asymptotically_quadratic"
 VERDICT_PERSISTENT = "persistent_defect"
@@ -85,11 +85,7 @@ def shell_delta_profile(
     the boundary), splits it as ``norm(x) = a t``, ``norm(y) = (1-a) t``
     with ``a`` uniform, and draws independent directions.
     """
-    handle = as_map(f)
-    if handle.domain_dim != space.dim:
-        raise DimensionMismatchError(
-            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
-        )
+    handle = as_map_on(f, space)
     if not isinstance(n_min, (int, np.integer)) or not isinstance(n_max, (int, np.integer)):
         raise ParameterError(f"shell indices must be integers, got {n_min!r}, {n_max!r}")
     if n_min < 0:
@@ -117,12 +113,7 @@ def shell_delta_profile(
             raise RuntimeError(
                 f"shell sampler drifted outside [{n}, {n + 1}) despite margin"
             )
-        res = residual_gq(handle, params, xs, ys)
-        if codomain is None:
-            norms = np.sqrt(np.sum(res * res, axis=-1))
-        else:
-            norms = np.atleast_1d(codomain.norm(res))
-        deltas[k] = norms.max()
+        deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
     return ShellProfile(
         n_min=int(n_min),
         n_max=int(n_max),

@@ -8,8 +8,8 @@ check with Gram recovery), ``exponents`` (norm-identity exponent scan),
 
 Every run emits a single JSON report (stdout, or ``--out``).  Reports are
 deterministic: same command line, same bytes, except the ``runtime_ms``
-field.  Exit codes: 0 pass/accepted, 1 fail/rejected, 2 invalid
-parameters, 3 inconclusive.
+field, and are strict JSON.  Exit codes: 0 pass/accepted, 1 fail/rejected,
+2 invalid parameters or a non-finite input or result, 3 inconclusive.
 
 Configuration may come from a flat ``key=value`` file via ``--config``;
 explicit flags win over the file, the file wins over built-in defaults.
@@ -34,13 +34,19 @@ from .asymptotics import (
 )
 from .errors import ParameterError, UndefinedValueError
 from .geometry import Exponents, default_exponent_grid, detect_inner_product, exponent_scan
-from .perturb import NoiseModel, make_odd_witness, make_perturbed, random_symmetric_form
+from .perturb import (
+    NoiseModel,
+    make_odd_witness,
+    make_perturbed,
+    make_quadratic,
+    random_symmetric_form,
+)
 from .quadratic import (
     MapHandle,
     QuadraticForm,
+    derivation_chain_defects,
     equation_params,
     map_from_callable,
-    parity_decompose,
     residual_gq,
     residual_q,
 )
@@ -49,7 +55,7 @@ from .space import (
     SpaceSpec,
     euclidean,
     p_norm,
-    sample_pairs_restricted,
+    row_norms,
     sup_norm,
     weighted_quadratic,
 )
@@ -182,9 +188,12 @@ def _parse_matrix(text: str, what: str) -> np.ndarray:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.asarray([float(cell) for cell in text.split(",")], dtype=np.float64)
+        values = np.asarray([float(cell) for cell in text.split(",")], dtype=np.float64)
     except ValueError:
         raise ParameterError(f"cannot parse {what} {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _space_from(effective: dict) -> SpaceSpec:
@@ -263,17 +272,10 @@ def _form_from(effective: dict) -> QuadraticForm:
             euclidean(dim), euclidean(codim), effective["seed"], scale=scale
         )
     blocks = [_parse_matrix(block, "form matrix") for block in spec.split("|")]
-    if len(blocks) != codim:
-        raise ParameterError(
-            f"form has {len(blocks)} coefficient blocks but codim is {codim}"
-        )
-    coeffs = np.stack(blocks)
-    if coeffs.shape[1:] != (dim, dim):
-        raise ParameterError(
-            f"form blocks must be {dim}x{dim}, got {coeffs.shape[1:]}"
-        )
-    sym = (coeffs + coeffs.transpose(0, 2, 1)) / 2.0
-    return QuadraticForm(coeffs=sym)
+    for block in blocks:
+        if block.shape != (dim, dim):
+            raise ParameterError(f"form blocks must be {dim}x{dim}, got {block.shape}")
+    return make_quadratic(euclidean(dim), euclidean(codim), np.stack(blocks))
 
 
 def _map_from(effective: dict) -> MapHandle:
@@ -297,10 +299,6 @@ def _map_from(effective: dict) -> MapHandle:
     raise ParameterError(
         f"unknown map {spec!r}; expected form, cube, or odd:<matrix>"
     )
-
-
-def _row_norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(v, dtype=np.float64) ** 2)))
 
 
 def run_certify(effective: dict):
@@ -327,9 +325,7 @@ def run_certify(effective: dict):
         code = EXIT_PASS if cert.passed else EXIT_FAIL
     extras = {}
     if effective["emit_samples"]:
-        xs, ys = sample_pairs_restricted(space, effective["d"], sampler)
-        res = residual_gq(f, params, xs, ys)
-        norms = np.sqrt(np.sum(res * res, axis=-1))
+        xs, ys, norms = cert.samples
         header = (
             [f"x{i + 1}" for i in range(space.dim)]
             + [f"y{i + 1}" for i in range(space.dim)]
@@ -427,29 +423,15 @@ def run_residual(effective: dict):
     f = _map_from(effective)
     rq = residual_q(f, x, y)
     rgq = residual_gq(f, params, x, y)
-    f_even, f_odd = parity_decompose(f)
-    r, s = params.r, params.s
-    chain = {
-        "odd_r_scaling": _row_norm(f_odd(r * x) - r * r * f_odd(x)),
-        "odd_s_scaling": _row_norm(f_odd(s * y) - s * (1.0 + r) * f_odd(y)),
-        "even_doubling": _row_norm(f_even(2.0 * x) - 4.0 * f_even(x)),
-        "even_cross_expansion": _row_norm(
-            f_even(2.0 * x + y)
-            + 2.0 * f_even(x)
-            + f_even(y)
-            - 2.0 * f_even(x + y)
-            - f_even(2.0 * x)
-        ),
-    }
     results = {
         "x": x.tolist(),
         "y": y.tolist(),
         "params": params.to_dict(),
         "q_residual": np.atleast_1d(rq).tolist(),
-        "q_residual_norm": _row_norm(rq),
+        "q_residual_norm": float(row_norms(rq, None)[0]),
         "gq_residual": np.atleast_1d(rgq).tolist(),
-        "gq_residual_norm": _row_norm(rgq),
-        "derivation_chain": chain,
+        "gq_residual_norm": float(row_norms(rgq, None)[0]),
+        "derivation_chain": derivation_chain_defects(f, params, x, y),
     }
     return results, True, EXIT_PASS, {}
 
@@ -566,7 +548,11 @@ def main(argv=None) -> int:
         "summary": {"pass": passed, "exit_code": code},
         "runtime_ms": runtime_ms,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        print(f"error: {ns.command} result is not finite; no report written", file=sys.stderr)
+        return EXIT_INVALID
     if effective["out"]:
         Path(effective["out"]).write_text(text)
     else:

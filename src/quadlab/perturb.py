@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, generator
+from .space import STREAM_FORMS, SpaceSpec, check_seed, generator
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
-_SEED_LIMIT = 2**64
 
 _NOISE_KINDS = ("none", "constant", "uniform_bounded", "decay", "sine")
 
@@ -69,9 +68,7 @@ class NoiseModel:
             raise ParameterError(f"noise amplitude must be finite, got {self.c!r}")
         if not np.isfinite(self.delta) or self.delta < 0:
             raise ParameterError(f"noise bound delta must be finite and >= 0, got {self.delta!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_LIMIT:
-            raise ParameterError(f"noise seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.kind == "decay" and (not np.isfinite(self.alpha) or self.alpha <= 0):
             raise ParameterError(f"decay exponent alpha must be > 0, got {self.alpha!r}")
         if self.freq is not None:

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .space import Sampler, SpaceSpec, sample_pairs_restricted
+from .space import Sampler, SpaceSpec, row_norms, sample_pairs_restricted
 
 _RS_WARN_THRESHOLD = 1e-2
 
@@ -300,6 +300,16 @@ def as_map(f) -> MapHandle:
     )
 
 
+def as_map_on(f, space: SpaceSpec) -> MapHandle:
+    """:func:`as_map`, checking that the map's domain is ``space``."""
+    handle = as_map(f)
+    if handle.domain_dim != space.dim:
+        raise DimensionMismatchError(
+            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
+        )
+    return handle
+
+
 def _pair_batches(f: MapHandle, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
@@ -426,8 +436,33 @@ class DerivationChainReport:
         }
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(v * v, axis=-1))
+def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
+    """Defects of the four derivation-chain identities at pairs (x, y).
+
+    Returns one entry per key of :class:`DerivationChainReport` holding
+    the Euclidean norm of each pair's defect: a float for a single pair,
+    an array for a batch.
+    """
+    handle = as_map(f)
+    xs, ys, single = _pair_batches(handle, x, y)
+    f_even, f_odd = parity_decompose(handle)
+    r, s = params.r, params.s
+    defects = {
+        "odd_r_scaling": f_odd(r * xs) - r * r * f_odd(xs),
+        "odd_s_scaling": f_odd(s * ys) - s * (1.0 + r) * f_odd(ys),
+        "even_doubling": f_even(2.0 * xs) - 4.0 * f_even(xs),
+        "even_cross_expansion": (
+            f_even(2.0 * xs + ys)
+            + 2.0 * f_even(xs)
+            + f_even(ys)
+            - 2.0 * f_even(xs + ys)
+            - f_even(2.0 * xs)
+        ),
+    }
+    norms = {name: row_norms(v, None) for name, v in defects.items()}
+    if single:
+        return {name: float(v[0]) for name, v in norms.items()}
+    return norms
 
 
 def derivation_chain_check(
@@ -438,37 +473,11 @@ def derivation_chain_check(
     Pairs are drawn unconstrained from the ball of radius
     ``sampler.radius_max``; the report records the max defect per identity.
     """
-    handle = as_map(f)
-    if handle.domain_dim != space.dim:
-        raise DimensionMismatchError(
-            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
-        )
+    handle = as_map_on(f, space)
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    f_even, f_odd = parity_decompose(handle)
-    r, s = params.r, params.s
-
-    defects = {
-        "odd_r_scaling": float(
-            _row_norms(f_odd(r * xs) - r * r * f_odd(xs)).max()
-        ),
-        "odd_s_scaling": float(
-            _row_norms(f_odd(s * ys) - s * (1.0 + r) * f_odd(ys)).max()
-        ),
-        "even_doubling": float(
-            _row_norms(f_even(2.0 * xs) - 4.0 * f_even(xs)).max()
-        ),
-        "even_cross_expansion": float(
-            _row_norms(
-                f_even(2.0 * xs + ys)
-                + 2.0 * f_even(xs)
-                + f_even(ys)
-                - 2.0 * f_even(xs + ys)
-                - f_even(2.0 * xs)
-            ).max()
-        ),
-    }
+    defects = derivation_chain_defects(handle, params, xs, ys)
     return DerivationChainReport(
-        defects=defects,
+        defects={name: float(v.max()) for name, v in defects.items()},
         params=params,
         sample_count=sampler.count,
         seed=sampler.seed,

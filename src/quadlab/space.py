@@ -35,12 +35,18 @@ _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 _MAX_REJECTION_BATCHES = 1024
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a Python int; :class:`ParameterError` unless it is an
+    integer in [0, 2**64)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_LIMIT:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def generator(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream); independent across streams."""
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     return np.random.Generator(
-        np.random.Philox(key=[np.uint64(seed), np.uint64(stream)])
+        np.random.Philox(key=[np.uint64(check_seed(seed)), np.uint64(stream)])
     )
 
 
@@ -87,6 +93,8 @@ class SpaceSpec:
                 raise DimensionMismatchError(
                     f"gram matrix must be ({self.dim}, {self.dim}), got {g.shape}"
                 )
+            if not np.all(np.isfinite(g)):
+                raise ParameterError("gram matrix entries must be finite")
             if not np.array_equal(g, g.T):
                 raise ParameterError("gram matrix must be exactly symmetric")
             eigs = np.linalg.eigvalsh(g)
@@ -149,18 +157,31 @@ def norm_eval(space: SpaceSpec, x):
         raise DimensionMismatchError(
             f"expected vectors of length {space.dim}, got shape {arr.shape}"
         )
-    if space.norm_kind == "euclidean":
-        out = np.sqrt(np.sum(arr * arr, axis=-1))
-    elif space.norm_kind == "sup":
-        out = np.max(np.abs(arr), axis=-1)
-    elif space.norm_kind == "p":
-        out = np.sum(np.abs(arr) ** space.p, axis=-1) ** (1.0 / space.p)
-    else:
-        quad = np.einsum("...i,ij,...j->...", arr, space.gram, arr)
-        out = np.sqrt(np.maximum(quad, 0.0))
+    out = _norms(space, arr)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def row_norms(values, space: SpaceSpec | None) -> np.ndarray:
+    """Norm in ``space`` of each row of ``values`` (one vector is one row);
+    ``space=None`` means Euclidean in whatever length the rows have."""
+    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    if space is None:
+        return _norms(None, rows)
+    return norm_eval(space, rows)
+
+
+def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
+    """Norms along the last axis; ``None`` stands for the Euclidean norm."""
+    if space is None or space.norm_kind == "euclidean":
+        return np.sqrt(np.sum(arr * arr, axis=-1))
+    if space.norm_kind == "sup":
+        return np.max(np.abs(arr), axis=-1)
+    if space.norm_kind == "p":
+        return np.sum(np.abs(arr) ** space.p, axis=-1) ** (1.0 / space.p)
+    quad = np.einsum("...i,ij,...j->...", arr, space.gram, arr)
+    return np.sqrt(np.maximum(quad, 0.0))
 
 
 @dataclass(frozen=True)
@@ -181,9 +202,7 @@ class Sampler:
     r_max: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < _SEED_LIMIT:
-            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise ParameterError(f"count must be a positive integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))

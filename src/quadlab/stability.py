@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, ExtractionError, ParameterError
-from .quadratic import EquationParams, as_map, residual_gq, residual_q
+from .quadratic import EquationParams, as_map, as_map_on, residual_gq, residual_q
 from .space import (
     STREAM_PROBES,
     Sampler,
     SpaceSpec,
     _unit_rows,
     generator,
+    row_norms,
     sample_pairs_restricted,
 )
 
@@ -171,11 +172,32 @@ def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
     return current, diag
 
 
-def _codomain_norms(values: np.ndarray, codomain: SpaceSpec | None) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if codomain is None:
-        return np.sqrt(np.sum(rows * rows, axis=-1))
-    return np.atleast_1d(codomain.norm(rows))
+def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int):
+    """``probe_count`` unit-sphere probes followed by the first sampled points."""
+    if probe_count < 1:
+        raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
+    unit = _unit_rows(space, generator(sampler.seed, STREAM_PROBES), probe_count)
+    return np.vstack([unit, xs[:_RESTRICTED_PROBES]])
+
+
+def _extract_rows(handle, points: np.ndarray, max_iters: int, tol: float, diags: list):
+    """Dyadic limit at each row of ``points``, one extraction per row.
+
+    Appends each row's diagnostics to ``diags``; when an extraction raises
+    :class:`ExtractionError` the error propagates and ``len(diags)`` is
+    the index of the failing row.
+    """
+    limits = np.empty((points.shape[0], handle.codomain_dim))
+    for i, point in enumerate(points):
+        limits[i], diag = extract_quadratic(handle, point, max_iters=max_iters, tol=tol)
+        diags.append(diag)
+    return limits
+
+
+def _restricted_residuals(handle, params, d, space, sampler, codomain):
+    """Sampled restricted pairs and the norm of each pair's weighted residual."""
+    xs, ys = sample_pairs_restricted(space, d, sampler)
+    return xs, ys, row_norms(residual_gq(handle, params, xs, ys), codomain)
 
 
 def estimate_delta_restricted(
@@ -192,14 +214,9 @@ def estimate_delta_restricted(
     inside the sampler's ball.  For noise with a known sup it lands within
     the triangle-inequality ceiling ``(1 + |rs| + |r| + |s|) * sup``.
     """
-    handle = as_map(f)
-    if handle.domain_dim != space.dim:
-        raise DimensionMismatchError(
-            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
-        )
-    xs, ys = sample_pairs_restricted(space, d, sampler)
-    res = residual_gq(handle, params, xs, ys)
-    return float(_codomain_norms(res, codomain).max())
+    handle = as_map_on(f, space)
+    _, _, norms = _restricted_residuals(handle, params, d, space, sampler, codomain)
+    return float(norms.max())
 
 
 @dataclass
@@ -209,6 +226,8 @@ class StabilityCertificate:
     ``passed`` is True/False for a completed comparison and None when the
     run was inconclusive (some probe's limit extraction failed).  The
     comparison is ``max_deviation <= c_approx + 1e-9 * (1 + c_approx)``.
+    ``samples`` holds the sampled pairs and each pair's residual norm as
+    ``(xs, ys, norms)``; it is left out of :meth:`to_dict` and equality.
     """
 
     params: EquationParams
@@ -228,6 +247,9 @@ class StabilityCertificate:
     max_iters: int
     tol: float
     extraction_iterations_max: int
+    samples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -275,13 +297,7 @@ def certify(
     rather than failed; warnings flag small ``|r s|``, quasi-norm domains,
     visibly uneven maps, and non-converged extractions.
     """
-    handle = as_map(f)
-    if handle.domain_dim != space.dim:
-        raise DimensionMismatchError(
-            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
-        )
-    if probe_count < 1:
-        raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
+    handle = as_map_on(f, space)
     warnings_: list[str] = []
     if params.small_rs:
         warnings_.append(
@@ -294,9 +310,8 @@ def certify(
             "assume a genuine norm"
         )
 
-    xs, ys = sample_pairs_restricted(space, d, sampler)
-    res = residual_gq(handle, params, xs, ys)
-    delta_hat = float(_codomain_norms(res, codomain).max())
+    xs, ys, norms = _restricted_residuals(handle, params, d, space, sampler, codomain)
+    delta_hat = float(norms.max())
     if delta_override is not None:
         if not np.isfinite(delta_override) or delta_override < 0:
             raise ParameterError(
@@ -309,34 +324,24 @@ def certify(
         delta_source = "empirical"
     constants = stability_constants(params, d, delta_used)
 
-    unit = _unit_rows(space, generator(sampler.seed, STREAM_PROBES), probe_count)
-    probes = np.vstack([unit, xs[: min(_RESTRICTED_PROBES, xs.shape[0])]])
-
+    probes = _probes(space, sampler, xs, probe_count)
     f_probes = handle(probes)
-    evenness = float(_codomain_norms(f_probes - handle(-probes), codomain).max())
-    probe_scale = float(_codomain_norms(f_probes, codomain).max())
+    evenness = float(row_norms(f_probes - handle(-probes), codomain).max())
+    probe_scale = float(row_norms(f_probes, codomain).max())
     if evenness > 1e-9 * (1.0 + probe_scale):
         warnings_.append(
             f"map is visibly uneven at the probes (defect {evenness:.3e}); "
             "only its even part is certified against the quadratic limit"
         )
 
-    limits = np.empty_like(f_probes)
-    iters_max = 0
+    diags: list[ExtractionDiagnostics] = []
     inconclusive = False
-    all_converged = True
-    for i in range(probes.shape[0]):
-        try:
-            limits[i], diag = extract_quadratic(
-                handle, probes[i], max_iters=max_iters, tol=tol
-            )
-        except ExtractionError as exc:
-            warnings_.append(f"extraction failed at probe {i}: {exc}")
-            inconclusive = True
-            break
-        iters_max = max(iters_max, diag.iterations)
-        all_converged = all_converged and diag.converged
-    if not inconclusive and not all_converged:
+    try:
+        limits = _extract_rows(handle, probes, max_iters, tol, diags)
+    except ExtractionError as exc:
+        warnings_.append(f"extraction failed at probe {len(diags)}: {exc}")
+        inconclusive = True
+    if not inconclusive and not all(diag.converged for diag in diags):
         warnings_.append(
             f"some extractions did not reach relative tol {tol:g} within "
             f"{max_iters} doublings"
@@ -346,7 +351,7 @@ def certify(
         max_deviation = None
         passed = None
     else:
-        max_deviation = float(_codomain_norms(f_probes - limits, codomain).max())
+        max_deviation = float(row_norms(f_probes - limits, codomain).max())
         passed = bool(
             max_deviation <= constants.c_approx + _PASS_SLACK * (1.0 + constants.c_approx)
         )
@@ -368,7 +373,8 @@ def certify(
         seed=sampler.seed,
         max_iters=max_iters,
         tol=tol,
-        extraction_iterations_max=iters_max,
+        extraction_iterations_max=max((diag.iterations for diag in diags), default=0),
+        samples=(xs, ys, norms),
     )
 
 
@@ -428,39 +434,27 @@ def verify_czerwik(
     re-extracted at ``t * probe`` and compared with ``t^2`` times the base
     limit for each scale ``t``.
     """
-    handle = as_map(f)
-    if handle.domain_dim != space.dim:
-        raise DimensionMismatchError(
-            f"map domain {handle.domain_dim} does not match space dim {space.dim}"
-        )
+    handle = as_map_on(f, space)
     warnings_: list[str] = []
     if space.is_quasi_norm:
         warnings_.append(f"domain norm p={space.p} is a quasi-norm (p < 1)")
 
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    delta_hat = float(_codomain_norms(residual_q(handle, xs, ys), codomain).max())
+    delta_hat = float(row_norms(residual_q(handle, xs, ys), codomain).max())
 
-    unit = _unit_rows(space, generator(sampler.seed, STREAM_PROBES), probe_count)
-    probes = np.vstack([unit, xs[: min(_RESTRICTED_PROBES, xs.shape[0])]])
+    probes = _probes(space, sampler, xs, probe_count)
     f_probes = handle(probes)
-
-    base = np.empty_like(f_probes)
-    for i in range(probes.shape[0]):
-        base[i], _ = extract_quadratic(handle, probes[i], max_iters=max_iters, tol=tol)
-    max_deviation = float(_codomain_norms(f_probes - base, codomain).max())
+    base = _extract_rows(handle, probes, max_iters, tol, [])
+    max_deviation = float(row_norms(f_probes - base, codomain).max())
     bound = delta_hat / 2.0
     within = bool(max_deviation <= bound + _PASS_SLACK * (1.0 + bound))
 
-    base_scale = float(_codomain_norms(base, codomain).max())
+    base_scale = float(row_norms(base, codomain).max())
     hom_defects: dict[float, float] = {}
     hom_ok = True
     for t in scales:
-        scaled = np.empty_like(f_probes)
-        for i in range(probes.shape[0]):
-            scaled[i], _ = extract_quadratic(
-                handle, t * probes[i], max_iters=max_iters, tol=tol
-            )
-        defect = float(_codomain_norms(scaled - t * t * base, codomain).max())
+        scaled = _extract_rows(handle, t * probes, max_iters, tol, [])
+        defect = float(row_norms(scaled - t * t * base, codomain).max())
         hom_defects[float(t)] = defect
         hom_ok = hom_ok and defect <= 1e-8 * (1.0 + t * t * base_scale)
 

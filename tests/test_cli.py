@@ -453,6 +453,14 @@ class TestMapAndFormParsing:
             ("residual", "--dim", "2", "--map", "banana", "--x", "1,1", "--y", "0,0"),
             ("certify", "--noise", "banana:1"),
             ("certify", "--noise", "decay:1"),
+            ("certify", "--dim", "2", "--codim", "2",
+             "--form", "1,0;0,1|1,0,0;0,1,0"),  # blocks of unequal shapes
+            # Non-finite inputs and results: no report may carry NaN/Infinity.
+            ("residual", "--dim", "1", "--x", "nan", "--y", "1"),
+            ("residual", "--dim", "1", "--map", "cube", "--x", "1e200", "--y", "1"),
+            ("profile", "--dim", "2", "--form", "1e300,0;0,1", "--n-min", "1",
+             "--n-max", "8", "--per-shell", "10"),
+            ("detect-ip", "--dim", "2", "--norm", "p:1e-300", "--samples", "10"),
         ],
     )
     def test_bad_specs(self, capsys, argv):

@@ -113,6 +113,11 @@ class TestSpaceValidation:
         with pytest.raises(ParameterError):
             weighted_quadratic([[1.0, 0.1], [0.2, 1.0]])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_gram_not_finite(self, bad):
+        with pytest.raises(ParameterError):
+            weighted_quadratic([[1.0, 0.0], [0.0, bad]])
+
     def test_gram_not_positive_definite(self):
         with pytest.raises(ParameterError):
             weighted_quadratic([[1.0, 2.0], [2.0, 1.0]])

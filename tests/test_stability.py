@@ -301,6 +301,11 @@ class TestCertify:
                 Sampler.restricted_pairs(31, 10, 2.0),
                 probe_count=0,
             )
+        for bad in (0, -1):
+            with pytest.raises(ParameterError):
+                verify_czerwik(
+                    form, euclidean(2), Sampler.restricted_pairs(31, 10, 2.0), probe_count=bad
+                )
 
 
 class TestClassicalHalfBound:
