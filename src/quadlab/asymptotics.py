@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .quadratic import EquationParams, as_map_on, residual_gq
-from .space import STREAM_SHELL, SpaceSpec, _unit_rows, generator, norm_eval, row_norms
+from .space import STREAM_SHELL, SpaceSpec, _rows_at_radii, _settled, generator, row_norms
 
 VERDICT_DECAYING = "asymptotically_quadratic"
 VERDICT_PERSISTENT = "persistent_defect"
@@ -104,15 +104,9 @@ def shell_delta_profile(
         hi = (n + 1) - _SHELL_MARGIN * (2.0 + n)
         t = rng.uniform(lo, hi, per_shell_count)
         split = rng.uniform(0.0, 1.0, per_shell_count)
-        dx = _unit_rows(space, rng, per_shell_count)
-        dy = _unit_rows(space, rng, per_shell_count)
-        xs = (split * t)[:, None] * dx
-        ys = ((1.0 - split) * t)[:, None] * dy
-        joint = norm_eval(space, xs) + norm_eval(space, ys)
-        if np.any(joint < n) or np.any(joint >= n + 1):
-            raise RuntimeError(
-                f"shell sampler drifted outside [{n}, {n + 1}) despite margin"
-            )
+        rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
+        inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
+        xs, ys = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
         deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
     return ShellProfile(
         n_min=int(n_min),

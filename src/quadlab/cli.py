@@ -168,6 +168,9 @@ def _merge_config(ns: argparse.Namespace) -> dict:
     for key in _DEFAULTS:
         if hasattr(ns, key) and getattr(ns, key) is not None:
             effective[key] = getattr(ns, key)
+    for key in ("dim", "codim"):
+        if effective[key] < 1:
+            raise ParameterError(f"--{key} must be a positive integer, got {effective[key]}")
     if effective["emit_samples"] and not effective["out"]:
         raise ParameterError("--emit-samples needs --out to name the CSV file")
     return effective
@@ -301,19 +304,22 @@ def _map_from(effective: dict) -> MapHandle:
     )
 
 
+def _pair_sampler(effective: dict) -> Sampler:
+    return Sampler.restricted_pairs(
+        effective["seed"], effective["samples"], effective["radius_max"]
+    )
+
+
 def run_certify(effective: dict):
     space = _space_from(effective)
     params = equation_params(effective["r"])
     f = make_perturbed(_form_from(effective), _noise_from(effective))
-    sampler = Sampler.restricted_pairs(
-        effective["seed"], effective["samples"], effective["radius_max"]
-    )
     cert = certify(
         f,
         params,
         effective["d"],
         space,
-        sampler,
+        _pair_sampler(effective),
         max_iters=effective["iters"],
         tol=effective["tol"],
         delta_override=effective["delta"],
@@ -341,10 +347,7 @@ def run_certify(effective: dict):
 
 def run_detect_ip(effective: dict):
     space = _space_from(effective)
-    sampler = Sampler.ball(
-        effective["seed"], effective["samples"], effective["radius_max"]
-    )
-    verdict = detect_inner_product(space, sampler, tol=effective["tol"])
+    verdict = detect_inner_product(space, _pair_sampler(effective), tol=effective["tol"])
     code = EXIT_PASS if verdict.accepted else EXIT_FAIL
     return verdict.to_dict(), verdict.accepted, code, {}
 
@@ -368,10 +371,7 @@ def run_exponents(effective: dict):
     space = _space_from(effective)
     params = equation_params(effective["r"])
     grid = _grid_from(effective)
-    sampler = Sampler.ball(
-        effective["seed"], effective["samples"], effective["radius_max"]
-    )
-    table = exponent_scan(space, params, grid, sampler, tol=effective["tol"])
+    table = exponent_scan(space, params, grid, _pair_sampler(effective), tol=effective["tol"])
     # The scan is informational: completing it is a pass; parameter errors
     # (zero exponents, bad grids) surface before this point as exit 2.
     return table.to_dict(), True, EXIT_PASS, {}
@@ -535,7 +535,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         effective = _merge_config(ns)
-        results, passed, code, extras = _DISPATCH[ns.command](effective)
+        # Overflow shows as a non-finite result, which exits 2 below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            results, passed, code, extras = _DISPATCH[ns.command](effective)
     except (ParameterError, UndefinedValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

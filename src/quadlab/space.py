@@ -31,8 +31,9 @@ _SEED_LIMIT = 2**64
 
 _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 
-# Upper bound on rejection rounds before the restricted-pair sampler gives up.
-_MAX_REJECTION_BATCHES = 1024
+# Relative clearance from every bound of a sampled row pulled back inside:
+# far above the few-ulp rounding of a norm, far below any sampled scale.
+_REPAIR_SLACK = 2.0**-30
 
 
 def check_seed(seed) -> int:
@@ -188,10 +189,11 @@ def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
 class Sampler:
     """Deterministic sampling request: seed, count, and a support region.
 
-    mode is ``"ball"`` (norm <= radius_max), ``"annulus"``
-    (r_min <= norm <= r_max), or ``"restricted_pairs"`` (pairs for
-    :func:`sample_pairs_restricted`).  Use the classmethods rather than
-    the raw constructor.
+    mode is ``"ball"`` (norm <= radius_max) or ``"annulus"``
+    (r_min <= norm <= r_max, r_min < r_max) for :func:`sample_vectors`, or
+    ``"restricted_pairs"`` for :func:`sample_pairs_restricted`; each
+    refuses the other modes.  Use the classmethods rather than the raw
+    constructor.
     """
 
     seed: int
@@ -213,9 +215,9 @@ class Sampler:
         if self.mode == "annulus":
             r_max = self.radius_max if self.r_max is None else float(self.r_max)
             object.__setattr__(self, "r_max", r_max)
-            if not 0.0 <= self.r_min <= r_max:
+            if not 0.0 <= self.r_min < r_max:
                 raise ParameterError(
-                    f"annulus needs 0 <= r_min <= r_max, got [{self.r_min}, {r_max}]"
+                    f"annulus needs 0 <= r_min < r_max, got [{self.r_min}, {r_max}]"
                 )
 
     @classmethod
@@ -238,9 +240,9 @@ class Sampler:
         return cls(seed=seed, count=count, radius_max=radius_max, mode="restricted_pairs")
 
 
-def _unit_rows(space: SpaceSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count directions of unit norm (in the space's own norm)."""
-    dirs = rng.standard_normal((count, space.dim))
+def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
+    """Each radius (up to rounding) times a norm-uniform unit direction from ``rng``."""
+    dirs = rng.standard_normal((radii.shape[0], space.dim))
     norms = norm_eval(space, dirs)
     degenerate = norms == 0.0
     if np.any(degenerate):
@@ -248,42 +250,38 @@ def _unit_rows(space: SpaceSpec, rng: np.random.Generator, count: int) -> np.nda
         dirs[degenerate] = 0.0
         dirs[degenerate, 0] = 1.0
         norms = norm_eval(space, dirs)
-    return dirs / norms[:, None]
+    return dirs / norms[:, None] * radii[:, None]
 
 
-def _clamp_radius(space: SpaceSpec, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Rescale rows whose norm drifted outside [lo, hi] by a rounding error."""
-    norms = norm_eval(space, x)
-    over = norms > hi
-    if np.any(over):
-        x[over] *= (np.nextafter(hi, 0.0) / norms[over])[:, None]
-    if lo > 0.0:
-        norms = norm_eval(space, x)
-        under = norms < lo
-        if np.any(under):
-            x[under] *= (np.nextafter(lo, np.inf) / norms[under])[:, None]
-    return x
+def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float) -> list:
+    """``rows`` checked on their own norms, with offenders pulled inside.
 
-
-def _ball_rows(
-    space: SpaceSpec, rng: np.random.Generator, count: int, lo: float, hi: float
-) -> np.ndarray:
-    """Rows with norm uniform on [lo, hi] and norm-uniform random direction.
-
-    The radius is uniform, so the draw is *not* uniform in volume; it
-    deliberately oversamples small norms, which is where the restricted
-    domain and the extraction probes need coverage.
+    ``inside(*norms)`` marks the rows on the domain (never a NaN norm); the
+    radius ``center`` clears every bound by ``room``.  A row that rounding left
+    a few ulp off moves toward ``center`` until it clears every bound by
+    ``_REPAIR_SLACK`` (relative) or ``room / 2``.
     """
-    dirs = _unit_rows(space, rng, count)
-    radii = rng.uniform(lo, hi, count)
-    return _clamp_radius(space, dirs * radii[:, None], lo, hi)
+    norms = [norm_eval(space, r) for r in rows]
+    bad = ~inside(*norms)
+    if not np.any(bad):
+        return rows
+    pull = min(0.5, _REPAIR_SLACK * center / room)
+    for r, n in zip(rows, norms):
+        now = n[bad]
+        want = now + pull * (center - now)
+        r[bad] *= np.divide(want, now, out=np.ones_like(now), where=now > 0.0)[:, None]
+    if not np.all(inside(*(norm_eval(space, r) for r in rows))):
+        raise InfeasibleDomainError("rounding or overflow leaves float64 rows off the domain")
+    return rows
 
 
 def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
-    """Draw ``sampler.count`` vectors from a ball or annulus.
+    """Draw ``sampler.count`` vectors, shape (count, dim), from a ball or annulus.
 
-    Returns an array of shape (count, dim).  Equal (space, sampler) inputs
-    reproduce bitwise-equal output.
+    Norms are uniform and directions norm-uniform, so the draw is *not*
+    uniform in volume; it deliberately oversamples small norms, which is
+    where the restricted domain and the extraction probes need coverage.
+    Equal (space, sampler) inputs reproduce bitwise-equal output.
     """
     if sampler.mode == "ball":
         lo, hi = 0.0, sampler.radius_max
@@ -291,48 +289,52 @@ def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
         lo, hi = sampler.r_min, sampler.r_max
     else:
         raise ParameterError(
-            "sample_vectors needs a 'ball' or 'annulus' sampler; "
-            "use sample_pairs_restricted for pair modes"
+            f"sample_vectors needs a ball or annulus sampler, got {sampler.mode!r}"
         )
     rng = generator(sampler.seed, STREAM_VECTORS)
-    return _ball_rows(space, rng, sampler.count, lo, hi)
+    rows = [_rows_at_radii(space, rng, rng.uniform(lo, hi, sampler.count))]
+    inside = lambda n: (n >= lo) & (n <= hi)  # noqa: E731
+    return _settled(space, rows, inside, (lo + hi) / 2, (hi - lo) / 2)[0]
 
 
 def sample_pairs_restricted(
     space: SpaceSpec, d: float, sampler: Sampler
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw pairs (x, y) from the ball of radius ``radius_max`` with
-    ``norm(x) + norm(y) >= d``, by rejection.
+    """Draw pairs (x, y) with ``norm(x), norm(y) <= R = radius_max`` and
+    ``norm(x) + norm(y) >= d``, each pair once, with no rejection.
 
-    ``d = 0`` gives unconstrained pairs.  Raises
-    :class:`InfeasibleDomainError` when ``2 * radius_max < d`` (the
-    constraint set is empty) or when acceptance is too rare to fill the
-    request within a bounded number of rejection rounds.
+    The radii ``(a, b)`` are uniform on ``{a, b in [0, R], a + b >= d}``, the
+    law of independent uniform radii conditioned on the constraint: ``a``
+    from the inverse CDF of its density ``min(R, R - d + a)`` on
+    ``[max(0, d - R), R]``, ``b`` uniform on ``[max(0, d - a), R]``; the
+    directions are independent and norm-uniform.  Raises
+    :class:`ParameterError` for a sampler not in ``restricted_pairs`` mode
+    or a negative or non-finite ``d``, and :class:`InfeasibleDomainError`
+    when ``d >= 2 * R`` (an empty or measure-zero domain) or when rounding
+    or overflow leaves rows off the domain.
     """
+    if sampler.mode != "restricted_pairs":
+        raise ParameterError(
+            f"sample_pairs_restricted needs a restricted_pairs sampler, got {sampler.mode!r}"
+        )
     if not np.isfinite(d) or d < 0:
         raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
-    if 2.0 * sampler.radius_max < d:
+    R = sampler.radius_max
+    if d >= 2.0 * R:
         raise InfeasibleDomainError(
-            f"norm(x) + norm(y) >= {d} is unreachable inside a ball of radius "
-            f"{sampler.radius_max}; need 2 * radius_max >= d"
+            f"norm(x) + norm(y) >= {d} in a ball of radius {R} has measure zero; need d < 2R"
         )
     rng_x = generator(sampler.seed, STREAM_PAIR_X)
     rng_y = generator(sampler.seed, STREAM_PAIR_Y)
-    keep_x, keep_y = [], []
-    have = 0
-    for _ in range(_MAX_REJECTION_BATCHES):
-        x = _ball_rows(space, rng_x, sampler.count, 0.0, sampler.radius_max)
-        y = _ball_rows(space, rng_y, sampler.count, 0.0, sampler.radius_max)
-        mask = norm_eval(space, x) + norm_eval(space, y) >= d
-        if np.any(mask):
-            keep_x.append(x[mask])
-            keep_y.append(y[mask])
-            have += int(mask.sum())
-        if have >= sampler.count:
-            X = np.concatenate(keep_x)[: sampler.count]
-            Y = np.concatenate(keep_y)[: sampler.count]
-            return X, Y
-    raise InfeasibleDomainError(
-        f"restricted-pair acceptance below {have}/{sampler.count} after "
-        f"{_MAX_REJECTION_BATCHES} rejection rounds (d={d}, radius_max={sampler.radius_max})"
-    )
+    # In units of R, a's density is a ramp s = 1 - t + a over s in [s_lo, s_hi]
+    # (t = d / R), then (when t < 1) flat at height 1 over a in [t, 1].
+    t = d / R
+    s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
+    ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
+    u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
+    a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
+    b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
+    rows = [_rows_at_radii(space, rng_x, R * a), _rows_at_radii(space, rng_y, R * b)]
+    inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
+    room = (2.0 * R - d) / 4.0
+    return tuple(_settled(space, rows, inside, R - room, room))

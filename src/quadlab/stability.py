@@ -22,7 +22,7 @@ from .space import (
     STREAM_PROBES,
     Sampler,
     SpaceSpec,
-    _unit_rows,
+    _rows_at_radii,
     generator,
     row_norms,
     sample_pairs_restricted,
@@ -176,7 +176,7 @@ def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int
     """``probe_count`` unit-sphere probes followed by the first sampled points."""
     if probe_count < 1:
         raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
-    unit = _unit_rows(space, generator(sampler.seed, STREAM_PROBES), probe_count)
+    unit = _rows_at_radii(space, generator(sampler.seed, STREAM_PROBES), np.ones(probe_count))
     return np.vstack([unit, xs[:_RESTRICTED_PROBES]])
 
 

@@ -1,7 +1,11 @@
 """Command-line behavior: reports, exit codes, config merging, CSV output."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,14 @@ class TestReportShape:
             capsys, "certify", "--dim", "2", "--samples", "100", "--seed", "1",
         )
         assert "certify: pass" in captured.err
+
+    def test_certify_near_the_domain_limit(self, capsys):
+        # d = 3.95 < 2 * radius_max: a thin but feasible restricted domain.
+        code, report, _ = run_cli(
+            capsys, "certify", "--d", "3.95", "--radius-max", "2", "--samples", "100",
+        )
+        assert code == 0
+        assert np.isfinite(report["results"]["delta_hat"])
 
     def test_config_echoes_merged_values(self, capsys):
         _, report, _ = run_cli(
@@ -461,6 +473,10 @@ class TestMapAndFormParsing:
             ("profile", "--dim", "2", "--form", "1e300,0;0,1", "--n-min", "1",
              "--n-max", "8", "--per-shell", "10"),
             ("detect-ip", "--dim", "2", "--norm", "p:1e-300", "--samples", "10"),
+            ("certify", "--codim", "0"),
+            ("certify", "--codim", "0", "--form", "1,0;0,1"),
+            # Norms of rows at radius 1e200 overflow float64.
+            ("detect-ip", "--radius-max", "1e200", "--samples", "50"),
         ],
     )
     def test_bad_specs(self, capsys, argv):
@@ -468,6 +484,32 @@ class TestMapAndFormParsing:
         assert code == 2
         assert report is None
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("certify", "--codim", "0"), "--codim"),
+            (("certify", "--codim", "0", "--form", "1,0;0,1"), "--codim"),
+            (("profile", "--dim", "0"), "--dim"),
+        ],
+    )
+    def test_dimension_errors_name_the_flag(self, capsys, argv, flag):
+        code, _, captured = run_cli(capsys, *argv)
+        assert code == 2
+        assert captured.err == f"error: {flag} must be a positive integer, got 0\n"
+
+    def test_non_finite_result_is_one_stderr_line(self):
+        # The overflow inside the run must not leak numpy warnings.  Run in a
+        # fresh interpreter: pytest would capture warnings before stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "quadlab.cli", "profile", "--dim", "2",
+             "--form", "1e300,0;0,1", "--n-min", "1", "--n-max", "8", "--per-shell", "10"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: profile result is not finite; no report written\n"
 
     def test_random_form_scale_parses(self, capsys):
         code, report, _ = run_cli(

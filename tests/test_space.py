@@ -163,6 +163,9 @@ class TestSamplers:
     def test_annulus_bad_range(self):
         with pytest.raises(ParameterError):
             Sampler.annulus(seed=0, count=10, r_min=3.0, r_max=2.0)
+        # A degenerate annulus: no rescale lands a row on both bounds at once.
+        with pytest.raises(ParameterError):
+            Sampler.annulus(seed=0, count=10, r_min=1.0, r_max=1.0)
 
     def test_bad_seed(self):
         with pytest.raises(ParameterError):
@@ -209,12 +212,73 @@ class TestRestrictedPairs:
 
     def test_measure_zero_acceptance_gives_up(self):
         # d = 2 * radius_max is feasible only on a measure-zero set; the
-        # rejection loop must terminate with an explicit error.
+        # sampler must refuse it with an explicit error.
         with pytest.raises(InfeasibleDomainError):
             sample_pairs_restricted(
                 euclidean(2),
                 4.0,
                 Sampler.restricted_pairs(seed=0, count=8, radius_max=2.0),
+            )
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            euclidean(3),
+            p_norm(3, 0.5),
+            p_norm(3, 3.0),
+            sup_norm(3),
+            weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+        ],
+        ids=["euclidean", "p:0.5", "p:3", "sup", "weighted"],
+    )
+    @pytest.mark.parametrize(
+        "frac", [0.0, 0.5, 1.0, 1.475, 1.975, "2R - 1e-13", "nextafter(2R, 0)"]
+    )
+    def test_every_row_meets_both_bounds(self, space, frac):
+        # Near d = 2R, scaling unit directions by the radii is exact only up
+        # to rounding; each returned row must still satisfy both bounds,
+        # checked on the rows themselves, or the call must refuse the domain.
+        radius = 2.0
+        if frac == "2R - 1e-13":
+            d = 2.0 * radius - 1e-13
+        elif frac == "nextafter(2R, 0)":
+            d = float(np.nextafter(2.0 * radius, 0.0))
+        else:
+            d = frac * radius
+        sampler = Sampler.restricted_pairs(seed=7, count=20000, radius_max=radius)
+        try:
+            xs, ys = sample_pairs_restricted(space, d, sampler)
+        except InfeasibleDomainError:
+            return
+        nx, ny = space.norm(xs), space.norm(ys)
+        assert xs.shape == ys.shape == (20000, 3)
+        assert np.all(nx <= radius) and np.all(ny <= radius)
+        assert np.all(nx + ny >= d)
+
+    @pytest.mark.parametrize(
+        "d, statistic, expected, sd",
+        [
+            # Radii uniform on {a, b in [0, R], a + b >= d}, R = 2, d <= R:
+            # P(norm(x) >= d) = R (R - d) / (R^2 - d^2 / 2) = 4/7.
+            (1.0, lambda n: n >= 1.0, 4.0 / 7.0, np.sqrt(12.0 / 49.0)),
+            # d > R: norm(x) has a ramp density on [d - R, R], so its mean is
+            # (d - R) + 2 (2R - d) / 3 and its variance (2R - d)^2 / 18.
+            (3.3, lambda n: n, 1.3 + 2.0 * 0.7 / 3.0, 0.7 / np.sqrt(18.0)),
+        ],
+    )
+    def test_radius_law(self, d, statistic, expected, sd):
+        count = 40000
+        space = euclidean(3)
+        xs, _ = sample_pairs_restricted(
+            space, d, Sampler.restricted_pairs(seed=13, count=count, radius_max=2.0)
+        )
+        got = np.mean(statistic(space.norm(xs)))
+        assert abs(got - expected) <= 4.0 * sd / np.sqrt(count)
+
+    def test_rejects_vector_sampler(self):
+        with pytest.raises(ParameterError):
+            sample_pairs_restricted(
+                euclidean(2), 0.0, Sampler.ball(seed=0, count=4, radius_max=1.0)
             )
 
     def test_negative_d_rejected(self):
