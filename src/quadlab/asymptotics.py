@@ -68,6 +68,11 @@ class ShellProfile:
         }
 
 
+def _shell_interval(n: int) -> tuple[float, float]:
+    """Joint radii sampled for shell ``[n, n+1)``: the shell minus its margins."""
+    return n + _SHELL_MARGIN * (1.0 + n), (n + 1) - _SHELL_MARGIN * (2.0 + n)
+
+
 def shell_delta_profile(
     f,
     params: EquationParams,
@@ -92,6 +97,13 @@ def shell_delta_profile(
         raise ParameterError(f"n_min must be >= 0, got {n_min}")
     if n_max <= n_min:
         raise ParameterError(f"need n_max > n_min, got [{n_min}, {n_max}]")
+    # The relative margin outgrows the unit shell near n = 5e8.
+    lo, hi = _shell_interval(n_max)
+    if lo >= hi:
+        raise ParameterError(
+            f"n_max {n_max} is too large: the sampling margin leaves shell "
+            f"[{n_max}, {n_max + 1}) empty"
+        )
     shell_count = n_max - n_min + 1
     if not isinstance(per_shell_count, (int, np.integer)) or per_shell_count < 1:
         raise ParameterError(
@@ -100,9 +112,7 @@ def shell_delta_profile(
     rng = generator(seed, STREAM_SHELL)
     deltas = np.empty(shell_count)
     for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
-        lo = n + _SHELL_MARGIN * (1.0 + n)
-        hi = (n + 1) - _SHELL_MARGIN * (2.0 + n)
-        t = rng.uniform(lo, hi, per_shell_count)
+        t = rng.uniform(*_shell_interval(n), per_shell_count)
         split = rng.uniform(0.0, 1.0, per_shell_count)
         rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
         inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731

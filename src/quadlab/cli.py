@@ -9,11 +9,13 @@ check with Gram recovery), ``exponents`` (norm-identity exponent scan),
 Every run emits a single JSON report (stdout, or ``--out``).  Reports are
 deterministic: same command line, same bytes, except the ``runtime_ms``
 field, and are strict JSON.  Exit codes: 0 pass/accepted, 1 fail/rejected,
-2 invalid parameters or a non-finite input or result, 3 inconclusive.
+2 invalid parameters, a non-finite input or result, or an unwritable
+``--out``, 3 inconclusive.
 
 Configuration may come from a flat ``key=value`` file via ``--config``;
 explicit flags win over the file, the file wins over built-in defaults.
-Unknown keys in the file are errors, not typos to ignore.
+Every flag is a config key of the flag's type, keys of other subcommands
+are accepted and echoed, and unknown keys are errors, not typos to ignore.
 """
 
 from __future__ import annotations
@@ -73,69 +75,77 @@ EXIT_INCONCLUSIVE = 3
 _NOISE_SEED_SALT = 0x517CC1B727220A95
 _SEED_MASK = 2**64 - 1
 
-_DEFAULTS = {
-    "dim": 2,
-    "codim": 1,
-    "norm": "euclidean",
-    "gram": None,
-    "r": "1/2",
-    "d": 1.0,
-    "delta": None,
-    "noise": "none",
-    "samples": 1000,
-    "radius_max": 2.0,
-    "seed": 0,
-    "iters": 26,
-    "tol": None,
-    "out": None,
-    "emit_samples": False,
-    "form": "identity",
-    "probes": 32,
-    "grid": "default",
-    "n_min": 1,
-    "n_max": 16,
-    "per_shell": 200,
-    "decay_tol": 1e-8,
-    "x": None,
-    "y": None,
-    "map": "form",
+# One row per option: key -> (type, default, help, subcommand or None for
+# all).  The parser, the --config reader and the report's config block all
+# read this table; a bool is a store_true flag.  tol's default is per
+# command (see _COMMANDS).
+_OPTIONS = {
+    "dim": (int, 2, "domain dimension", None),
+    "codim": (int, 1, "codomain dimension", None),
+    "norm": (str, "euclidean", "domain norm: euclidean, sup, p:<value>, or weighted", None),
+    "gram": (str, None, "weighted-norm matrix, rows 'a,b;c,d'", None),
+    "r": (str, "1/2", "equation weight r as a decimal or p/q", None),
+    "d": (float, 1.0, "restricted-domain threshold", None),
+    "delta": (float, None, "override the defect bound", None),
+    "noise": (
+        str,
+        "none",
+        "perturbation: none, constant:<c>, uniform:<delta>, decay:<c>,<alpha>, or sine:<c>",
+        None,
+    ),
+    "samples": (int, 1000, "number of sampled pairs/points", None),
+    "radius_max": (float, 2.0, "sampling ball radius", None),
+    "seed": (int, 0, "root seed for all streams", None),
+    "iters": (int, 26, "max doublings in limit extraction", None),
+    "tol": (float, None, "tolerance for the command's check", None),
+    "out": (str, None, "write the JSON report here instead of stdout", None),
+    "emit_samples": (bool, False, "also write sampled data as CSV next to --out", None),
+    "form": (
+        str,
+        "identity",
+        "base quadratic form: identity, random[:scale], or matrix blocks "
+        "'a,b;c,d|...' (one block per output coordinate)",
+        None,
+    ),
+    "probes": (int, 32, "unit-sphere probe count", None),
+    "grid": (
+        str,
+        "default",
+        "semicolon-separated exponent tuples 'p,q,u,v;...' or 'default'",
+        "exponents",
+    ),
+    "n_min": (int, 1, "first shell lower bound", "profile"),
+    "n_max": (int, 16, "last shell lower bound", "profile"),
+    "per_shell": (int, 200, "pairs sampled per shell", "profile"),
+    "decay_tol": (float, 1e-8, "tail decay tolerance", "profile"),
+    "x": (str, None, "first point, comma-separated", "residual"),
+    "y": (str, None, "second point, comma-separated", "residual"),
+    "map": (str, "form", "map to evaluate: form, cube, or odd:<matrix>", "residual"),
 }
 
-_TOL_DEFAULTS = {
-    "certify": 1e-10,
-    "detect-ip": 1e-9,
-    "exponents": 1e-9,
-    "profile": 1e-10,
-    "residual": 1e-10,
-}
+_DEFAULTS = {key: default for key, (_, default, _, _) in _OPTIONS.items()}
 
-_INT_KEYS = {"dim", "codim", "samples", "seed", "iters", "probes", "n_min", "n_max", "per_shell"}
-_FLOAT_KEYS = {"d", "delta", "radius_max", "tol", "decay_tol"}
-_BOOL_KEYS = {"emit_samples"}
-
-_STATUS_WORDS = {
-    EXIT_PASS: "pass",
-    EXIT_FAIL: "fail",
-    EXIT_INCONCLUSIVE: "inconclusive",
+# A run's verdict (its ``passed``) fixes the exit code and the status word.
+_VERDICTS = {
+    True: (EXIT_PASS, "pass"),
+    False: (EXIT_FAIL, "fail"),
+    None: (EXIT_INCONCLUSIVE, "inconclusive"),
 }
 
 
 def _coerce(key: str, value: str):
+    kind = _OPTIONS[key][0]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = value.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {value!r}")
+        return kind(value)
     except ValueError as exc:
         raise ParameterError(f"config value for {key!r} is invalid: {exc}") from None
-    return value
 
 
 def _read_config_file(path: str) -> dict:
@@ -162,11 +172,11 @@ def _read_config_file(path: str) -> dict:
 
 def _merge_config(ns: argparse.Namespace) -> dict:
     effective = dict(_DEFAULTS)
-    effective["tol"] = _TOL_DEFAULTS[ns.command]
-    if getattr(ns, "config", None):
+    effective["tol"] = _COMMANDS[ns.command][1]
+    if ns.config:
         effective.update(_read_config_file(ns.config))
     for key in _DEFAULTS:
-        if hasattr(ns, key) and getattr(ns, key) is not None:
+        if getattr(ns, key, None) is not None:
             effective[key] = getattr(ns, key)
     for key in ("dim", "codim"):
         if effective[key] < 1:
@@ -325,11 +335,7 @@ def run_certify(effective: dict):
         delta_override=effective["delta"],
         probe_count=effective["probes"],
     )
-    if cert.inconclusive:
-        code = EXIT_INCONCLUSIVE
-    else:
-        code = EXIT_PASS if cert.passed else EXIT_FAIL
-    extras = {}
+    csv = None
     if effective["emit_samples"]:
         xs, ys, norms = cert.samples
         header = (
@@ -341,15 +347,14 @@ def run_certify(effective: dict):
             [repr(float(v)) for v in (*xs[i], *ys[i], norms[i])]
             for i in range(xs.shape[0])
         ]
-        extras["samples_csv"] = (header, rows)
-    return cert.to_dict(), cert.passed, code, extras
+        csv = (header, rows)
+    return cert.to_dict(), cert.passed, csv
 
 
 def run_detect_ip(effective: dict):
     space = _space_from(effective)
     verdict = detect_inner_product(space, _pair_sampler(effective), tol=effective["tol"])
-    code = EXIT_PASS if verdict.accepted else EXIT_FAIL
-    return verdict.to_dict(), verdict.accepted, code, {}
+    return verdict.to_dict(), verdict.accepted, None
 
 
 def _grid_from(effective: dict) -> list[Exponents]:
@@ -374,7 +379,7 @@ def run_exponents(effective: dict):
     table = exponent_scan(space, params, grid, _pair_sampler(effective), tol=effective["tol"])
     # The scan is informational: completing it is a pass; parameter errors
     # (zero exponents, bad grids) surface before this point as exit 2.
-    return table.to_dict(), True, EXIT_PASS, {}
+    return table.to_dict(), True, None
 
 
 def run_profile(effective: dict):
@@ -391,22 +396,17 @@ def run_profile(effective: dict):
         effective["seed"],
     )
     verdict = asymptotic_verdict(profile, effective["decay_tol"])
-    if verdict.verdict == VERDICT_DECAYING:
-        passed, code = True, EXIT_PASS
-    elif verdict.verdict == VERDICT_PERSISTENT:
-        passed, code = False, EXIT_FAIL
-    else:
-        passed, code = None, EXIT_INCONCLUSIVE
+    passed = {VERDICT_DECAYING: True, VERDICT_PERSISTENT: False}.get(verdict.verdict)
     results = {"profile": profile.to_dict(), "verdict": verdict.to_dict()}
-    extras = {}
+    csv = None
     if effective["emit_samples"]:
         header = ["shell_lower", "delta"]
         rows = [
             [repr(float(n)), repr(float(profile.deltas[k]))]
             for k, n in enumerate(range(profile.n_min, profile.n_max + 1))
         ]
-        extras["samples_csv"] = (header, rows)
-    return results, passed, code, extras
+        csv = (header, rows)
+    return results, passed, csv
 
 
 def run_residual(effective: dict):
@@ -433,15 +433,17 @@ def run_residual(effective: dict):
         "gq_residual_norm": float(row_norms(rgq, None)[0]),
         "derivation_chain": derivation_chain_defects(f, params, x, y),
     }
-    return results, True, EXIT_PASS, {}
+    return results, True, None
 
 
-_DISPATCH = {
-    "certify": run_certify,
-    "detect-ip": run_detect_ip,
-    "exponents": run_exponents,
-    "profile": run_profile,
-    "residual": run_residual,
+# One row per subcommand: name -> (run, default --tol, help).  Each run
+# returns (results, passed, samples CSV as (header, rows) or None).
+_COMMANDS = {
+    "certify": (run_certify, 1e-10, "stability certificate for a perturbed form"),
+    "detect-ip": (run_detect_ip, 1e-9, "parallelogram-law check with Gram recovery"),
+    "exponents": (run_exponents, 1e-9, "scan exponent patterns of the norm identity"),
+    "profile": (run_profile, 1e-10, "shell defect profile and asymptotic verdict"),
+    "residual": (run_residual, 1e-10, "pointwise residuals at one pair"),
 }
 
 
@@ -451,69 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for quadratic functional equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dim", type=int, help="domain dimension")
-    common.add_argument("--codim", type=int, help="codomain dimension")
-    common.add_argument(
-        "--norm", help="domain norm: euclidean, sup, p:<value>, or weighted"
-    )
-    common.add_argument("--gram", help="weighted-norm matrix, rows 'a,b;c,d'")
-    common.add_argument("--r", help="equation weight r as a decimal or p/q")
-    common.add_argument("--d", type=float, help="restricted-domain threshold")
-    common.add_argument("--delta", type=float, help="override the defect bound")
-    common.add_argument(
-        "--noise",
-        help="perturbation: none, constant:<c>, uniform:<delta>, "
-        "decay:<c>,<alpha>, or sine:<c>",
-    )
-    common.add_argument("--samples", type=int, help="number of sampled pairs/points")
-    common.add_argument("--radius-max", type=float, help="sampling ball radius")
-    common.add_argument("--seed", type=int, help="root seed for all streams")
-    common.add_argument("--iters", type=int, help="max doublings in limit extraction")
-    common.add_argument("--tol", type=float, help="tolerance for the command's check")
-    common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument(
-        "--emit-samples",
-        action="store_true",
-        default=None,
-        help="also write sampled data as CSV next to --out",
-    )
-    common.add_argument(
-        "--form",
-        help="base quadratic form: identity, random[:scale], or matrix blocks "
-        "'a,b;c,d|...' (one block per output coordinate)",
-    )
-    common.add_argument("--probes", type=int, help="unit-sphere probe count")
-    common.add_argument("--config", help="key=value config file")
-
-    sub.add_parser(
-        "certify", parents=[common], help="stability certificate for a perturbed form"
-    )
-    sub.add_parser(
-        "detect-ip", parents=[common], help="parallelogram-law check with Gram recovery"
-    )
-    p_exp = sub.add_parser(
-        "exponents", parents=[common], help="scan exponent patterns of the norm identity"
-    )
-    p_exp.add_argument(
-        "--grid", help="semicolon-separated exponent tuples 'p,q,u,v;...' or 'default'"
-    )
-    p_profile = sub.add_parser(
-        "profile", parents=[common], help="shell defect profile and asymptotic verdict"
-    )
-    p_profile.add_argument("--n-min", type=int, help="first shell lower bound")
-    p_profile.add_argument("--n-max", type=int, help="last shell lower bound")
-    p_profile.add_argument("--per-shell", type=int, help="pairs sampled per shell")
-    p_profile.add_argument("--decay-tol", type=float, help="tail decay tolerance")
-    p_residual = sub.add_parser(
-        "residual", parents=[common], help="pointwise residuals at one pair"
-    )
-    p_residual.add_argument("--x", help="first point, comma-separated")
-    p_residual.add_argument("--y", help="second point, comma-separated")
-    p_residual.add_argument(
-        "--map", help="map to evaluate: form, cube, or odd:<matrix>"
-    )
+    for command, (_, _, command_help) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        for key, (kind, _, option_help, scope) in _OPTIONS.items():
+            if scope not in (None, command):
+                continue
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                # default=None: an absent flag must not override the config file.
+                command_parser.add_argument(
+                    flag, action="store_true", default=None, help=option_help
+                )
+            else:
+                command_parser.add_argument(flag, type=kind, help=option_help)
+        command_parser.add_argument("--config", help="key=value config file")
     return parser
 
 
@@ -537,11 +490,12 @@ def main(argv=None) -> int:
         effective = _merge_config(ns)
         # Overflow shows as a non-finite result, which exits 2 below.
         with np.errstate(over="ignore", invalid="ignore"):
-            results, passed, code, extras = _DISPATCH[ns.command](effective)
+            results, passed, csv = _COMMANDS[ns.command][0](effective)
     except (ParameterError, UndefinedValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     runtime_ms = (time.perf_counter() - started) * 1000.0
+    code, status = _VERDICTS[passed]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": ns.command,
@@ -555,14 +509,17 @@ def main(argv=None) -> int:
     except ValueError:
         print(f"error: {ns.command} result is not finite; no report written", file=sys.stderr)
         return EXIT_INVALID
-    if effective["out"]:
-        Path(effective["out"]).write_text(text)
-    else:
+    if not effective["out"]:
         sys.stdout.write(text)
-    if "samples_csv" in extras:
-        header, rows = extras["samples_csv"]
-        _write_samples_csv(effective["out"], header, rows)
-    print(f"{ns.command}: {_STATUS_WORDS.get(code, str(code))}", file=sys.stderr)
+    else:
+        try:
+            Path(effective["out"]).write_text(text)
+            if csv is not None:
+                _write_samples_csv(effective["out"], *csv)
+        except OSError as exc:
+            print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
+    print(f"{ns.command}: {status}", file=sys.stderr)
     return code
 
 

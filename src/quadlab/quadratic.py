@@ -140,16 +140,7 @@ class QuadraticForm:
         return self.coeffs.shape[0]
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.domain_dim:
-            raise DimensionMismatchError(
-                f"expected vectors of length {self.domain_dim}, got shape {np.shape(x)}"
-            )
-        out = np.einsum("ni,kij,nj->nk", arr, self.coeffs, arr)
-        return out[0] if single else out
+        return self.bilinear(x, x)
 
     def bilinear(self, x, y):
         """The symmetric bilinear map (x, y) -> (x^T B_k y)_k."""
@@ -158,7 +149,7 @@ class QuadraticForm:
         single = xs.ndim == 1 and ys.ndim == 1
         xs = np.atleast_2d(xs)
         ys = np.atleast_2d(ys)
-        if xs.shape != ys.shape or xs.shape[1] != self.domain_dim:
+        if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != self.domain_dim:
             raise DimensionMismatchError(
                 f"expected matching vectors of length {self.domain_dim}, "
                 f"got shapes {np.shape(x)} and {np.shape(y)}"

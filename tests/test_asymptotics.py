@@ -99,13 +99,24 @@ class TestShellProfile:
 
     @pytest.mark.parametrize(
         "n_min,n_max,count",
-        [(3, 3, 10), (5, 2, 10), (-1, 4, 10), (0, 4, 0), (0.5, 4, 10)],
+        [
+            (3, 3, 10), (5, 2, 10), (-1, 4, 10), (0, 4, 0), (0.5, 4, 10),
+            (600_000_000, 600_000_004, 1),
+        ],
     )
     def test_bad_shell_requests(self, n_min, n_max, count):
         form = random_symmetric_form(euclidean(2), euclidean(1), seed=14)
         with pytest.raises(ParameterError):
             shell_delta_profile(
                 form, equation_params("1/2"), euclidean(2), n_min, n_max, count, seed=0
+            )
+
+    def test_shell_swallowed_by_margin_names_n_max(self):
+        form = random_symmetric_form(euclidean(2), euclidean(1), seed=14)
+        with pytest.raises(ParameterError, match="n_max 600000004 is too large"):
+            shell_delta_profile(
+                form, equation_params("1/2"), euclidean(2), 600_000_000, 600_000_004, 1,
+                seed=0,
             )
 
     def test_dim_mismatch(self):

@@ -146,6 +146,24 @@ class TestOutputFiles:
             np.arange(1.0, 9.0)
         )
 
+    @pytest.mark.parametrize(
+        "target, extra",
+        [
+            ("missing/dir/r.json", ()),
+            (".", ()),
+            (".", ("--emit-samples",)),
+        ],
+        ids=["missing-dir", "directory", "directory-emit-samples"],
+    )
+    def test_unwritable_out_is_two(self, capsys, tmp_path, target, extra):
+        code, report, captured = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(tmp_path / target), *extra,
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+
     def test_emit_samples_requires_out(self, capsys):
         code, report, captured = run_cli(
             capsys, "certify", "--dim", "2", "--samples", "50", "--emit-samples",
@@ -206,6 +224,65 @@ class TestConfigFile:
         code, _, captured = run_cli(capsys, "certify", "--config", str(cfg))
         assert code == 2
         assert "key=value" in captured.err
+
+    # One value of each option type and scope: (base argv, key, value as
+    # written, value in the report, flag argv).
+    ONE_OF_EACH = [
+        (("certify", "--samples", "50"), "probes", "4", 4, ("--probes", "4")),
+        (("certify", "--samples", "50"), "radius_max", "1.5", 1.5, ("--radius-max", "1.5")),
+        (("detect-ip", "--samples", "50"), "norm", "sup", "sup", ("--norm", "sup")),
+        (("certify", "--samples", "50"), "emit_samples", "yes", True, ("--emit-samples",)),
+        (("profile", "--n-max", "8", "--per-shell", "10"), "decay_tol", "0.5", 0.5,
+         ("--decay-tol", "0.5")),
+        (("residual", "--dim", "1", "--x", "1", "--y", "1"), "map", "cube", "cube",
+         ("--map", "cube")),
+    ]
+
+    @pytest.mark.parametrize("base, key, text, value, flag", ONE_OF_EACH)
+    def test_file_and_flag_agree(self, capsys, tmp_path, base, key, text, value, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        out = tmp_path / "report.json"
+
+        def config_block(*argv):
+            code, _, _ = run_cli(capsys, *base, "--out", str(out), *argv)
+            return code, json.loads(out.read_text())["config"]
+
+        code_file, from_file = config_block("--config", str(cfg))
+        code_flag, from_flag = config_block(*flag)
+        assert code_file == code_flag
+        assert from_file[key] == value
+        assert from_file == from_flag
+
+    @pytest.mark.parametrize(
+        "text, emitted",
+        [(t, True) for t in ("true", "1", "yes", "on", "ON")]
+        + [(t, False) for t in ("false", "0", "no", "off")],
+    )
+    def test_boolean_spellings(self, capsys, tmp_path, text, emitted):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"emit_samples={text}\n")
+        out = tmp_path / "run.json"
+        code, _, _ = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(out), "--config", str(cfg),
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["emit_samples"] is emitted
+        assert (tmp_path / "run.samples.csv").exists() is emitted
+
+    def test_other_subcommand_key_is_echoed(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid=2,2,2,2\n")
+        code, report, _ = run_cli(
+            capsys, "certify", "--samples", "50", "--config", str(cfg),
+        )
+        assert code == 0
+        assert report["config"]["grid"] == "2,2,2,2"
+
+    def test_other_subcommand_flag_is_two(self, capsys):
+        code, report, _ = run_cli(capsys, "certify", "--grid", "default")
+        assert code == 2
+        assert report is None
 
     def test_missing_file_is_an_error(self, capsys, tmp_path):
         code, _, captured = run_cli(
@@ -477,6 +554,8 @@ class TestMapAndFormParsing:
             ("certify", "--codim", "0", "--form", "1,0;0,1"),
             # Norms of rows at radius 1e200 overflow float64.
             ("detect-ip", "--radius-max", "1e200", "--samples", "50"),
+            # The shell margin swallows shells past about 5e8.
+            ("profile", "--n-min", "600000000", "--n-max", "600000004", "--per-shell", "1"),
         ],
     )
     def test_bad_specs(self, capsys, argv):

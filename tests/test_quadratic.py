@@ -105,6 +105,14 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             form.coeffs[0, 0, 0] = 7.0
 
+    def test_rejects_stacked_batches(self):
+        form = _random_form(3)
+        batch = np.zeros((2, 3, 3))
+        with pytest.raises(DimensionMismatchError):
+            form.bilinear(batch, batch)
+        with pytest.raises(DimensionMismatchError):
+            form(batch)
+
     def test_bilinear_agrees_with_polarization(self):
         form = _random_form(4)
         rng = np.random.default_rng(5)
