@@ -10,7 +10,7 @@ Every run emits a single JSON report (stdout, or ``--out``).  Reports are
 deterministic: same command line, same bytes, except the ``runtime_ms``
 field, and are strict JSON.  Exit codes: 0 pass/accepted, 1 fail/rejected,
 2 invalid parameters, a non-finite input or result, or an unwritable
-``--out``, 3 inconclusive.
+``--out`` or samples CSV, 3 inconclusive.
 
 Configuration may come from a flat ``key=value`` file via ``--config``;
 explicit flags win over the file, the file wins over built-in defaults.
@@ -512,10 +512,16 @@ def main(argv=None) -> int:
     if not effective["out"]:
         sys.stdout.write(text)
     else:
+        report_path = Path(effective["out"])
         try:
-            Path(effective["out"]).write_text(text)
+            report_path.write_text(text)
             if csv is not None:
-                _write_samples_csv(effective["out"], *csv)
+                try:
+                    _write_samples_csv(effective["out"], *csv)
+                except OSError:
+                    # A report without its samples would pass for a finished run.
+                    report_path.unlink()
+                    raise
         except OSError as exc:
             print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_INVALID

@@ -18,25 +18,29 @@ from .quadratic import EquationParams
 from .space import Sampler, SpaceSpec, norm_eval, sample_pairs_restricted
 
 
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and ``y`` as float64 arrays of one shape."""
+    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if xs.shape != ys.shape:
+        raise DimensionMismatchError(
+            f"x and y must have equal shapes, got {xs.shape} and {ys.shape}"
+        )
+    return xs, ys
+
+
+def _parallelogram(n_plus, n_minus, n_x, n_y):
+    """The parallelogram defect from ``norm(x+y), norm(x-y), norm(x), norm(y)``."""
+    return n_plus**2 + n_minus**2 - 2.0 * n_x**2 - 2.0 * n_y**2
+
+
 def parallelogram_defect(space: SpaceSpec, x, y):
     """``norm(x+y)^2 + norm(x-y)^2 - 2 norm(x)^2 - 2 norm(y)^2``.
 
     Zero for all pairs exactly when the norm comes from an inner product.
     Accepts single vectors (-> float) or equal-shape batches (-> array).
     """
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape:
-        raise DimensionMismatchError(
-            f"x and y must have equal shapes, got {xs.shape} and {ys.shape}"
-        )
-    out = (
-        norm_eval(space, xs + ys) ** 2
-        + norm_eval(space, xs - ys) ** 2
-        - 2.0 * norm_eval(space, xs) ** 2
-        - 2.0 * norm_eval(space, ys) ** 2
-    )
-    return out
+    xs, ys = _pair(x, y)
+    return _parallelogram(*(norm_eval(space, v) for v in (xs + ys, xs - ys, xs, ys)))
 
 
 @dataclass
@@ -107,21 +111,18 @@ def detect_inner_product(
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-
-    eye = np.eye(space.dim)
     bi, bj = np.triu_indices(space.dim, k=1)
-    basis_x = eye[bi]
-    basis_y = eye[bj]
+    eye = np.eye(space.dim)
+    all_x = np.vstack([eye[bi], xs])
+    all_y = np.vstack([eye[bj], ys])
+    n_x, n_y = norm_eval(space, all_x), norm_eval(space, all_y)
+    # Norm the sum before forming the difference: one batch-sized temporary at a time.
+    defects = _parallelogram(
+        norm_eval(space, all_x + all_y), norm_eval(space, all_x - all_y), n_x, n_y
+    )
+    normalized = np.abs(defects) / (1.0 + n_x**2 + n_y**2)
 
-    all_x = np.vstack([basis_x, xs]) if basis_x.size else xs
-    all_y = np.vstack([basis_y, ys]) if basis_y.size else ys
-
-    defects = parallelogram_defect(space, all_x, all_y)
-    defects = np.atleast_1d(defects)
-    scales = 1.0 + norm_eval(space, all_x) ** 2 + norm_eval(space, all_y) ** 2
-    normalized = np.abs(defects) / scales
-
-    basis_witness_max = float(np.abs(defects[: basis_x.shape[0]]).max()) if basis_x.size else 0.0
+    basis_witness_max = float(np.abs(defects[: bi.size]).max()) if bi.size else 0.0
     accepted = bool(normalized.max() <= tol)
 
     gram = None
@@ -130,7 +131,7 @@ def detect_inner_product(
     if accepted:
         gram = recover_gram(space)
         quad = np.einsum("ni,ij,nj->n", xs, gram, xs)
-        norms_sq = norm_eval(space, xs) ** 2
+        norms_sq = n_x[bi.size :] ** 2
         bil_defect = float(
             (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()
         )
@@ -182,13 +183,31 @@ class Exponents:
         return ",".join(f"{e:g}" for e in self.astuple())
 
 
-def _powers(base: np.ndarray, exponent: float, what: str) -> np.ndarray:
-    """base ** exponent with an explicit error for 0 ** negative."""
-    if exponent < 0 and np.any(base == 0.0):
-        raise UndefinedValueError(
-            f"{what} is zero and its exponent {exponent:g} is negative"
-        )
-    return base**exponent
+_PATTERN_TERMS = ("norm(r x + s y)", "norm(x - y)", "norm(x)", "norm(y)")
+
+
+def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys) -> tuple:
+    """The four norms of the weighted identity, in p, q, u, v order."""
+    return (
+        norm_eval(space, params.r * xs + params.s * ys),
+        norm_eval(space, xs - ys),
+        norm_eval(space, xs),
+        norm_eval(space, ys),
+    )
+
+
+def _pattern_defect(params: EquationParams, exps: Exponents, norms):
+    """``a^p + rs b^q - r c^u - s d^v`` for ``(a, b, c, d) = norms``.
+
+    Raises :class:`UndefinedValueError` for the first norm, in p, q, u, v
+    order, that is zero under a negative exponent.  ``np.power`` rounds a
+    float norm and an array of norms alike.
+    """
+    for what, n, e in zip(_PATTERN_TERMS, norms, exps.astuple()):
+        if e < 0 and np.any(n == 0.0):
+            raise UndefinedValueError(f"{what} is zero and its exponent {e:g} is negative")
+    a, b, c, d = (np.power(n, e) for n, e in zip(norms, exps.astuple()))
+    return a + params.rs * b - params.r * c - params.s * d
 
 
 def gq_norm_defect(
@@ -203,29 +222,8 @@ def gq_norm_defect(
     Raises :class:`UndefinedValueError` when a zero norm meets a negative
     exponent.  Accepts single vectors (-> float) or batches (-> array).
     """
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape:
-        raise DimensionMismatchError(
-            f"x and y must have equal shapes, got {xs.shape} and {ys.shape}"
-        )
-    a = norm_eval(space, params.r * xs + params.s * ys)
-    b = norm_eval(space, xs - ys)
-    c = norm_eval(space, xs)
-    d = norm_eval(space, ys)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    out = (
-        _powers(a, exps.p, "norm(r x + s y)")
-        + params.rs * _powers(b, exps.q, "norm(x - y)")
-        - params.r * _powers(c, exps.u, "norm(x)")
-        - params.s * _powers(d, exps.v, "norm(y)")
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = _pattern_defect(params, exps, _pattern_norms(space, params, *_pair(x, y)))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -289,23 +287,22 @@ def default_exponent_grid() -> list[Exponents]:
     ]
 
 
-def _scan_witness_pairs(space: SpaceSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+def _scan_witness_pairs(space: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Structured pairs that separate exponent patterns at several scales.
 
     Built from a unit vector w (in the space's norm): (w, 0) and (0, w)
     expose the x- and y-exponents, (w, w) kills the difference term and
     ties the mixed-term exponent, each at scales 1/2, 1, 2 so that scale
     dependence rules out any pattern that merely coincides at one radius.
+    Returns the x and the y rows, each of shape (9, dim).
     """
-    base = np.zeros(space.dim)
-    base[0] = 1.0
-    unit = base / norm_eval(space, base)
-    zero = np.zeros(space.dim)
-    pairs = []
-    for t in (0.5, 1.0, 2.0):
-        w = t * unit
-        pairs.extend([(w, zero), (w, w), (zero, w)])
-    return pairs
+    base = np.eye(space.dim)[0]
+    w = np.array([0.5, 1.0, 2.0])[:, None] * (base / norm_eval(space, base))
+    zero = np.zeros_like(w)
+    return (
+        np.stack([w, w, zero], axis=1).reshape(9, space.dim),
+        np.stack([zero, w, w], axis=1).reshape(9, space.dim),
+    )
 
 
 def exponent_scan(
@@ -318,33 +315,33 @@ def exponent_scan(
     """Sup of |weighted norm identity defect| per exponent pattern.
 
     Every pattern sees the same structured witnesses plus one shared batch
-    of sampled pairs.  Witness pairs that hit a zero norm under a negative
-    exponent are skipped and counted; an undefined value on the sampled
-    batch is recorded as the pattern's error and the scan moves on.
+    of sampled pairs, each normed once for the whole grid.  Witness pairs
+    that hit a zero norm under a negative exponent are skipped and counted;
+    an undefined value on the sampled batch is recorded as the pattern's
+    error and the scan moves on.
     """
     if not grid:
         raise ParameterError("exponent grid must be nonempty")
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    witnesses = _scan_witness_pairs(space)
+    norms = _pattern_norms(space, params, xs, ys)
+    witness_norms = _pattern_norms(space, params, *_scan_witness_pairs(space))
+    witness_zero = np.stack(witness_norms) == 0.0
 
     entries = []
     for exps in grid:
-        sup = 0.0
-        excluded = 0
-        error = None
-        for wx, wy in witnesses:
-            try:
-                sup = max(sup, abs(gq_norm_defect(space, params, exps, wx, wy)))
-            except UndefinedValueError:
-                excluded += 1
+        undefined = (witness_zero & (np.array(exps.astuple()) < 0)[:, None]).any(axis=0)
+        excluded = int(undefined.sum())
+        witness = _pattern_defect(params, exps, [n[~undefined] for n in witness_norms])
         try:
-            defects = gq_norm_defect(space, params, exps, xs, ys)
-            sup = max(sup, float(np.abs(defects).max()))
-            entries.append(ScanEntry(exps, sup, excluded))
+            sampled = float(np.abs(_pattern_defect(params, exps, norms)).max())
         except UndefinedValueError as exc:
             entries.append(ScanEntry(exps, None, excluded, error=str(exc)))
+            continue
+        # Python's max from 0.0 skips a NaN defect instead of propagating it.
+        sup = max([0.0, *np.abs(witness).tolist(), sampled])
+        entries.append(ScanEntry(exps, sup, excluded))
     return ExponentScanTable(
         entries=entries,
         tol=float(tol),

@@ -189,8 +189,8 @@ def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
 class Sampler:
     """Deterministic sampling request: seed, count, and a support region.
 
-    mode is ``"ball"`` (norm <= radius_max) or ``"annulus"``
-    (r_min <= norm <= r_max, r_min < r_max) for :func:`sample_vectors`, or
+    mode is ``"annulus"`` (``r_min <= norm <= radius_max``, ``0 <= r_min < radius_max``)
+    or ``"ball"`` (the same with ``r_min = 0``) for :func:`sample_vectors`, or
     ``"restricted_pairs"`` for :func:`sample_pairs_restricted`; each
     refuses the other modes.  Use the classmethods rather than the raw
     constructor.
@@ -201,7 +201,6 @@ class Sampler:
     radius_max: float
     mode: str = "ball"
     r_min: float = 0.0
-    r_max: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -212,13 +211,10 @@ class Sampler:
             raise ParameterError(f"unknown sampler mode {self.mode!r}")
         if not np.isfinite(self.radius_max) or self.radius_max <= 0:
             raise ParameterError(f"radius_max must be finite and > 0, got {self.radius_max!r}")
-        if self.mode == "annulus":
-            r_max = self.radius_max if self.r_max is None else float(self.r_max)
-            object.__setattr__(self, "r_max", r_max)
-            if not 0.0 <= self.r_min < r_max:
-                raise ParameterError(
-                    f"annulus needs 0 <= r_min < r_max, got [{self.r_min}, {r_max}]"
-                )
+        if self.mode != "restricted_pairs" and not 0.0 <= self.r_min < self.radius_max:
+            raise ParameterError(
+                f"annulus needs 0 <= r_min < r_max, got [{self.r_min}, {self.radius_max}]"
+            )
 
     @classmethod
     def ball(cls, seed: int, count: int, radius_max: float) -> "Sampler":
@@ -229,10 +225,9 @@ class Sampler:
         return cls(
             seed=seed,
             count=count,
-            radius_max=r_max,
+            radius_max=float(r_max),
             mode="annulus",
             r_min=float(r_min),
-            r_max=float(r_max),
         )
 
     @classmethod
@@ -241,9 +236,12 @@ class Sampler:
 
 
 def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
-    """Each radius (up to rounding) times a norm-uniform unit direction from ``rng``."""
+    """Each radius (up to rounding) times a norm-uniform unit direction from ``rng``;
+    :class:`InfeasibleDomainError` if a direction's norm overflows (its row would be zero)."""
     dirs = rng.standard_normal((radii.shape[0], space.dim))
     norms = norm_eval(space, dirs)
+    if not np.all(np.isfinite(norms)):
+        raise InfeasibleDomainError("norms of sampled directions overflow float64 in this space")
     degenerate = norms == 0.0
     if np.any(degenerate):
         # Probability-zero fallback: replace with the first basis direction.
@@ -283,14 +281,11 @@ def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
     where the restricted domain and the extraction probes need coverage.
     Equal (space, sampler) inputs reproduce bitwise-equal output.
     """
-    if sampler.mode == "ball":
-        lo, hi = 0.0, sampler.radius_max
-    elif sampler.mode == "annulus":
-        lo, hi = sampler.r_min, sampler.r_max
-    else:
+    if sampler.mode == "restricted_pairs":
         raise ParameterError(
             f"sample_vectors needs a ball or annulus sampler, got {sampler.mode!r}"
         )
+    lo, hi = sampler.r_min, sampler.radius_max
     rng = generator(sampler.seed, STREAM_VECTORS)
     rows = [_rows_at_radii(space, rng, rng.uniform(lo, hi, sampler.count))]
     inside = lambda n: (n >= lo) & (n <= hi)  # noqa: E731

@@ -164,6 +164,18 @@ class TestOutputFiles:
         assert captured.err.startswith("error: cannot write ")
         assert captured.err.count("\n") == 1
 
+    def test_failed_samples_write_leaves_no_report(self, capsys, tmp_path):
+        (tmp_path / "r.samples.csv").mkdir()
+        code, report, captured = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(tmp_path / "r.json"),
+            "--emit-samples",
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_emit_samples_requires_out(self, capsys):
         code, report, captured = run_cli(
             capsys, "certify", "--dim", "2", "--samples", "50", "--emit-samples",
@@ -556,6 +568,9 @@ class TestMapAndFormParsing:
             ("detect-ip", "--radius-max", "1e200", "--samples", "50"),
             # The shell margin swallows shells past about 5e8.
             ("profile", "--n-min", "600000000", "--n-max", "600000004", "--per-shell", "1"),
+            # Direction norms overflow float64, which would zero sampled rows.
+            ("certify", "--norm", "p:1000", "--samples", "200", "--d", "0"),
+            ("exponents", "--norm", "p:0.0005", "--samples", "50"),
         ],
     )
     def test_bad_specs(self, capsys, argv):

@@ -16,13 +16,18 @@ from quadlab import (
     euclidean,
     exponent_scan,
     gq_norm_defect,
+    norm_eval,
     p_norm,
     parallelogram_defect,
     recover_gram,
+    sample_pairs_restricted,
     sup_norm,
     weighted_quadratic,
 )
 from quadlab.errors import DimensionMismatchError
+from quadlab.geometry import ScanEntry
+
+WEIGHTED3 = weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -128,6 +133,30 @@ class TestDetectInnerProduct:
     def test_bad_tol(self):
         with pytest.raises(ParameterError):
             detect_inner_product(euclidean(2), self._sampler(), tol=0.0)
+
+    @pytest.mark.parametrize(
+        "space",
+        [euclidean(3), p_norm(2, 1.0), p_norm(2, 0.5), p_norm(2, 3.0), sup_norm(3),
+         WEIGHTED3, p_norm(1, 1.0)],
+        ids=["euclidean", "p:1", "p:0.5", "p:3", "sup", "weighted", "line"],
+    )
+    def test_matches_parallelogram_defect(self, space):
+        # Rebuilt from the public defect and fresh norms of the same rows.
+        sampler = self._sampler()
+        verdict = detect_inner_product(space, sampler)
+        xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+        bi, bj = np.triu_indices(space.dim, k=1)
+        eye = np.eye(space.dim)
+        all_x, all_y = np.vstack([eye[bi], xs]), np.vstack([eye[bj], ys])
+        defects = np.abs(parallelogram_defect(space, all_x, all_y))
+        scales = 1.0 + norm_eval(space, all_x) ** 2 + norm_eval(space, all_y) ** 2
+        assert verdict.max_defect == float(defects.max())
+        assert verdict.max_normalized_defect == float((defects / scales).max())
+        if verdict.accepted:
+            norms_sq = norm_eval(space, xs) ** 2
+            quad = np.einsum("ni,ij,nj->n", xs, verdict.recovered_gram, xs)
+            want = float((np.abs(norms_sq - quad) / (1.0 + norms_sq)).max())
+            assert verdict.bilinearity_defect == want
 
     def test_dict_round_trip(self):
         d = detect_inner_product(euclidean(2), self._sampler()).to_dict()
@@ -259,3 +288,76 @@ class TestExponentScan:
     def test_bad_tol(self):
         with pytest.raises(ParameterError):
             self._scan(euclidean(2), tol=-1.0)
+
+    @pytest.mark.parametrize("r", ["1/3", "2", "-1/2"])
+    @pytest.mark.parametrize(
+        "space",
+        [euclidean(3), p_norm(2, 1.0), p_norm(2, 0.5), sup_norm(3), WEIGHTED3],
+        ids=["euclidean", "p:1", "p:0.5", "sup", "weighted"],
+    )
+    def test_matches_pair_by_pair_scan(self, space, r):
+        got, want = self._both_ways(space, r)
+        assert got == want
+
+    @pytest.mark.parametrize("r", ["1/3", "2", "-1/2"])
+    def test_p_norm_root_rounds_within_ulps(self, r):
+        # ``sum ** (1/p)`` rounds a numpy scalar (one vector) and an array (a
+        # batch) apart by up to an ulp, so a witness normed alone can differ
+        # from the same witness normed in the batch.
+        got, want = self._both_ways(p_norm(2, 3.0), r)
+        assert [(e.exponents, e.excluded_witness_count, e.error) for e in got] == [
+            (e.exponents, e.excluded_witness_count, e.error) for e in want
+        ]
+        for g, w in zip(got, want):
+            assert g.sup_defect == pytest.approx(w.sup_defect, rel=8 * np.finfo(float).eps)
+
+    def test_nan_defect_never_wins_the_sup(self):
+        # With r = 4 the first witness (w/2, 0) overflows n(rx+sy)^2000 and
+        # rs n(x-y)^-2000 to infinities of opposite sign; the sup skips the
+        # NaN, as a pair-by-pair max that starts from 0.0 does.
+        grid = [Exponents(2000, -2000, 1, 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = self._both_ways(euclidean(2), "4", grid)
+        assert got == want
+        assert not np.isnan(got[0].sup_defect)
+
+    def _both_ways(self, space, r, grid=None):
+        params = equation_params(r)
+        if grid is None:
+            grid = default_exponent_grid() + [
+                Exponents(2, 2, 2, -1),
+                Exponents(-1, 2, 2, 2),
+                Exponents(1, 2, -1, -2),
+                Exponents(0.5, 1.5, 2, 2),
+            ]
+        sampler = Sampler.restricted_pairs(9, 200, 2.0)
+        got = exponent_scan(space, params, grid, sampler).entries
+        return got, _scan_pair_by_pair(space, params, grid, sampler)
+
+
+def _scan_pair_by_pair(space, params, grid, sampler):
+    """Each pattern's ScanEntry from one gq_norm_defect call per witness pair
+    (a zero norm under a negative exponent skips and counts the pair), then
+    one call on the sampled batch."""
+    unit = np.eye(space.dim)[0] / norm_eval(space, np.eye(space.dim)[0])
+    zero = np.zeros(space.dim)
+    witnesses = []
+    for t in (0.5, 1.0, 2.0):
+        w = t * unit
+        witnesses.extend([(w, zero), (w, w), (zero, w)])
+    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+    entries = []
+    for exps in grid:
+        sup, excluded = 0.0, 0
+        for wx, wy in witnesses:
+            try:
+                sup = max(sup, abs(gq_norm_defect(space, params, exps, wx, wy)))
+            except UndefinedValueError:
+                excluded += 1
+        try:
+            defects = gq_norm_defect(space, params, exps, xs, ys)
+        except UndefinedValueError as exc:
+            entries.append(ScanEntry(exps, None, excluded, error=str(exc)))
+            continue
+        entries.append(ScanEntry(exps, max(sup, float(np.abs(defects).max())), excluded))
+    return entries

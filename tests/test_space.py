@@ -1,5 +1,7 @@
 """Norm evaluation and sampler contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,11 @@ class TestSamplers:
         with pytest.raises(ParameterError):
             Sampler.annulus(seed=0, count=10, r_min=1.0, r_max=1.0)
 
+    def test_annulus_outer_radius_is_radius_max(self):
+        sampler = Sampler.annulus(seed=0, count=10, r_min=1.0, r_max=3.0)
+        assert (sampler.r_min, sampler.radius_max) == (1.0, 3.0)
+        assert "r_max" not in {f.name for f in fields(Sampler)}
+
     def test_bad_seed(self):
         with pytest.raises(ParameterError):
             Sampler.ball(seed=-1, count=10, radius_max=1.0)
@@ -304,3 +311,19 @@ class TestRestrictedPairs:
             euclidean(2), 0.0, Sampler.restricted_pairs(seed=5, count=50, radius_max=2.0)
         )
         assert not np.array_equal(xs, ys)
+
+
+# Norms of standard-normal directions overflow float64 for these p (the p-th
+# powers for p = 1000, the 1/p-th root for p = 0.0005); dividing by an
+# infinite norm would turn the row into the zero vector.
+@pytest.mark.parametrize("p", [1000.0, 0.0005], ids=["p:1000", "p:0.0005"])
+class TestDirectionNormOverflow:
+    def test_pairs_refuse(self, p):
+        with pytest.raises(InfeasibleDomainError), np.errstate(over="ignore"):
+            sample_pairs_restricted(
+                p_norm(2, p), 0.0, Sampler.restricted_pairs(seed=1, count=1000, radius_max=2.0)
+            )
+
+    def test_vectors_refuse(self, p):
+        with pytest.raises(InfeasibleDomainError), np.errstate(over="ignore"):
+            sample_vectors(p_norm(2, p), Sampler.ball(seed=1, count=1000, radius_max=2.0))
