@@ -77,6 +77,7 @@ from .space import (
     weighted_quadratic,
 )
 from .stability import (
+    BatchExtraction,
     CzerwikReport,
     ExtractionDiagnostics,
     StabilityCertificate,
@@ -84,6 +85,7 @@ from .stability import (
     certify,
     estimate_delta_restricted,
     extract_quadratic,
+    extract_quadratic_batch,
     stability_constants,
     verify_czerwik,
 )
@@ -92,6 +94,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticVerdict",
+    "BatchExtraction",
     "CzerwikReport",
     "DerivationChainReport",
     "DimensionMismatchError",
@@ -125,6 +128,7 @@ __all__ = [
     "euclidean",
     "exponent_scan",
     "extract_quadratic",
+    "extract_quadratic_batch",
     "gq_norm_defect",
     "make_odd_witness",
     "make_perturbed",

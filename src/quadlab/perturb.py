@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, check_seed, generator
+from .space import STREAM_FORMS, SpaceSpec, check_seed, generator, row_dots
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,11 +29,14 @@ _NOISE_KINDS = ("none", "constant", "uniform_bounded", "decay", "sine")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z + _GAMMA).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(30))) * _MIX_1).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(27))) * _MIX_2).astype(np.uint64)
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, vectorized over uint64 arrays; ``z`` is left as is."""
+    z = z + _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX_1
+    z ^= z >> np.uint64(27)
+    z *= _MIX_2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def noise_values(model: NoiseModel, x, codim: int = 1):
                 f"sine frequency has length {model.freq.shape[0]}, "
                 f"inputs have length {rows.shape[1]}"
             )
-        out = np.repeat((model.c * np.sin(rows @ model.freq))[:, None], codim, axis=1)
+        out = np.repeat((model.c * np.sin(row_dots(rows, model.freq)))[:, None], codim, axis=1)
     return out[0] if single else out
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .space import Sampler, SpaceSpec, row_norms, sample_pairs_restricted
+from .space import Sampler, SpaceSpec, einsum_rows, row_norms, sample_pairs_restricted
 
 _RS_WARN_THRESHOLD = 1e-2
 
@@ -31,8 +31,8 @@ class EquationParams:
     """Weight pair (r, s) of the weighted equation, with s = 1 - r.
 
     ``rational`` holds the exact Fraction behind ``r`` when the weights were
-    given as a ratio of integers; it gates checks that are only meaningful
-    for rational weights.  Build instances with :func:`equation_params`.
+    given as a ratio of integers; reports echo it as ``r_exact``.  Build
+    instances with :func:`equation_params`.
     """
 
     r: float
@@ -154,7 +154,7 @@ class QuadraticForm:
                 f"expected matching vectors of length {self.domain_dim}, "
                 f"got shapes {np.shape(x)} and {np.shape(y)}"
             )
-        out = np.einsum("ni,kij,nj->nk", xs, self.coeffs, ys)
+        out = einsum_rows("ni,kij,nj->nk", xs, self.coeffs, ys)
         return out[0] if single else out
 
     def as_map(self, label: str = "quadratic_form") -> "MapHandle":

@@ -31,6 +31,9 @@ _SEED_LIMIT = 2**64
 
 _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 
+# Fewest rows handed to np.einsum by einsum_rows.
+_EINSUM_MIN_ROWS = 3
+
 # Relative clearance from every bound of a sampled row pulled back inside:
 # far above the few-ulp rounding of a norm, far below any sampled scale.
 _REPAIR_SLACK = 2.0**-30
@@ -158,10 +161,10 @@ def norm_eval(space: SpaceSpec, x):
         raise DimensionMismatchError(
             f"expected vectors of length {space.dim}, got shape {arr.shape}"
         )
-    out = _norms(space, arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if arr.ndim == 1:
+        # One vector is a one-row batch, so it rounds as its row in a batch does.
+        return float(_norms(space, arr[None, :])[0])
+    return _norms(space, arr)
 
 
 def row_norms(values, space: SpaceSpec | None) -> np.ndarray:
@@ -173,6 +176,34 @@ def row_norms(values, space: SpaceSpec | None) -> np.ndarray:
     return norm_eval(space, rows)
 
 
+def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``rows`` with the same row of ``other``, or
+    with ``other`` itself when it is one vector.
+
+    Each value equals ``np.dot`` of that row alone, bit for bit, whatever the
+    batch: matmul takes one BLAS dot product per stacked row, where
+    ``rows @ v`` switches to a matrix-vector product that rounds each row
+    differently by batch size, and a row-wise sum of products rounds
+    differently again.
+    """
+    return (rows[:, None, :] @ other[..., :, None])[:, 0, 0]
+
+
+def einsum_rows(subscripts: str, xs: np.ndarray, middle: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, xs, middle, ys)`` over row batches ``xs``, ``ys``
+    of shape (N, d), with each row's value the same whatever the batch.
+
+    einsum adds the terms of a row of length 2 in another order for one or
+    two rows than for three or more (seen on numpy 2.4), so smaller batches
+    go in padded with zero rows.
+    """
+    rows = xs.shape[0]
+    if rows < _EINSUM_MIN_ROWS:
+        pad = np.zeros((_EINSUM_MIN_ROWS - rows, xs.shape[1]))
+        xs, ys = np.vstack([xs, pad]), np.vstack([ys, pad])
+    return np.einsum(subscripts, xs, middle, ys)[:rows]
+
+
 def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
     """Norms along the last axis; ``None`` stands for the Euclidean norm."""
     if space is None or space.norm_kind == "euclidean":
@@ -181,7 +212,8 @@ def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
         return np.max(np.abs(arr), axis=-1)
     if space.norm_kind == "p":
         return np.sum(np.abs(arr) ** space.p, axis=-1) ** (1.0 / space.p)
-    quad = np.einsum("...i,ij,...j->...", arr, space.gram, arr)
+    rows = arr.reshape(-1, space.dim)
+    quad = einsum_rows("ni,ij,nj->n", rows, space.gram, rows).reshape(arr.shape[:-1])
     return np.sqrt(np.maximum(quad, 0.0))
 
 

@@ -24,6 +24,7 @@ from .space import (
     SpaceSpec,
     _rows_at_radii,
     generator,
+    row_dots,
     row_norms,
     sample_pairs_restricted,
 )
@@ -118,15 +119,56 @@ class ExtractionDiagnostics:
     tail_estimate: float = float("nan")
 
 
-def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
-    """Pointwise dyadic limit ``lim_n f(2^n x) / 4^n``.
+@dataclass
+class BatchExtraction:
+    """Convergence record of dyadic limits taken at every row of a batch.
 
-    Returns ``(value, diagnostics)``.  The iteration stops once successive
-    iterates agree to relative ``tol``, or after ``max_iters`` doublings.
-    Tabulated maps are rejected (they cannot be evaluated at scaled
-    arguments); a non-finite evaluation raises :class:`ExtractionError`
-    carrying the diagnostics gathered so far.
+    Row ``i`` holds what :func:`extract_quadratic` reports for that row on
+    its own: ``limits[i]``, ``iterations[i]``, ``converged[i]``, its
+    deviations ``deviations[i, :k]`` (NaN past the last one) and
+    ``tail_estimate[i]``.  ``failed_at[i]`` is -1 while the row's map values
+    stay finite, 0 when its base value is not finite, and ``n`` when the
+    value at ``2**n`` times the row is not; a failed row's limit and tail
+    estimate are NaN.
     """
+
+    limits: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    deviations: np.ndarray
+    tail_estimate: np.ndarray
+    failed_at: np.ndarray
+    tol: float
+
+    @property
+    def first_failure(self) -> int | None:
+        """Lowest failed row index, or None when every row stayed finite."""
+        failed = np.flatnonzero(self.failed_at >= 0)
+        return int(failed[0]) if failed.size else None
+
+    def failure(self, i: int) -> str | None:
+        """Why row ``i`` failed, or None when it did not."""
+        n = int(self.failed_at[i])
+        if n < 0:
+            return None
+        if n == 0:
+            return "map value at the base point is not finite"
+        return f"map value became non-finite at scale 2**{n}"
+
+    def diagnostics(self, i: int) -> ExtractionDiagnostics:
+        """Row ``i``'s record as :class:`ExtractionDiagnostics`."""
+        count = int(self.iterations[i]) - int(self.failed_at[i] > 0)
+        return ExtractionDiagnostics(
+            iterations=int(self.iterations[i]),
+            deviations=self.deviations[i, :count].tolist(),
+            converged=bool(self.converged[i]),
+            tol=self.tol,
+            tail_estimate=float(self.tail_estimate[i]),
+        )
+
+
+def _extraction_map(f, max_iters, tol):
+    """``f`` as a rescalable map handle, with the extraction controls checked."""
     handle = as_map(f)
     if handle.tabulated:
         raise ParameterError(
@@ -137,39 +179,84 @@ def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
         raise ParameterError(f"max_iters must be a positive integer, got {max_iters!r}")
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
+    return handle
+
+
+def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) -> BatchExtraction:
+    """Pointwise dyadic limit ``lim_n f(2^n x) / 4^n`` at every row of ``points``.
+
+    Each doubling makes one map call on the rows still iterating.  A row
+    stops once its successive iterates agree to relative ``tol``
+    (``dev <= tol * (1 + norm(iterate))``), after ``max_iters`` doublings,
+    or at the first non-finite map value, which marks the row failed
+    instead of raising.  Every row's record is bit for bit what
+    :func:`extract_quadratic` gives for that row alone.
+    """
+    handle = _extraction_map(f, max_iters, tol)
+    rows = np.asarray(points, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != handle.domain_dim:
+        raise DimensionMismatchError(
+            f"extraction points must be rows of length {handle.domain_dim}, "
+            f"got shape {rows.shape}"
+        )
+    count = rows.shape[0]
+    # A copy: the iterates overwrite it, and a map may hand back its input.
+    limits = handle(rows).copy()
+    iterations = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    deviations = np.full((count, max_iters), np.nan)
+    failed_at = np.where(np.all(np.isfinite(limits), axis=1), -1, 0)
+    active = np.flatnonzero(failed_at < 0)
+    for n in range(1, max_iters + 1):
+        if active.size == 0:
+            break
+        values = handle(rows[active] * 2.0**n)
+        iterations[active] = n
+        finite = np.all(np.isfinite(values), axis=1)
+        failed_at[active[~finite]] = n
+        active = active[finite]
+        current = values[finite] / 4.0**n
+        # Square roots of row dot products: equal bit for bit to
+        # np.linalg.norm of each row alone.
+        step = current - limits[active]
+        dev = np.sqrt(row_dots(step, step))
+        scale = np.sqrt(row_dots(current, current))
+        deviations[active, n - 1] = dev
+        limits[active] = current
+        # Norms of huge finite iterates can overflow to inf; an infinite
+        # deviation or scale must read as divergence, not convergence.
+        done = np.isfinite(dev) & np.isfinite(scale) & (dev <= tol * (1.0 + scale))
+        converged[active[done]] = True
+        active = active[~done]
+    failed = failed_at >= 0
+    limits[failed] = np.nan
+    # Quarter-ratio geometric tail: sum_{k>=1} dev * 4^-k = dev / 3.
+    last = deviations[np.arange(count), np.maximum(iterations - 1, 0)]
+    tail = np.where(failed, np.nan, last / 3.0)
+    return BatchExtraction(limits, iterations, converged, deviations, tail, failed_at, float(tol))
+
+
+def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
+    """Pointwise dyadic limit ``lim_n f(2^n x) / 4^n``: the one-row case of
+    :func:`extract_quadratic_batch`.
+
+    Returns ``(value, diagnostics)``.  The iteration stops once successive
+    iterates agree to relative ``tol``, or after ``max_iters`` doublings.
+    Tabulated maps are rejected (they cannot be evaluated at scaled
+    arguments); a non-finite evaluation raises :class:`ExtractionError`
+    carrying the diagnostics gathered so far.
+    """
+    handle = _extraction_map(f, max_iters, tol)
     point = np.asarray(x, dtype=np.float64)
     if point.ndim != 1 or point.shape[0] != handle.domain_dim:
         raise DimensionMismatchError(
             f"extraction point must be a vector of length {handle.domain_dim}, "
             f"got shape {point.shape}"
         )
-    prev = handle(point)
-    diag = ExtractionDiagnostics(iterations=0, tol=float(tol))
-    if not np.all(np.isfinite(prev)):
-        raise ExtractionError("map value at the base point is not finite", diag)
-    converged = False
-    current = prev
-    for n in range(1, max_iters + 1):
-        value = handle(point * 2.0**n)
-        diag.iterations = n
-        if not np.all(np.isfinite(value)):
-            raise ExtractionError(
-                f"map value became non-finite at scale 2**{n}", diag
-            )
-        current = value / 4.0**n
-        dev = float(np.linalg.norm(current - prev))
-        diag.deviations.append(dev)
-        prev = current
-        scale = float(np.linalg.norm(current))
-        # Norms of huge finite iterates can overflow to inf; an infinite
-        # deviation or scale must read as divergence, not convergence.
-        if np.isfinite(dev) and np.isfinite(scale) and dev <= tol * (1.0 + scale):
-            converged = True
-            break
-    diag.converged = converged
-    # Quarter-ratio geometric tail: sum_{k>=1} dev * 4^-k = dev / 3.
-    diag.tail_estimate = diag.deviations[-1] / 3.0 if diag.deviations else 0.0
-    return current, diag
+    batch = extract_quadratic_batch(handle, point[None, :], max_iters, tol)
+    if batch.failed_at[0] >= 0:
+        raise ExtractionError(batch.failure(0), batch.diagnostics(0))
+    return batch.limits[0], batch.diagnostics(0)
 
 
 def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int):
@@ -178,20 +265,6 @@ def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int
         raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
     unit = _rows_at_radii(space, generator(sampler.seed, STREAM_PROBES), np.ones(probe_count))
     return np.vstack([unit, xs[:_RESTRICTED_PROBES]])
-
-
-def _extract_rows(handle, points: np.ndarray, max_iters: int, tol: float, diags: list):
-    """Dyadic limit at each row of ``points``, one extraction per row.
-
-    Appends each row's diagnostics to ``diags``; when an extraction raises
-    :class:`ExtractionError` the error propagates and ``len(diags)`` is
-    the index of the failing row.
-    """
-    limits = np.empty((points.shape[0], handle.codomain_dim))
-    for i, point in enumerate(points):
-        limits[i], diag = extract_quadratic(handle, point, max_iters=max_iters, tol=tol)
-        diags.append(diag)
-    return limits
 
 
 def _restricted_residuals(handle, params, d, space, sampler, codomain):
@@ -334,14 +407,12 @@ def certify(
             "only its even part is certified against the quadratic limit"
         )
 
-    diags: list[ExtractionDiagnostics] = []
-    inconclusive = False
-    try:
-        limits = _extract_rows(handle, probes, max_iters, tol, diags)
-    except ExtractionError as exc:
-        warnings_.append(f"extraction failed at probe {len(diags)}: {exc}")
-        inconclusive = True
-    if not inconclusive and not all(diag.converged for diag in diags):
+    batch = extract_quadratic_batch(handle, probes, max_iters, tol)
+    failed = batch.first_failure
+    inconclusive = failed is not None
+    if inconclusive:
+        warnings_.append(f"extraction failed at probe {failed}: {batch.failure(failed)}")
+    elif not np.all(batch.converged):
         warnings_.append(
             f"some extractions did not reach relative tol {tol:g} within "
             f"{max_iters} doublings"
@@ -351,7 +422,7 @@ def certify(
         max_deviation = None
         passed = None
     else:
-        max_deviation = float(row_norms(f_probes - limits, codomain).max())
+        max_deviation = float(row_norms(f_probes - batch.limits, codomain).max())
         passed = bool(
             max_deviation <= constants.c_approx + _PASS_SLACK * (1.0 + constants.c_approx)
         )
@@ -373,7 +444,8 @@ def certify(
         seed=sampler.seed,
         max_iters=max_iters,
         tol=tol,
-        extraction_iterations_max=max((diag.iterations for diag in diags), default=0),
+        # Rows past the first failure count as never extracted.
+        extraction_iterations_max=int(batch.iterations[:failed].max(initial=0)),
         samples=(xs, ys, norms),
     )
 
@@ -444,7 +516,16 @@ def verify_czerwik(
 
     probes = _probes(space, sampler, xs, probe_count)
     f_probes = handle(probes)
-    base = _extract_rows(handle, probes, max_iters, tol, [])
+    # The base probes, then t * probes for each scale, in one batch; its
+    # first failed row raises, as extracting the blocks in turn would.
+    batch = extract_quadratic_batch(
+        handle, np.vstack([probes] + [t * probes for t in scales]), max_iters, tol
+    )
+    failed = batch.first_failure
+    if failed is not None:
+        raise ExtractionError(batch.failure(failed), batch.diagnostics(failed))
+    blocks = np.split(batch.limits, len(scales) + 1)
+    base = blocks[0]
     max_deviation = float(row_norms(f_probes - base, codomain).max())
     bound = delta_hat / 2.0
     within = bool(max_deviation <= bound + _PASS_SLACK * (1.0 + bound))
@@ -452,8 +533,7 @@ def verify_czerwik(
     base_scale = float(row_norms(base, codomain).max())
     hom_defects: dict[float, float] = {}
     hom_ok = True
-    for t in scales:
-        scaled = _extract_rows(handle, t * probes, max_iters, tol, [])
+    for t, scaled in zip(scales, blocks[1:]):
         defect = float(row_norms(scaled - t * t * base, codomain).max())
         hom_defects[float(t)] = defect
         hom_ok = hom_ok and defect <= 1e-8 * (1.0 + t * t * base_scale)

@@ -16,6 +16,15 @@ from quadlab import (
     noise_values,
     random_symmetric_form,
 )
+from quadlab.perturb import _GAMMA, _MIX_1, _MIX_2, _mix64
+
+
+def _mix64_reference(z):
+    """The splitmix64 finalizer written with a fresh array per step."""
+    z = (z + _GAMMA).astype(np.uint64)
+    z = ((z ^ (z >> np.uint64(30))) * _MIX_1).astype(np.uint64)
+    z = ((z ^ (z >> np.uint64(27))) * _MIX_2).astype(np.uint64)
+    return z ^ (z >> np.uint64(31))
 
 
 class TestHashNoise:
@@ -70,6 +79,41 @@ class TestHashNoise:
         vals = noise_values(model, rng.standard_normal((100, 2)), codim=3)
         assert vals.shape == (100, 3)
         assert not np.array_equal(vals[:, 0], vals[:, 1])
+
+
+    def test_mix64_matches_reference_and_keeps_input(self):
+        rng = np.random.default_rng(8)
+        words = np.concatenate(
+            [
+                np.array([0, 2**64 - 1, 2**63, int(_GAMMA)], dtype=np.uint64),
+                rng.integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False),
+            ]
+        )
+        kept = words.copy()
+        assert np.array_equal(_mix64(words), _mix64_reference(words))
+        assert np.array_equal(words, kept)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        NoiseModel.none(),
+        NoiseModel.constant(0.4),
+        NoiseModel.uniform_bounded(0.2, seed=9),
+        NoiseModel.decay(0.5, 0.7),
+        NoiseModel.sine(0.3, np.linspace(-2.0, 1.5, 9)),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_row_alone_equals_its_row_in_any_batch(model):
+    # A matrix-vector product would round a row differently for one row
+    # than for many, and by batch size once rows are 8 or more long.
+    rng = np.random.default_rng(10)
+    xs = rng.standard_normal((64, 9)) * np.exp(rng.uniform(-3.0, 6.0, (64, 1)))
+    alone = np.array([noise_values(model, x, codim=2) for x in xs])
+    for size in (2, 3, 5, 64):
+        batched = np.vstack([noise_values(model, xs[i : i + size], 2) for i in range(0, 64, size)])
+        assert np.array_equal(batched, alone), size
 
 
 class TestOtherNoiseKinds:

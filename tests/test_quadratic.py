@@ -92,6 +92,19 @@ class TestQuadraticForm:
         rows = np.array([form(x) for x in xs])
         assert np.array_equal(form(xs), rows)
 
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    def test_row_alone_equals_its_row_in_any_batch(self, codim):
+        # einsum sums a 2-variable, 1-output form in another order for one or
+        # two rows than for more; evaluation pads small batches so it cannot.
+        rng = np.random.default_rng(codim)
+        for dim in range(1, 9):
+            form = _random_form(dim, dim=dim, codim=codim)
+            xs = rng.standard_normal((60, dim)) * 100.0
+            alone = np.array([form(x) for x in xs])
+            for size in (1, 2, 3, 4, 60):
+                batched = np.vstack([form(xs[i : i + size]) for i in range(0, 60, size)])
+                assert np.array_equal(batched, alone), (dim, size)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             QuadraticForm(np.array([[1.0, 2.0], [0.0, 5.0]]))

@@ -41,15 +41,12 @@ class TestNormValues:
         assert norm_eval(space, [1.0, 1.0]) == pytest.approx(np.sqrt(5.0), rel=1e-14)
 
     def test_batch_matches_rows(self):
-        # Not bitwise: for fractional p the power ufunc's SIMD path depends
-        # on array alignment, so batch and per-row evaluation may differ by
-        # an ulp.  Equality up to a few ulp is the actual contract.
+        # Bitwise: one vector is evaluated as a one-row batch.
         space = p_norm(3, 1.5)
         rng = np.random.default_rng(0)
         batch = rng.standard_normal((50, 3))
         rows = np.array([norm_eval(space, row) for row in batch])
-        got = np.asarray(norm_eval(space, batch))
-        assert np.allclose(got, rows, rtol=1e-15, atol=0.0)
+        assert np.array_equal(norm_eval(space, batch), rows)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -78,6 +75,39 @@ def test_absolute_homogeneity(t, seed):
         lhs = norm_eval(space, t * x)
         rhs = abs(t) * norm_eval(space, x)
         assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-300)
+
+
+def _every_norm_kind(dim):
+    gram = np.eye(dim) + 0.25 * np.ones((dim, dim))
+    return [
+        euclidean(dim),
+        sup_norm(dim),
+        p_norm(dim, 0.5),
+        p_norm(dim, 1.0),
+        p_norm(dim, 1.5),
+        p_norm(dim, 3.0),
+        weighted_quadratic(gram),
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=6),
+    others=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_scale=st.floats(min_value=-20.0, max_value=20.0),
+)
+def test_one_vector_is_one_row(dim, others, seed, log_scale):
+    """``norm_eval(s, x)`` equals ``norm_eval(s, x[None])[0]`` and x's row in
+    any batch, bit for bit, for every norm kind."""
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((1 + others, dim)) * 10.0**log_scale
+    x = batch[0]
+    for space in _every_norm_kind(dim):
+        alone = norm_eval(space, x)
+        assert isinstance(alone, float)
+        assert alone == norm_eval(space, x[None])[0]
+        assert alone == norm_eval(space, batch)[0]
 
 
 def test_triangle_inequality_for_genuine_norms():

@@ -1,10 +1,13 @@
 """Stability constants, limit extraction, certification, and the classical
 half-defect bound."""
 
+import re
+
 import numpy as np
 import pytest
 
 from quadlab import (
+    ExtractionDiagnostics,
     ExtractionError,
     InfeasibleDomainError,
     NoiseModel,
@@ -15,15 +18,76 @@ from quadlab import (
     estimate_delta_restricted,
     euclidean,
     extract_quadratic,
+    extract_quadratic_batch,
     make_perturbed,
     map_from_callable,
     map_from_table,
     p_norm,
     random_symmetric_form,
+    sample_pairs_restricted,
     stability_constants,
     verify_czerwik,
 )
 from quadlab.errors import DimensionMismatchError
+from quadlab.quadratic import as_map
+from quadlab.stability import _probes
+
+
+def _reference_extract(f, x, max_iters=26, tol=1e-10):
+    """The one-point extraction loop that the batch engine replaced, kept
+    verbatim as the reference for the engine's per-row records."""
+    handle = as_map(f)
+    point = np.asarray(x, dtype=np.float64)
+    prev = handle(point)
+    diag = ExtractionDiagnostics(iterations=0, tol=float(tol))
+    if not np.all(np.isfinite(prev)):
+        raise ExtractionError("map value at the base point is not finite", diag)
+    converged = False
+    current = prev
+    for n in range(1, max_iters + 1):
+        value = handle(point * 2.0**n)
+        diag.iterations = n
+        if not np.all(np.isfinite(value)):
+            raise ExtractionError(f"map value became non-finite at scale 2**{n}", diag)
+        current = value / 4.0**n
+        dev = float(np.linalg.norm(current - prev))
+        diag.deviations.append(dev)
+        prev = current
+        scale = float(np.linalg.norm(current))
+        if np.isfinite(dev) and np.isfinite(scale) and dev <= tol * (1.0 + scale):
+            converged = True
+            break
+    diag.converged = converged
+    diag.tail_estimate = diag.deviations[-1] / 3.0 if diag.deviations else 0.0
+    return current, diag
+
+
+def _noise(kind, dim):
+    return {
+        "none": NoiseModel.none(),
+        "constant": NoiseModel.constant(0.3),
+        "uniform": NoiseModel.uniform_bounded(0.05, seed=dim),
+        "decay": NoiseModel.decay(0.5, 0.7),
+        "sine": NoiseModel.sine(0.2, np.linspace(-1.5, 2.0, dim)),
+    }[kind]
+
+
+def _same(a, b):
+    """Bitwise equal floats, NaN equal to NaN."""
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def _blowup_map(threshold=0.2, rate=5.0):
+    """|x|^2 + sin(3 x_2) plus a term that overflows after fewer doublings the
+    larger the first coordinate is above ``threshold`` (and never below it)."""
+
+    def evaluator(rows):
+        sq = np.sum(rows * rows, axis=1, keepdims=True)
+        lead = rows[:, :1]
+        blowup = np.where(lead > threshold, np.exp(rate * lead * sq), 0.0)
+        return sq + np.sin(3.0 * rows[:, 1:]) + blowup
+
+    return map_from_callable(evaluator, 2, 1)
 
 
 class TestConstants:
@@ -147,6 +211,112 @@ class TestExtraction:
         form = random_symmetric_form(euclidean(2), euclidean(1), seed=8)
         with pytest.raises(DimensionMismatchError):
             extract_quadratic(form, np.ones(3))
+
+
+class TestBatchExtraction:
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["none", "constant", "uniform", "decay", "sine"])
+    def test_rows_match_one_point_loop(self, kind, codim):
+        rng = np.random.default_rng(codim)
+        for dim in range(1, 9):
+            form = random_symmetric_form(euclidean(dim), euclidean(codim), seed=10 * dim + codim)
+            f = make_perturbed(form, _noise(kind, dim))
+            points = rng.standard_normal((24, dim)) * np.exp(rng.uniform(-4.0, 4.0, (24, 1)))
+            points[0] = 0.0
+            for max_iters, tol in ((26, 1e-10), (3, 1e-10), (26, 1e-14)):
+                batch = extract_quadratic_batch(f, points, max_iters=max_iters, tol=tol)
+                assert not np.any(batch.failed_at >= 0)
+                assert batch.first_failure is None
+                for i, point in enumerate(points):
+                    value, diag = _reference_extract(f, point, max_iters, tol)
+                    assert np.array_equal(batch.limits[i], value), (dim, i)
+                    assert batch.iterations[i] == diag.iterations
+                    assert batch.converged[i] == diag.converged
+                    count = diag.iterations
+                    assert batch.deviations[i, :count].tolist() == diag.deviations
+                    assert np.all(np.isnan(batch.deviations[i, count:]))
+                    assert batch.tail_estimate[i] == diag.tail_estimate
+                    assert batch.diagnostics(i) == diag
+
+    def test_short_budget_leaves_rows_unconverged(self):
+        form = random_symmetric_form(euclidean(3), euclidean(2), seed=41)
+        f = make_perturbed(form, NoiseModel.constant(1.0))
+        points = np.random.default_rng(42).standard_normal((10, 3))
+        batch = extract_quadratic_batch(f, points, max_iters=3)
+        assert not np.any(batch.converged)
+        assert np.all(batch.iterations == 3)
+        for i, point in enumerate(points):
+            value, diag = _reference_extract(f, point, 3)
+            assert not diag.converged
+            assert np.array_equal(batch.limits[i], value)
+            assert batch.diagnostics(i) == diag
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_failed_rows_match_the_loop_error(self):
+        f = _blowup_map()
+        points = np.random.default_rng(43).uniform(-1.0, 1.0, (40, 2))
+        points[5] = np.nan
+        batch = extract_quadratic_batch(f, points)
+        assert batch.failed_at[5] == 0
+        assert np.any(batch.failed_at > 0) and np.any(batch.failed_at < 0)
+        for i, point in enumerate(points):
+            try:
+                value, diag = _reference_extract(f, point)
+            except ExtractionError as exc:
+                assert batch.failure(i) == str(exc)
+                assert np.all(np.isnan(batch.limits[i]))
+                got = batch.diagnostics(i)
+                want = exc.diagnostics
+                assert got.iterations == want.iterations == batch.failed_at[i]
+                assert got.deviations == want.deviations
+                assert not got.converged and got.tol == want.tol
+                assert np.isnan(got.tail_estimate) and np.isnan(want.tail_estimate)
+                with pytest.raises(ExtractionError, match=re.escape(str(exc))):
+                    extract_quadratic(f, point)
+            else:
+                assert batch.failure(i) is None
+                assert np.array_equal(batch.limits[i], value)
+                assert batch.diagnostics(i) == diag
+
+    def test_one_map_call_per_doubling(self):
+        calls = []
+
+        def evaluator(rows):
+            calls.append(rows.shape[0])
+            return np.sum(rows * rows, axis=1) + 1.0
+
+        f = map_from_callable(evaluator, 2, 1)
+        points = np.random.default_rng(44).standard_normal((50, 2))
+        batch = extract_quadratic_batch(f, points, max_iters=8)
+        assert calls[0] == 50
+        assert len(calls) == 1 + batch.iterations.max()
+        # A row leaves the batch at the doubling it converges.
+        for n, rows in enumerate(calls[1:], start=1):
+            assert rows == np.count_nonzero(batch.iterations >= n)
+
+    def test_does_not_write_to_its_input(self):
+        identity = map_from_callable(lambda rows: rows, 2, 2)
+        points = np.array([[1.0, 2.0], [3.0, -4.0]])
+        kept = points.copy()
+        extract_quadratic_batch(identity, points)
+        assert np.array_equal(points, kept)
+
+    def test_tabulated_map_rejected(self):
+        f = map_from_table(np.array([[1.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(ParameterError):
+            extract_quadratic_batch(f, np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": 0.0}, {"tol": np.inf}])
+    def test_bad_controls(self, kwargs):
+        form = random_symmetric_form(euclidean(2), euclidean(1), seed=45)
+        with pytest.raises(ParameterError):
+            extract_quadratic_batch(form, np.ones((3, 2)), **kwargs)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (1, 1), (2, 2, 2)])
+    def test_point_shape_check(self, shape):
+        form = random_symmetric_form(euclidean(2), euclidean(1), seed=46)
+        with pytest.raises(DimensionMismatchError, match="rows of length 2"):
+            extract_quadratic_batch(form, np.ones(shape))
 
 
 class TestDeltaEstimate:
@@ -283,6 +453,35 @@ class TestCertify:
         assert cert.passed is None
         assert cert.max_deviation is None
         assert any("extraction failed" in w for w in cert.warnings)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_inconclusive_names_the_loop_failure(self):
+        # Some probes past the first failing one fail at an earlier doubling;
+        # the warning still names the lowest failing probe, and the
+        # iteration count covers only the probes before it, as extracting
+        # probe by probe and stopping at the first error did.
+        f = _blowup_map()
+        params, sp = equation_params("1/2"), euclidean(2)
+        sampler = Sampler.restricted_pairs(59, 100, 2.0)
+        cert = certify(f, params, 1.0, sp, sampler)
+        xs, _ = sample_pairs_restricted(sp, 1.0, sampler)
+        probes = _probes(sp, sampler, xs, 32)
+        iterations, message = [], None
+        for i, probe in enumerate(probes):
+            try:
+                _, diag = _reference_extract(f, probe)
+            except ExtractionError as exc:
+                message = f"extraction failed at probe {i}: {exc}"
+                first, first_n = i, exc.diagnostics.iterations
+                break
+            iterations.append(diag.iterations)
+        assert message is not None and first > 0
+        later = extract_quadratic_batch(f, probes[first + 1 :])
+        assert np.any((later.failed_at > 0) & (later.failed_at < first_n))
+        assert later.iterations.max() > max(iterations)
+        assert cert.inconclusive and cert.passed is None
+        assert cert.warnings[-1] == message
+        assert cert.extraction_iterations_max == max(iterations)
 
     def test_report_dict_uses_pass_key(self):
         d = self._bounded_case().to_dict()
