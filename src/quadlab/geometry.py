@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError, UndefinedValueError
 from .quadratic import EquationParams
-from .space import Sampler, SpaceSpec, norm_eval, sample_pairs_restricted
+from .space import Sampler, SpaceSpec, form_rows, norm_eval, sample_pairs_restricted
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def detect_inner_product(
     min_eig = None
     if accepted:
         gram = recover_gram(space)
-        quad = np.einsum("ni,ij,nj->n", xs, gram, xs)
+        quad = form_rows(xs, gram, xs)[:, 0]
         norms_sq = n_x[bi.size :] ** 2
         bil_defect = float(
             (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()

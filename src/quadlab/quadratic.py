@@ -14,14 +14,14 @@ residual functions below measure how far an arbitrary map is from doing so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .space import Sampler, SpaceSpec, einsum_rows, row_norms, sample_pairs_restricted
+from .space import Sampler, SpaceSpec, form_rows, row_norms, sample_pairs_restricted
 
 _RS_WARN_THRESHOLD = 1e-2
 
@@ -110,10 +110,12 @@ class QuadraticForm:
     """Vector-valued quadratic map stored as one symmetric matrix per output.
 
     ``coeffs`` has shape (codim, dim, dim) with each slice exactly symmetric;
-    evaluation sends x to the vector ``(x^T B_k x)_k``.
+    evaluation sends x to the vector ``(x^T B_k x)_k``.  ``flat`` is the same
+    matrices side by side, shape (dim, codim * dim), as :func:`form_rows` takes them.
     """
 
     coeffs: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=np.float64)
@@ -130,6 +132,9 @@ class QuadraticForm:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
+        flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
     @property
     def domain_dim(self) -> int:
@@ -144,17 +149,15 @@ class QuadraticForm:
 
     def bilinear(self, x, y):
         """The symmetric bilinear map (x, y) -> (x^T B_k y)_k."""
-        xs = np.asarray(x, dtype=np.float64)
-        ys = np.asarray(y, dtype=np.float64)
+        xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         single = xs.ndim == 1 and ys.ndim == 1
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
         if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != self.domain_dim:
             raise DimensionMismatchError(
                 f"expected matching vectors of length {self.domain_dim}, "
                 f"got shapes {np.shape(x)} and {np.shape(y)}"
             )
-        out = einsum_rows("ni,kij,nj->nk", xs, self.coeffs, ys)
+        out = form_rows(xs, self.flat, ys)
         return out[0] if single else out
 
     def as_map(self, label: str = "quadratic_form") -> "MapHandle":

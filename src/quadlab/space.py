@@ -31,8 +31,8 @@ _SEED_LIMIT = 2**64
 
 _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 
-# Fewest rows handed to np.einsum by einsum_rows.
-_EINSUM_MIN_ROWS = 3
+# Rows per chunk in form_rows: bounds its (rows, outputs * dim) intermediate.
+_FORM_CHUNK = 4096
 
 # Relative clearance from every bound of a sampled row pulled back inside:
 # far above the few-ulp rounding of a norm, far below any sampled scale.
@@ -189,19 +189,26 @@ def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ other[..., :, None])[:, 0, 0]
 
 
-def einsum_rows(subscripts: str, xs: np.ndarray, middle: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, xs, middle, ys)`` over row batches ``xs``, ``ys``
-    of shape (N, d), with each row's value the same whatever the batch.
+def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``(x_n^T M_k y_n)`` for each row pair of ``xs``, ``ys`` (both (N, dim)),
+    shape (N, k).
 
-    einsum adds the terms of a row of length 2 in another order for one or
-    two rows than for three or more (seen on numpy 2.4), so smaller batches
-    go in padded with zero rows.
+    ``flat`` holds the k matrices side by side, shape (dim, k * dim), so that
+    ``flat[i, k * dim + j] = M_k[i, j]``; one (dim, dim) matrix is its own
+    layout.  Rows go in chunks of ``_FORM_CHUNK`` through two two-operand
+    einsums, ``x_n^T flat`` and then a row-wise contraction with ``y_n``.
+    einsum without ``optimize`` calls no BLAS, and on C-ordered rows it adds
+    each row's terms in one order whatever the batch, so a row's value does
+    not depend on its batch, its memory layout or the BLAS core type.
     """
-    rows = xs.shape[0]
-    if rows < _EINSUM_MIN_ROWS:
-        pad = np.zeros((_EINSUM_MIN_ROWS - rows, xs.shape[1]))
-        xs, ys = np.vstack([xs, pad]), np.vstack([ys, pad])
-    return np.einsum(subscripts, xs, middle, ys)[:rows]
+    dim = xs.shape[1]
+    k = flat.shape[1] // dim
+    out = np.empty((xs.shape[0], k))
+    for lo in range(0, xs.shape[0], _FORM_CHUNK):
+        rows = slice(lo, lo + _FORM_CHUNK)
+        half = np.einsum("ni,im->nm", np.ascontiguousarray(xs[rows]), flat).reshape(-1, k, dim)
+        np.einsum("nkj,nj->nk", half, np.ascontiguousarray(ys[rows]), out=out[rows])
+    return out
 
 
 def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
@@ -213,7 +220,7 @@ def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
     if space.norm_kind == "p":
         return np.sum(np.abs(arr) ** space.p, axis=-1) ** (1.0 / space.p)
     rows = arr.reshape(-1, space.dim)
-    quad = einsum_rows("ni,ij,nj->n", rows, space.gram, rows).reshape(arr.shape[:-1])
+    quad = form_rows(rows, space.gram, rows).reshape(arr.shape[:-1])
     return np.sqrt(np.maximum(quad, 0.0))
 
 

@@ -26,6 +26,7 @@ from quadlab import (
 )
 from quadlab.errors import DimensionMismatchError
 from quadlab.geometry import ScanEntry
+from quadlab.space import form_rows
 
 WEIGHTED3 = weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
 
@@ -154,7 +155,7 @@ class TestDetectInnerProduct:
         assert verdict.max_normalized_defect == float((defects / scales).max())
         if verdict.accepted:
             norms_sq = norm_eval(space, xs) ** 2
-            quad = np.einsum("ni,ij,nj->n", xs, verdict.recovered_gram, xs)
+            quad = form_rows(xs, verdict.recovered_gram, xs)[:, 0]
             want = float((np.abs(norms_sq - quad) / (1.0 + norms_sq)).max())
             assert verdict.bilinearity_defect == want
 

@@ -27,6 +27,9 @@ from quadlab import (
     residual_q,
 )
 from quadlab.errors import DimensionMismatchError
+from quadlab.space import _FORM_CHUNK
+
+EPS = np.finfo(np.float64).eps
 
 
 def _random_form(seed, dim=3, codim=2):
@@ -94,8 +97,8 @@ class TestQuadraticForm:
 
     @pytest.mark.parametrize("codim", [1, 2, 3])
     def test_row_alone_equals_its_row_in_any_batch(self, codim):
-        # einsum sums a 2-variable, 1-output form in another order for one or
-        # two rows than for more; evaluation pads small batches so it cannot.
+        # form_rows adds each row's terms in one order whatever the batch
+        # size (two-operand einsums, no BLAS), so no batch needs padding.
         rng = np.random.default_rng(codim)
         for dim in range(1, 9):
             form = _random_form(dim, dim=dim, codim=codim)
@@ -134,6 +137,85 @@ class TestQuadraticForm:
         assert polarize(form, x, y) == pytest.approx(
             form.bilinear(x, y), rel=1e-12, abs=1e-13
         )
+
+
+class TestFormKernel:
+    """``QuadraticForm`` values through ``space.form_rows``."""
+
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    def test_row_alone_equals_its_row_at_chunk_edges(self, codim):
+        # Sub-batches that end just inside, on and just past a chunk edge give
+        # each row the bits it has in a batch of three whole chunks.
+        rng = np.random.default_rng(40 + codim)
+        for dim in range(1, 9):
+            form = _random_form(60 + dim, dim=dim, codim=codim)
+            xs = rng.standard_normal((3 * _FORM_CHUNK, dim)) * 100.0
+            ys = rng.standard_normal((3 * _FORM_CHUNK, dim))
+            whole, pair = form(xs), form.bilinear(xs, ys)
+            for size in (1, 2, _FORM_CHUNK - 1, _FORM_CHUNK, _FORM_CHUNK + 1, _FORM_CHUNK + 2):
+                for start in (0, 1, _FORM_CHUNK - 1, 2 * _FORM_CHUNK - 2):
+                    rows = slice(start, start + size)
+                    assert np.array_equal(form(xs[rows]), whole[rows]), (dim, size, start)
+                    assert np.array_equal(
+                        form.bilinear(xs[rows], ys[rows]), pair[rows]
+                    ), (dim, size, start)
+
+    def test_memory_layout_does_not_change_bits(self):
+        form = _random_form(70, dim=5, codim=2)
+        xs = np.random.default_rng(71).standard_normal((300, 5))
+        assert np.array_equal(form(np.asfortranarray(xs)), form(xs))
+        assert np.array_equal(form(np.repeat(xs, 2, axis=1)[:, ::2]), form(xs))
+
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    def test_bilinear_matches_exact_rationals(self, codim):
+        # Each product x_i B_k[i, j] y_j passes through two sums of dim terms,
+        # so the error is at most gamma_{2 dim} = dim eps / (1 - dim eps)
+        # times |x|^T |B_k| |y| (Higham, ch. 3): dim ulps of that scale.
+        rng = np.random.default_rng(80 + codim)
+        for dim in range(1, 9):
+            form = _random_form(90 + dim, dim=dim, codim=codim)
+            xs = rng.standard_normal((20, dim))
+            ys = rng.standard_normal((20, dim))
+            got = form.bilinear(xs, ys)
+            for n in range(20):
+                for k in range(codim):
+                    terms = [
+                        Fraction(xs[n, i]) * Fraction(form.coeffs[k, i, j]) * Fraction(ys[n, j])
+                        for i in range(dim)
+                        for j in range(dim)
+                    ]
+                    exact = sum(terms)
+                    scale = sum(abs(t) for t in terms)
+                    gamma = Fraction(dim * EPS) / (1 - Fraction(dim * EPS))
+                    bound = gamma * scale
+                    assert abs(Fraction(got[n, k]) - exact) <= bound, (dim, n, k)
+
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    def test_negation_scaling_and_parity_are_bitwise(self, codim):
+        rng = np.random.default_rng(100 + codim)
+        for dim in range(1, 9):
+            form = _random_form(110 + dim, dim=dim, codim=codim)
+            xs = rng.standard_normal((200, dim)) * 100.0
+            values = form(xs)
+            assert np.array_equal(form(-xs), values)
+            for j in range(-3, 4):
+                assert np.array_equal(form(2.0**j * xs), 4.0**j * values), (dim, j)
+            even, odd = parity_decompose(form)
+            assert np.array_equal(even(xs), values)
+            assert np.array_equal(odd(xs), np.zeros_like(values))
+
+    @pytest.mark.parametrize("codim", [1, 2, 3])
+    def test_agrees_with_three_operand_einsum(self, codim):
+        # The reference is the one-step einsum the two-step kernel replaced;
+        # the two differ only in rounding, within 8 ulps of |x|^T |B_k| |y|.
+        rng = np.random.default_rng(120 + codim)
+        for dim in range(1, 9):
+            form = _random_form(130 + dim, dim=dim, codim=codim)
+            xs = rng.standard_normal((500, dim)) * 10.0
+            ys = rng.standard_normal((500, dim))
+            want = np.einsum("ni,kij,nj->nk", xs, form.coeffs, ys)
+            scale = np.einsum("ni,kij,nj->nk", np.abs(xs), np.abs(form.coeffs), np.abs(ys))
+            assert np.all(np.abs(form.bilinear(xs, ys) - want) <= 8.0 * EPS * scale), dim
 
 
 class TestResiduals:

@@ -20,6 +20,9 @@ from quadlab import (
     weighted_quadratic,
 )
 from quadlab.errors import DimensionMismatchError
+from quadlab.space import _FORM_CHUNK, form_rows
+
+EPS = np.finfo(np.float64).eps
 
 
 class TestNormValues:
@@ -108,6 +111,32 @@ def test_one_vector_is_one_row(dim, others, seed, log_scale):
         assert isinstance(alone, float)
         assert alone == norm_eval(space, x[None])[0]
         assert alone == norm_eval(space, batch)[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_weighted_norm_rows_match_at_chunk_edges(dim):
+    """A weighted norm gives each row the bits it has in a batch of three
+    whole kernel chunks, for sub-batches around every chunk edge."""
+    space = _every_norm_kind(dim)[-1]
+    rows = np.random.default_rng(dim).standard_normal((3 * _FORM_CHUNK, dim)) * 100.0
+    whole = norm_eval(space, rows)
+    for size in (1, 2, _FORM_CHUNK - 1, _FORM_CHUNK, _FORM_CHUNK + 1, _FORM_CHUNK + 2):
+        for start in (0, 1, _FORM_CHUNK - 1, 2 * _FORM_CHUNK - 2):
+            batch = slice(start, start + size)
+            assert np.array_equal(norm_eval(space, rows[batch]), whole[batch]), (size, start)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+def test_gram_form_agrees_with_three_operand_einsum(dim):
+    # x^T G x under a weighted norm's square root, against the one-step
+    # einsum the kernel replaced: within 8 ulps of |x|^T |G| |x|.
+    space = _every_norm_kind(dim)[-1]
+    rows = np.random.default_rng(10 + dim).standard_normal((500, dim))
+    got = form_rows(rows, space.gram, rows)[:, 0]
+    want = np.einsum("ni,ij,nj->n", rows, space.gram, rows)
+    scale = np.einsum("ni,ij,nj->n", np.abs(rows), np.abs(space.gram), np.abs(rows))
+    assert np.all(np.abs(got - want) <= 8.0 * EPS * scale)
+    assert np.array_equal(norm_eval(space, rows), np.sqrt(got))
 
 
 def test_triangle_inequality_for_genuine_norms():
