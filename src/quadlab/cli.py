@@ -427,9 +427,9 @@ def run_residual(effective: dict):
         "x": x.tolist(),
         "y": y.tolist(),
         "params": params.to_dict(),
-        "q_residual": np.atleast_1d(rq).tolist(),
+        "q_residual": rq.tolist(),
         "q_residual_norm": float(row_norms(rq, None)[0]),
-        "gq_residual": np.atleast_1d(rgq).tolist(),
+        "gq_residual": rgq.tolist(),
         "gq_residual_norm": float(row_norms(rgq, None)[0]),
         "derivation_chain": derivation_chain_defects(f, params, x, y),
     }

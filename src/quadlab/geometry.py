@@ -13,19 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, UndefinedValueError
+from .errors import ParameterError, UndefinedValueError
 from .quadratic import EquationParams
-from .space import Sampler, SpaceSpec, form_rows, norm_eval, sample_pairs_restricted
-
-
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """``x`` and ``y`` as float64 arrays of one shape."""
-    xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape:
-        raise DimensionMismatchError(
-            f"x and y must have equal shapes, got {xs.shape} and {ys.shape}"
-        )
-    return xs, ys
+from .space import Sampler, SpaceSpec, form_rows, norm_eval, pair_rows, sample_pairs_restricted
 
 
 def _parallelogram(n_plus, n_minus, n_x, n_y):
@@ -39,8 +29,9 @@ def parallelogram_defect(space: SpaceSpec, x, y):
     Zero for all pairs exactly when the norm comes from an inner product.
     Accepts single vectors (-> float) or equal-shape batches (-> array).
     """
-    xs, ys = _pair(x, y)
-    return _parallelogram(*(norm_eval(space, v) for v in (xs + ys, xs - ys, xs, ys)))
+    xs, ys, single = pair_rows(x, y, space.dim)
+    out = _parallelogram(*(norm_eval(space, v) for v in (xs + ys, xs - ys, xs, ys)))
+    return float(out[0]) if single else out
 
 
 @dataclass
@@ -92,10 +83,11 @@ def recover_gram(space: SpaceSpec) -> np.ndarray:
     Recovers the inner-product matrix exactly when the norm satisfies the
     parallelogram law; meaningless otherwise.
     """
-    eye = np.eye(space.dim)
-    plus = norm_eval(space, eye[:, None, :] + eye[None, :, :]) ** 2
-    minus = norm_eval(space, eye[:, None, :] - eye[None, :, :]) ** 2
-    return (plus - minus) / 4.0
+    dim = space.dim
+    eye = np.eye(dim)
+    plus = norm_eval(space, (eye[:, None, :] + eye[None, :, :]).reshape(-1, dim)) ** 2
+    minus = norm_eval(space, (eye[:, None, :] - eye[None, :, :]).reshape(-1, dim)) ** 2
+    return ((plus - minus) / 4.0).reshape(dim, dim)
 
 
 def detect_inner_product(
@@ -200,8 +192,7 @@ def _pattern_defect(params: EquationParams, exps: Exponents, norms):
     """``a^p + rs b^q - r c^u - s d^v`` for ``(a, b, c, d) = norms``.
 
     Raises :class:`UndefinedValueError` for the first norm, in p, q, u, v
-    order, that is zero under a negative exponent.  ``np.power`` rounds a
-    float norm and an array of norms alike.
+    order, that is zero under a negative exponent.
     """
     for what, n, e in zip(_PATTERN_TERMS, norms, exps.astuple()):
         if e < 0 and np.any(n == 0.0):
@@ -222,8 +213,9 @@ def gq_norm_defect(
     Raises :class:`UndefinedValueError` when a zero norm meets a negative
     exponent.  Accepts single vectors (-> float) or batches (-> array).
     """
-    out = _pattern_defect(params, exps, _pattern_norms(space, params, *_pair(x, y)))
-    return float(out) if out.ndim == 0 else out
+    xs, ys, single = pair_rows(x, y, space.dim)
+    out = _pattern_defect(params, exps, _pattern_norms(space, params, xs, ys))
+    return float(out[0]) if single else out
 
 
 @dataclass

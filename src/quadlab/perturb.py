@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, check_seed, generator, row_dots, row_norms
+from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, row_dots, row_norms
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -121,12 +121,12 @@ class NoiseModel:
 
 
 def _hash_unit(rows: np.ndarray, seed: int, codim: int) -> np.ndarray:
-    """Per-row hash values in [0, 1), shape (N, codim).
+    """Per-row hash values in [0, 1) of C-ordered float64 rows, shape (N, codim).
 
     Folds the seed and each coordinate's raw float64 bits through the
     splitmix64 finalizer, then derives one lane per output coordinate.
     """
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+    bits = rows.view(np.uint64)
     h = _mix64(np.full(rows.shape[0], seed, dtype=np.uint64))
     for j in range(bits.shape[1]):
         h = _mix64(h ^ bits[:, j])
@@ -142,11 +142,7 @@ def noise_values(model: NoiseModel, x, codim: int = 1):
 
     Single-vector input returns a vector of length ``codim``.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.ndim != 2:
-        raise DimensionMismatchError(f"expected vectors or rows, got shape {arr.shape}")
+    rows, single = as_rows(x)
     n = rows.shape[0]
     if model.kind == "none":
         out = np.zeros((n, codim))

@@ -21,7 +21,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
-from .space import Sampler, SpaceSpec, form_rows, row_norms, sample_pairs_restricted
+from .space import (
+    Sampler,
+    SpaceSpec,
+    as_rows,
+    form_rows,
+    pair_rows,
+    row_norms,
+    sample_pairs_restricted,
+)
 
 _RS_WARN_THRESHOLD = 1e-2
 
@@ -149,14 +157,7 @@ class QuadraticForm:
 
     def bilinear(self, x, y):
         """The symmetric bilinear map (x, y) -> (x^T B_k y)_k."""
-        xs, ys = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        single = xs.ndim == 1 and ys.ndim == 1
-        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
-        if xs.ndim != 2 or xs.shape != ys.shape or xs.shape[1] != self.domain_dim:
-            raise DimensionMismatchError(
-                f"expected matching vectors of length {self.domain_dim}, "
-                f"got shapes {np.shape(x)} and {np.shape(y)}"
-            )
+        xs, ys, single = pair_rows(x, y, self.domain_dim)
         out = form_rows(xs, self.flat, ys)
         return out[0] if single else out
 
@@ -178,11 +179,12 @@ def quad_eval(form: QuadraticForm, x):
 class MapHandle:
     """A deterministic total map R^n -> R^m with batched evaluation.
 
-    ``evaluator`` maps an (N, n) array to an (N, m) array (an (N,) result is
-    accepted when m = 1).  Calling the handle with a single vector returns a
-    single output vector.  ``tabulated`` marks maps backed by a finite table
-    of exact points; such maps cannot be rescaled and are rejected by the
-    limit extractor.
+    ``evaluator`` maps C-ordered (N, n) float64 rows to an (N, m) array (an
+    (N,) result is accepted when m = 1); whatever the input's memory layout,
+    it receives those rows, so layout never changes a row's bits.  One
+    vector is a one-row batch, and the handle returns its output row.
+    ``tabulated`` marks maps backed by a finite table of exact points; such
+    maps cannot be rescaled and are rejected by the limit extractor.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -198,21 +200,14 @@ class MapHandle:
             )
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.domain_dim:
-            raise DimensionMismatchError(
-                f"map expects vectors of length {self.domain_dim}, got shape {np.shape(x)}"
-            )
-        out = np.asarray(self.evaluator(arr), dtype=np.float64)
+        rows, single = as_rows(x, self.domain_dim)
+        out = np.asarray(self.evaluator(rows), dtype=np.float64)
         try:
-            out = out.reshape(arr.shape[0], self.codomain_dim)
+            out = out.reshape(rows.shape[0], self.codomain_dim)
         except ValueError:
             raise DimensionMismatchError(
                 f"evaluator returned shape {out.shape}, expected "
-                f"({arr.shape[0]}, {self.codomain_dim})"
+                f"({rows.shape[0]}, {self.codomain_dim})"
             ) from None
         return out[0] if single else out
 
@@ -264,7 +259,7 @@ def map_from_table(points, values, label: str = "tabulated") -> MapHandle:
 
     def evaluator(rows):
         out = np.empty((rows.shape[0], vals.shape[1]), dtype=np.float64)
-        for i, row in enumerate(np.ascontiguousarray(rows, dtype=np.float64)):
+        for i, row in enumerate(rows):
             key = row.tobytes()
             if key not in table:
                 raise ParameterError(
@@ -304,23 +299,6 @@ def as_map_on(f, space: SpaceSpec) -> MapHandle:
     return handle
 
 
-def _pair_batches(f: MapHandle, x, y) -> tuple[np.ndarray, np.ndarray, bool]:
-    xs = np.asarray(x, dtype=np.float64)
-    ys = np.asarray(y, dtype=np.float64)
-    if xs.shape != ys.shape:
-        raise DimensionMismatchError(
-            f"x and y must have equal shapes, got {xs.shape} and {ys.shape}"
-        )
-    single = xs.ndim == 1
-    xs = np.atleast_2d(xs)
-    ys = np.atleast_2d(ys)
-    if xs.ndim != 2 or xs.shape[1] != f.domain_dim:
-        raise DimensionMismatchError(
-            f"expected vectors of length {f.domain_dim}, got shape {np.shape(x)}"
-        )
-    return xs, ys, single
-
-
 def residual_q(f, x, y):
     """Residual of the classical equation:
     ``f(x+y) + f(x-y) - 2 f(x) - 2 f(y)``.
@@ -328,7 +306,7 @@ def residual_q(f, x, y):
     Accepts single vectors or equal-shape batches; returns codomain vectors.
     """
     handle = as_map(f)
-    xs, ys, single = _pair_batches(handle, x, y)
+    xs, ys, single = pair_rows(x, y, handle.domain_dim)
     out = handle(xs + ys) + handle(xs - ys) - 2.0 * handle(xs) - 2.0 * handle(ys)
     return out[0] if single else out
 
@@ -338,7 +316,7 @@ def residual_gq(f, params: EquationParams, x, y):
     ``f(r x + s y) + r s f(x-y) - r f(x) - s f(y)``.
     """
     handle = as_map(f)
-    xs, ys, single = _pair_batches(handle, x, y)
+    xs, ys, single = pair_rows(x, y, handle.domain_dim)
     out = (
         handle(params.r * xs + params.s * ys)
         + params.rs * handle(xs - ys)
@@ -389,7 +367,7 @@ def polarize(f, x, y):
     map; for arbitrary maps it is just the defining difference quotient.
     """
     handle = as_map(f)
-    xs, ys, single = _pair_batches(handle, x, y)
+    xs, ys, single = pair_rows(x, y, handle.domain_dim)
     out = (handle(xs + ys) - handle(xs - ys)) / 4.0
     return out[0] if single else out
 
@@ -438,7 +416,7 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
     an array for a batch.
     """
     handle = as_map(f)
-    xs, ys, single = _pair_batches(handle, x, y)
+    xs, ys, single = pair_rows(x, y, handle.domain_dim)
     f_even, f_odd = parity_decompose(handle)
     r, s = params.r, params.s
     defects = {

@@ -1,7 +1,10 @@
 """Finite-dimensional real normed spaces and deterministic seeded samplers.
 
-Vectors are float64 arrays; every norm and sampler accepts a single vector
-of shape ``(dim,)`` or a batch of shape ``(N, dim)`` and acts row-wise.
+One vector is a one-row batch.  Every entry point that evaluates vectors
+(norms, forms, maps, noises, residuals, geometry defects) passes its input
+through :func:`as_rows` or :func:`pair_rows`, so evaluators always receive
+C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
+A single vector's result is its row of the batch result.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (ball draws, the two halves of a
@@ -154,26 +157,46 @@ def sup_norm(dim: int) -> SpaceSpec:
     return SpaceSpec(dim=dim, norm_kind="sup")
 
 
+def as_rows(x, dim: int | None = None) -> tuple[np.ndarray, bool]:
+    """``x`` as C-ordered float64 rows of shape (N, dim), and whether it was
+    one vector (a one-row batch).
+
+    ``dim=None`` accepts rows of any length.  Anything but one vector or
+    (N, dim) rows raises :class:`DimensionMismatchError`.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim not in (1, 2) or (dim is not None and arr.shape[-1] != dim):
+        want = "rows" if dim is None else f"length {dim}"
+        raise DimensionMismatchError(
+            f"expected one vector or rows of {want}, got shape {arr.shape}"
+        )
+    single = arr.ndim == 1
+    return np.ascontiguousarray(np.atleast_2d(arr)), single
+
+
+def pair_rows(x, y, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """:func:`as_rows` for both halves of a pair, which must have equal shapes."""
+    xs, single = as_rows(x, dim)
+    ys, y_single = as_rows(y, dim)
+    if (xs.shape, single) != (ys.shape, y_single):
+        raise DimensionMismatchError(
+            f"x and y must have equal shapes, got {np.shape(x)} and {np.shape(y)}"
+        )
+    return xs, ys, single
+
+
 def norm_eval(space: SpaceSpec, x):
     """Evaluate the space's norm on one vector (-> float) or rows (-> array)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 0 or arr.shape[-1] != space.dim:
-        raise DimensionMismatchError(
-            f"expected vectors of length {space.dim}, got shape {arr.shape}"
-        )
-    if arr.ndim == 1:
-        # One vector is a one-row batch, so it rounds as its row in a batch does.
-        return float(_norms(space, arr[None, :])[0])
-    return _norms(space, arr)
+    rows, single = as_rows(x, space.dim)
+    out = _norms(space, rows)
+    return float(out[0]) if single else out
 
 
 def row_norms(values, space: SpaceSpec | None) -> np.ndarray:
     """Norm in ``space`` of each row of ``values`` (one vector is one row);
     ``space=None`` means Euclidean in whatever length the rows have."""
-    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    if space is None:
-        return _norms(None, rows)
-    return norm_eval(space, rows)
+    rows, _ = as_rows(values, None if space is None else space.dim)
+    return _norms(space, rows)
 
 
 def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -190,38 +213,36 @@ def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 
 def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``(x_n^T M_k y_n)`` for each row pair of ``xs``, ``ys`` (both (N, dim)),
-    shape (N, k).
+    """``(x_n^T M_k y_n)`` for each row pair of ``xs``, ``ys`` (both C-ordered
+    (N, dim) rows, as :func:`as_rows` gives them), shape (N, k).
 
     ``flat`` holds the k matrices side by side, shape (dim, k * dim), so that
     ``flat[i, k * dim + j] = M_k[i, j]``; one (dim, dim) matrix is its own
     layout.  Rows go in chunks of ``_FORM_CHUNK`` through two two-operand
     einsums, ``x_n^T flat`` and then a row-wise contraction with ``y_n``.
     einsum without ``optimize`` calls no BLAS, and on C-ordered rows it adds
-    each row's terms in one order whatever the batch, so a row's value does
-    not depend on its batch, its memory layout or the BLAS core type.
+    each row's terms in one order whatever the batch, so a row's value
+    depends neither on its batch nor on the BLAS core type.
     """
     dim = xs.shape[1]
     k = flat.shape[1] // dim
     out = np.empty((xs.shape[0], k))
     for lo in range(0, xs.shape[0], _FORM_CHUNK):
         rows = slice(lo, lo + _FORM_CHUNK)
-        half = np.einsum("ni,im->nm", np.ascontiguousarray(xs[rows]), flat).reshape(-1, k, dim)
-        np.einsum("nkj,nj->nk", half, np.ascontiguousarray(ys[rows]), out=out[rows])
+        half = np.einsum("ni,im->nm", xs[rows], flat).reshape(-1, k, dim)
+        np.einsum("nkj,nj->nk", half, ys[rows], out=out[rows])
     return out
 
 
-def _norms(space: SpaceSpec | None, arr: np.ndarray) -> np.ndarray:
-    """Norms along the last axis; ``None`` stands for the Euclidean norm."""
+def _norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
+    """Norm of each of the C-ordered ``rows``; ``None`` stands for the Euclidean norm."""
     if space is None or space.norm_kind == "euclidean":
-        return np.sqrt(np.sum(arr * arr, axis=-1))
+        return np.sqrt(np.sum(rows * rows, axis=-1))
     if space.norm_kind == "sup":
-        return np.max(np.abs(arr), axis=-1)
+        return np.max(np.abs(rows), axis=-1)
     if space.norm_kind == "p":
-        return np.sum(np.abs(arr) ** space.p, axis=-1) ** (1.0 / space.p)
-    rows = arr.reshape(-1, space.dim)
-    quad = form_rows(rows, space.gram, rows).reshape(arr.shape[:-1])
-    return np.sqrt(np.maximum(quad, 0.0))
+        return np.sum(np.abs(rows) ** space.p, axis=-1) ** (1.0 / space.p)
+    return np.sqrt(np.maximum(form_rows(rows, space.gram, rows)[:, 0], 0.0))
 
 
 @dataclass(frozen=True)

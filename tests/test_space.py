@@ -8,19 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlab import (
+    Exponents,
     InfeasibleDomainError,
+    NoiseModel,
     ParameterError,
     Sampler,
+    equation_params,
     euclidean,
+    gq_norm_defect,
+    make_perturbed,
+    noise_values,
     norm_eval,
     p_norm,
+    parallelogram_defect,
+    random_symmetric_form,
+    residual_gq,
     sample_pairs_restricted,
     sample_vectors,
     sup_norm,
     weighted_quadratic,
 )
 from quadlab.errors import DimensionMismatchError
-from quadlab.space import _FORM_CHUNK, form_rows
+from quadlab.space import _FORM_CHUNK, form_rows, row_norms
 
 EPS = np.finfo(np.float64).eps
 
@@ -93,6 +102,38 @@ def _every_norm_kind(dim):
     ]
 
 
+_PARAMS = equation_params("1/3")
+# Exponents 3 and 1.5 go through pow, not a square.
+_EXPONENTS = Exponents(3.0, 1.5, 2.0, 1.0)
+
+
+def _pair_kernels(dim):
+    """(label, fn(x, y)) for each entry point that evaluates vectors or pairs."""
+    form = random_symmetric_form(euclidean(dim), euclidean(2), seed=dim)
+    kernels = [("bilinear", form.bilinear)]
+    for space in _every_norm_kind(dim):
+        name = space.norm_kind if space.p is None else f"p{space.p:g}"
+        kernels += [
+            (f"norm_eval[{name}]", lambda x, y, s=space: norm_eval(s, x)),
+            (f"parallelogram_defect[{name}]", lambda x, y, s=space: parallelogram_defect(s, x, y)),
+            (
+                f"gq_norm_defect[{name}]",
+                lambda x, y, s=space: gq_norm_defect(s, _PARAMS, _EXPONENTS, x, y),
+            ),
+        ]
+    for noise in (
+        NoiseModel.uniform_bounded(0.2, seed=9),
+        NoiseModel.decay(0.5, 0.7),
+        NoiseModel.sine(0.3, np.linspace(-2.0, 1.5, dim)),
+    ):
+        f = make_perturbed(form, noise)
+        kernels += [
+            (f"noise_values[{noise.kind}]", lambda x, y, m=noise: noise_values(m, x, codim=2)),
+            (f"residual_gq[{noise.kind}]", lambda x, y, f=f: residual_gq(f, _PARAMS, x, y)),
+        ]
+    return kernels
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     dim=st.integers(min_value=1, max_value=6),
@@ -101,16 +142,63 @@ def _every_norm_kind(dim):
     log_scale=st.floats(min_value=-20.0, max_value=20.0),
 )
 def test_one_vector_is_one_row(dim, others, seed, log_scale):
-    """``norm_eval(s, x)`` equals ``norm_eval(s, x[None])[0]`` and x's row in
-    any batch, bit for bit, for every norm kind."""
+    """A vector or pair alone gives, bit for bit, its row of the one-row
+    batch and of any batch; scalar results are floats, vector results 1-D."""
     rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((1 + others, dim)) * 10.0**log_scale
-    x = batch[0]
-    for space in _every_norm_kind(dim):
-        alone = norm_eval(space, x)
-        assert isinstance(alone, float)
-        assert alone == norm_eval(space, x[None])[0]
-        assert alone == norm_eval(space, batch)[0]
+    xs = rng.standard_normal((1 + others, dim)) * 10.0**log_scale
+    ys = rng.standard_normal((1 + others, dim)) * 10.0**log_scale
+    for label, fn in _pair_kernels(dim):
+        alone, batch = fn(xs[0], ys[0]), fn(xs, ys)
+        if batch.ndim == 1:
+            assert type(alone) is float, label
+        else:
+            assert alone.shape == batch.shape[1:], label
+        assert np.array_equal(alone, fn(xs[:1], ys[:1])[0]), label
+        assert np.array_equal(alone, batch[0]), label
+
+
+def test_memory_layout_never_changes_a_rows_bits():
+    """Fortran-ordered and column-strided batches give the bits of C-ordered ones."""
+    rng = np.random.default_rng(21)
+    xs = rng.standard_normal((500, 8)) * 10.0
+    ys = rng.standard_normal((500, 8)) * 10.0
+    kernels = [("row_norms", lambda x, y: row_norms(x, None)), *_pair_kernels(8)]
+    for label, fn in kernels:
+        want = fn(xs, ys)
+        for layout in (np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]):
+            assert np.array_equal(fn(layout(xs), layout(ys)), want), label
+
+
+_FORM = random_symmetric_form(euclidean(3), euclidean(2), seed=1)
+_MAP = make_perturbed(_FORM, NoiseModel.uniform_bounded(0.2, seed=9))
+_STACKED = np.ones((2, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: norm_eval(euclidean(3), _STACKED),
+        lambda: noise_values(NoiseModel.decay(0.5, 0.7), _STACKED),
+        lambda: _MAP(_STACKED),
+        lambda: residual_gq(_MAP, _PARAMS, _STACKED, _STACKED),
+        lambda: gq_norm_defect(euclidean(3), _PARAMS, _EXPONENTS, _STACKED, _STACKED),
+        lambda: _FORM.bilinear(np.ones(3), np.ones((1, 3))),
+        lambda: residual_gq(_MAP, _PARAMS, np.ones(3), np.ones((1, 3))),
+    ],
+    ids=[
+        "norm_eval-stacked",
+        "noise_values-stacked",
+        "MapHandle-stacked",
+        "residual_gq-stacked",
+        "gq_norm_defect-stacked",
+        "bilinear-vector-with-row",
+        "residual_gq-vector-with-row",
+    ],
+)
+def test_only_a_vector_or_rows_is_accepted(call):
+    """Stacked batches and a vector paired with a one-row batch are refused."""
+    with pytest.raises(DimensionMismatchError):
+        call()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
