@@ -343,11 +343,9 @@ def run_certify(effective: dict):
             + [f"y{i + 1}" for i in range(space.dim)]
             + ["residual_norm"]
         )
-        rows = [
-            [repr(float(v)) for v in (*xs[i], *ys[i], norms[i])]
-            for i in range(xs.shape[0])
-        ]
-        csv = (header, rows)
+        fmt = ",".join(["%r"] * len(header))
+        lines = [fmt % tuple(row) for row in np.column_stack((xs, ys, norms)).tolist()]
+        csv = (header, lines)
     return cert.to_dict(), cert.passed, csv
 
 
@@ -401,11 +399,11 @@ def run_profile(effective: dict):
     csv = None
     if effective["emit_samples"]:
         header = ["shell_lower", "delta"]
-        rows = [
-            [repr(float(n)), repr(float(profile.deltas[k]))]
+        lines = [
+            "%r,%r" % (float(n), float(profile.deltas[k]))
             for k, n in enumerate(range(profile.n_min, profile.n_max + 1))
         ]
-        csv = (header, rows)
+        csv = (header, lines)
     return results, passed, csv
 
 
@@ -437,7 +435,7 @@ def run_residual(effective: dict):
 
 
 # One row per subcommand: name -> (run, default --tol, help).  Each run
-# returns (results, passed, samples CSV as (header, rows) or None).
+# returns (results, passed, samples CSV as (header, lines) or None).
 _COMMANDS = {
     "certify": (run_certify, 1e-10, "stability certificate for a perturbed form"),
     "detect-ip": (run_detect_ip, 1e-9, "parallelogram-law check with Gram recovery"),
@@ -470,11 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_samples_csv(out_path: str, header: list, rows: list) -> Path:
+def _write_samples_csv(out_path: str, header: list, lines: list) -> Path:
     path = Path(out_path).with_suffix(".samples.csv")
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join([",".join(header), *lines]) + "\n")
     return path
 
 

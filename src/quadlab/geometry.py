@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import ParameterError, UndefinedValueError
 from .quadratic import EquationParams
-from .space import Sampler, SpaceSpec, form_rows, norm_eval, pair_rows, sample_pairs_restricted
+from .space import (
+    Sampler,
+    SpaceSpec,
+    form_rows,
+    norm_eval,
+    pair_rows,
+    row_blocks,
+    sample_pairs_restricted,
+)
 
 
 def _parallelogram(n_plus, n_minus, n_x, n_y):
@@ -105,16 +113,20 @@ def detect_inner_product(
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
     bi, bj = np.triu_indices(space.dim, k=1)
     eye = np.eye(space.dim)
-    all_x = np.vstack([eye[bi], xs])
-    all_y = np.vstack([eye[bj], ys])
-    n_x, n_y = norm_eval(space, all_x), norm_eval(space, all_y)
-    # Norm the sum before forming the difference: one batch-sized temporary at a time.
-    defects = _parallelogram(
-        norm_eval(space, all_x + all_y), norm_eval(space, all_x - all_y), n_x, n_y
-    )
-    normalized = np.abs(defects) / (1.0 + n_x**2 + n_y**2)
+    # Basis pairs first, then the sampled pairs block by block; each value
+    # lands at its pair's index, so no stacked copy of the pairs is made.
+    m = bi.size
+    defects, normalized, n_x = np.empty((3, m + xs.shape[0]))
+    passes = [(slice(0, m), eye[bi], eye[bj])] + [
+        (slice(m + b.start, m + b.stop), xs[b], ys[b]) for b in row_blocks(*xs.shape)
+    ]
+    for rows, x, y in passes:
+        nx, ny = norm_eval(space, x), norm_eval(space, y)
+        defects[rows] = _parallelogram(norm_eval(space, x + y), norm_eval(space, x - y), nx, ny)
+        normalized[rows] = np.abs(defects[rows]) / (1.0 + nx**2 + ny**2)
+        n_x[rows] = nx
 
-    basis_witness_max = float(np.abs(defects[: bi.size]).max()) if bi.size else 0.0
+    basis_witness_max = float(np.abs(defects[:m]).max()) if m else 0.0
     accepted = bool(normalized.max() <= tol)
 
     gram = None
@@ -123,7 +135,7 @@ def detect_inner_product(
     if accepted:
         gram = recover_gram(space)
         quad = form_rows(xs, gram, xs)[:, 0]
-        norms_sq = n_x[bi.size :] ** 2
+        norms_sq = n_x[m:] ** 2
         bil_defect = float(
             (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()
         )
@@ -188,16 +200,22 @@ def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys) -> tuple:
     )
 
 
-def _pattern_defect(params: EquationParams, exps: Exponents, norms):
+def _pattern_defect(params: EquationParams, exps: Exponents, norms, powers=None):
     """``a^p + rs b^q - r c^u - s d^v`` for ``(a, b, c, d) = norms``.
 
     Raises :class:`UndefinedValueError` for the first norm, in p, q, u, v
-    order, that is zero under a negative exponent.
+    order, that is zero under a negative exponent.  ``powers``, a dict kept
+    across calls on the same ``norms``, holds each term's power by
+    ``(term, exponent)``, so each is raised once.
     """
     for what, n, e in zip(_PATTERN_TERMS, norms, exps.astuple()):
         if e < 0 and np.any(n == 0.0):
             raise UndefinedValueError(f"{what} is zero and its exponent {e:g} is negative")
-    a, b, c, d = (np.power(n, e) for n, e in zip(norms, exps.astuple()))
+    powers = {} if powers is None else powers
+    for term, (n, e) in enumerate(zip(norms, exps.astuple())):
+        if (term, e) not in powers:
+            powers[term, e] = np.power(n, e)
+    a, b, c, d = (powers[term, e] for term, e in enumerate(exps.astuple()))
     return a + params.rs * b - params.r * c - params.s * d
 
 
@@ -307,10 +325,11 @@ def exponent_scan(
     """Sup of |weighted norm identity defect| per exponent pattern.
 
     Every pattern sees the same structured witnesses plus one shared batch
-    of sampled pairs, each normed once for the whole grid.  Witness pairs
-    that hit a zero norm under a negative exponent are skipped and counted;
-    an undefined value on the sampled batch is recorded as the pattern's
-    error and the scan moves on.
+    of sampled pairs, each normed once for the whole grid, and each sampled
+    norm is raised to each exponent once.  Witness pairs that hit a zero
+    norm under a negative exponent are skipped and counted; an undefined
+    value on the sampled batch is recorded as the pattern's error and the
+    scan moves on.
     """
     if not grid:
         raise ParameterError("exponent grid must be nonempty")
@@ -318,6 +337,7 @@ def exponent_scan(
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
     norms = _pattern_norms(space, params, xs, ys)
+    powers = {}
     witness_norms = _pattern_norms(space, params, *_scan_witness_pairs(space))
     witness_zero = np.stack(witness_norms) == 0.0
 
@@ -327,7 +347,7 @@ def exponent_scan(
         excluded = int(undefined.sum())
         witness = _pattern_defect(params, exps, [n[~undefined] for n in witness_norms])
         try:
-            sampled = float(np.abs(_pattern_defect(params, exps, norms)).max())
+            sampled = float(np.abs(_pattern_defect(params, exps, norms, powers)).max())
         except UndefinedValueError as exc:
             entries.append(ScanEntry(exps, None, excluded, error=str(exc)))
             continue

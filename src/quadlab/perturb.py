@@ -218,11 +218,14 @@ def make_odd_witness(matrix) -> MapHandle:
         raise DimensionMismatchError(
             f"witness matrix must be finite of shape (codim, dim), got {mat.shape}"
         )
-    mat = mat.copy()
-    mat.flags.writeable = False
+    # (dim, codim), the layout form_rows' first stage takes.
+    cols = mat.T.copy()
+    cols.flags.writeable = False
 
     def evaluator(rows):
-        return rows @ mat.T
+        # The BLAS-free first stage of form_rows: a row's bits depend neither
+        # on its batch nor on the BLAS core type, where ``rows @ mat.T`` does.
+        return np.einsum("ni,im->nm", rows, cols)
 
     return MapHandle(
         evaluator=evaluator,

@@ -25,6 +25,7 @@ from .space import (
     Sampler,
     SpaceSpec,
     as_rows,
+    blockwise,
     form_rows,
     pair_rows,
     row_norms,
@@ -183,6 +184,10 @@ class MapHandle:
     (N,) result is accepted when m = 1); whatever the input's memory layout,
     it receives those rows, so layout never changes a row's bits.  One
     vector is a one-row batch, and the handle returns its output row.
+    Whole-batch passes (residuals, polarization) may hand an evaluator any
+    block of their rows (:func:`~quadlab.space.row_blocks`), so an
+    evaluator must give each row the same value in any block; every
+    built-in map does, bit for bit.
     ``tabulated`` marks maps backed by a finite table of exact points; such
     maps cannot be rescaled and are rejected by the limit extractor.
     """
@@ -299,31 +304,34 @@ def as_map_on(f, space: SpaceSpec) -> MapHandle:
     return handle
 
 
+def _pair_pass(f, x, y, combine):
+    """``combine(handle, xs, ys)`` over the pair rows of ``x`` and ``y``, one
+    row block at a time (:func:`~quadlab.space.blockwise`), so that every map
+    argument of a block is evaluated while the block is in cache.  One pair
+    gives its output row."""
+    handle = as_map(f)
+    xs, ys, single = pair_rows(x, y, handle.domain_dim)
+    out = blockwise(lambda rows: combine(handle, xs[rows], ys[rows]), *xs.shape)
+    return out[0] if single else out
+
+
 def residual_q(f, x, y):
     """Residual of the classical equation:
     ``f(x+y) + f(x-y) - 2 f(x) - 2 f(y)``.
 
     Accepts single vectors or equal-shape batches; returns codomain vectors.
     """
-    handle = as_map(f)
-    xs, ys, single = pair_rows(x, y, handle.domain_dim)
-    out = handle(xs + ys) + handle(xs - ys) - 2.0 * handle(xs) - 2.0 * handle(ys)
-    return out[0] if single else out
+    return _pair_pass(f, x, y, lambda h, x, y: h(x + y) + h(x - y) - 2.0 * h(x) - 2.0 * h(y))
 
 
 def residual_gq(f, params: EquationParams, x, y):
     """Residual of the weighted equation:
     ``f(r x + s y) + r s f(x-y) - r f(x) - s f(y)``.
     """
-    handle = as_map(f)
-    xs, ys, single = pair_rows(x, y, handle.domain_dim)
-    out = (
-        handle(params.r * xs + params.s * ys)
-        + params.rs * handle(xs - ys)
-        - params.r * handle(xs)
-        - params.s * handle(ys)
+    r, s, rs = params.r, params.s, params.rs
+    return _pair_pass(
+        f, x, y, lambda h, x, y: h(r * x + s * y) + rs * h(x - y) - r * h(x) - s * h(y)
     )
-    return out[0] if single else out
 
 
 def parity_decompose(f) -> tuple[MapHandle, MapHandle]:
@@ -366,10 +374,7 @@ def polarize(f, x, y):
     For a quadratic form this recovers the underlying symmetric bilinear
     map; for arbitrary maps it is just the defining difference quotient.
     """
-    handle = as_map(f)
-    xs, ys, single = pair_rows(x, y, handle.domain_dim)
-    out = (handle(xs + ys) - handle(xs - ys)) / 4.0
-    return out[0] if single else out
+    return _pair_pass(f, x, y, lambda h, x, y: (h(x + y) - h(x - y)) / 4.0)
 
 
 @dataclass

@@ -4,7 +4,9 @@ One vector is a one-row batch.  Every entry point that evaluates vectors
 (norms, forms, maps, noises, residuals, geometry defects) passes its input
 through :func:`as_rows` or :func:`pair_rows`, so evaluators always receive
 C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
-A single vector's result is its row of the batch result.
+A single vector's result is its row of the batch result.  Whole-batch
+pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
+evaluator gives a row the same bits in any block.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (ball draws, the two halves of a
@@ -34,8 +36,9 @@ _SEED_LIMIT = 2**64
 
 _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 
-# Rows per chunk in form_rows: bounds its (rows, outputs * dim) intermediate.
-_FORM_CHUNK = 4096
+# Float64 values per row block (512 KiB): whole-batch pipelines run block by
+# block so that each block's temporaries stay in cache (see row_blocks).
+_BLOCK_VALUES = 2**16
 
 # Relative clearance from every bound of a sampled row pulled back inside:
 # far above the few-ulp rounding of a norm, far below any sampled scale.
@@ -212,30 +215,70 @@ def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ other[..., :, None])[:, 0, 0]
 
 
+def row_blocks(n: int, width: int):
+    """Slices that cover ``range(n)`` in order, in blocks of
+    ``_BLOCK_VALUES // width`` rows (at least one).
+
+    A pipeline over (n, width) rows runs each block through all its steps
+    and writes the block's rows into one output, so no step allocates a
+    whole-batch temporary.  Every built-in norm, form, noise and map gives a
+    row the same bits in any block, so blocking changes no value.
+    """
+    step = max(1, _BLOCK_VALUES // width)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+def blockwise(fn, n: int, width: int) -> np.ndarray:
+    """``fn(rows)`` for each slice ``rows`` of :func:`row_blocks`, in order,
+    gathered into one float64 array of n rows.
+
+    A batch of one block returns ``fn``'s own result, with no copy, and a
+    larger one allocates its output only after the first block: an output
+    allocated before the temporaries leaves them at the top of the heap,
+    where freeing them can hand pages back to the system, to be faulted in
+    again on the next call.
+    """
+    blocks = row_blocks(n, width)
+    first = fn(next(blocks, slice(0, 0)))
+    if first.shape[0] == n:
+        return first
+    out = np.empty((n, *first.shape[1:]))
+    out[: first.shape[0]] = first
+    for rows in blocks:
+        out[rows] = fn(rows)
+    return out
+
+
 def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``(x_n^T M_k y_n)`` for each row pair of ``xs``, ``ys`` (both C-ordered
     (N, dim) rows, as :func:`as_rows` gives them), shape (N, k).
 
     ``flat`` holds the k matrices side by side, shape (dim, k * dim), so that
     ``flat[i, k * dim + j] = M_k[i, j]``; one (dim, dim) matrix is its own
-    layout.  Rows go in chunks of ``_FORM_CHUNK`` through two two-operand
-    einsums, ``x_n^T flat`` and then a row-wise contraction with ``y_n``.
-    einsum without ``optimize`` calls no BLAS, and on C-ordered rows it adds
-    each row's terms in one order whatever the batch, so a row's value
-    depends neither on its batch nor on the BLAS core type.
+    layout.  Rows go in blocks of :func:`row_blocks` (``k * dim`` values a
+    row) through two two-operand einsums, ``x_n^T flat`` and then a row-wise
+    contraction with ``y_n``.  einsum without ``optimize`` calls no BLAS,
+    and on C-ordered rows it adds each row's terms in one order whatever the
+    batch, so a row's value depends neither on its batch nor on the BLAS
+    core type.
     """
     dim = xs.shape[1]
     k = flat.shape[1] // dim
     out = np.empty((xs.shape[0], k))
-    for lo in range(0, xs.shape[0], _FORM_CHUNK):
-        rows = slice(lo, lo + _FORM_CHUNK)
+    for rows in row_blocks(xs.shape[0], k * dim):
         half = np.einsum("ni,im->nm", xs[rows], flat).reshape(-1, k, dim)
         np.einsum("nkj,nj->nk", half, ys[rows], out=out[rows])
     return out
 
 
 def _norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
-    """Norm of each of the C-ordered ``rows``; ``None`` stands for the Euclidean norm."""
+    """Norm of each of the C-ordered ``rows``, block by block; ``None``
+    stands for the Euclidean norm."""
+    return blockwise(lambda block: _block_norms(space, rows[block]), *rows.shape)
+
+
+def _block_norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
     if space is None or space.norm_kind == "euclidean":
         return np.sqrt(np.sum(rows * rows, axis=-1))
     if space.norm_kind == "sup":
@@ -297,18 +340,25 @@ class Sampler:
 
 def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
     """Each radius (up to rounding) times a norm-uniform unit direction from ``rng``;
-    :class:`InfeasibleDomainError` if a direction's norm overflows (its row would be zero)."""
-    dirs = rng.standard_normal((radii.shape[0], space.dim))
-    norms = norm_eval(space, dirs)
-    if not np.all(np.isfinite(norms)):
-        raise InfeasibleDomainError("norms of sampled directions overflow float64 in this space")
-    degenerate = norms == 0.0
-    if np.any(degenerate):
-        # Probability-zero fallback: replace with the first basis direction.
-        dirs[degenerate] = 0.0
-        dirs[degenerate, 0] = 1.0
+    :class:`InfeasibleDomainError` if a direction's norm overflows (its row would be zero).
+
+    Blocks draw their directions from ``rng`` in order, which is the stream
+    one whole-batch draw would take, so blocking leaves every row's bits.
+    """
+    def block(rows):
+        dirs = rng.standard_normal((rows.stop - rows.start, space.dim))
         norms = norm_eval(space, dirs)
-    return dirs / norms[:, None] * radii[:, None]
+        if not np.all(np.isfinite(norms)):
+            raise InfeasibleDomainError("norms of sampled directions overflow float64 in this space")
+        degenerate = norms == 0.0
+        if np.any(degenerate):
+            # Probability-zero fallback: replace with the first basis direction.
+            dirs[degenerate] = 0.0
+            dirs[degenerate, 0] = 1.0
+            norms = norm_eval(space, dirs)
+        return dirs / norms[:, None] * radii[rows, None]
+
+    return blockwise(block, radii.shape[0], space.dim)
 
 
 def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float) -> list:

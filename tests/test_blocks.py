@@ -1,0 +1,173 @@
+"""Row blocks: whole-batch pipelines run block by block through
+``space.row_blocks``, and blocking changes neither a value nor a sample."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from quadlab import (
+    NoiseModel,
+    Sampler,
+    detect_inner_product,
+    equation_params,
+    euclidean,
+    make_odd_witness,
+    make_perturbed,
+    p_norm,
+    random_symmetric_form,
+    residual_gq,
+    residual_q,
+    sample_pairs_restricted,
+    sample_vectors,
+    sup_norm,
+    weighted_quadratic,
+)
+from quadlab.space import form_rows, row_blocks
+
+_PARAMS = equation_params("1/3")
+
+
+def _block_rows(width):
+    """Rows in one full block of rows ``width`` values wide."""
+    return next(row_blocks(10**9, width)).stop
+
+
+def _straddling(block):
+    """Sub-batches that start and end just inside, on and just past block edges."""
+    for start in (0, 1, block - 1):
+        for size in (2, block, block + 2):
+            yield slice(start, start + size)
+
+
+@pytest.mark.parametrize(
+    "n, width, want",
+    [
+        (0, 8, []),
+        (5, 8, [(0, 5)]),
+        (8192, 8, [(0, 8192)]),
+        (8193, 8, [(0, 8192), (8192, 8193)]),
+        (3, 2**17, [(0, 1), (1, 2), (2, 3)]),
+    ],
+)
+def test_row_blocks_cover_the_rows_in_order(n, width, want):
+    assert [(b.start, b.stop) for b in row_blocks(n, width)] == want
+
+
+def _maps(dim):
+    form = random_symmetric_form(euclidean(dim), euclidean(2), seed=dim)
+    noises = (
+        NoiseModel.uniform_bounded(0.05, seed=3),
+        NoiseModel.decay(0.5, 0.7),
+        NoiseModel.sine(0.3, np.linspace(-2.0, 1.5, dim)),
+    )
+    maps = [(noise.kind, make_perturbed(form, noise)) for noise in noises]
+    witness = np.random.default_rng(dim).standard_normal((2, dim))
+    return maps + [("odd", make_odd_witness(witness))]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_residual_rows_match_across_block_edges(dim):
+    block = _block_rows(dim)
+    rng = np.random.default_rng(20 + dim)
+    xs = rng.standard_normal((3 * block + 5, dim)) * 100.0
+    ys = rng.standard_normal((3 * block + 5, dim)) * 100.0
+    for label, f in _maps(dim):
+        whole_gq, whole_q = residual_gq(f, _PARAMS, xs, ys), residual_q(f, xs, ys)
+        for batch in _straddling(block):
+            got = residual_gq(f, _PARAMS, xs[batch], ys[batch])
+            assert np.array_equal(got, whole_gq[batch]), (label, batch)
+            assert np.array_equal(residual_q(f, xs[batch], ys[batch]), whole_q[batch]), (
+                label,
+                batch,
+            )
+        # One pair alone gives its row too.
+        assert np.array_equal(residual_gq(f, _PARAMS, xs[block], ys[block]), whole_gq[block])
+
+
+@pytest.mark.parametrize(
+    "space, norm",
+    [
+        (p_norm(8, 3.0), lambda v: np.sum(np.abs(v) ** 3.0, axis=-1) ** (1.0 / 3.0)),
+        (euclidean(8), lambda v: np.sqrt(np.sum(v * v, axis=-1))),
+    ],
+    ids=["p3", "euclidean"],
+)
+def test_detect_inner_product_matches_one_pass_across_block_edges(space, norm):
+    """More than two blocks of sampled pairs give the verdict of one pass
+    over the stacked basis and sampled pairs, bit for bit."""
+    sampler = Sampler.restricted_pairs(5, 2 * _block_rows(space.dim) + 77, 2.0)
+    verdict = detect_inner_product(space, sampler)
+    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+    bi, bj = np.triu_indices(space.dim, k=1)
+    all_x = np.vstack([np.eye(space.dim)[bi], xs])
+    all_y = np.vstack([np.eye(space.dim)[bj], ys])
+    n_x, n_y = norm(all_x), norm(all_y)
+    defects = norm(all_x + all_y) ** 2 + norm(all_x - all_y) ** 2 - 2.0 * n_x**2 - 2.0 * n_y**2
+    normalized = np.abs(defects) / (1.0 + n_x**2 + n_y**2)
+    assert verdict.max_defect == float(np.abs(defects).max())
+    assert verdict.max_normalized_defect == float(normalized.max())
+    assert verdict.basis_witness_max == float(np.abs(defects[: bi.size]).max())
+    assert verdict.accepted == (space.norm_kind == "euclidean")
+    if verdict.accepted:
+        quad = form_rows(xs, verdict.recovered_gram, xs)[:, 0]
+        norms_sq = n_x[bi.size :] ** 2
+        assert verdict.bilinearity_defect == float(
+            (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()
+        )
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# Digests of 3.5 blocks of samples, taken before samplers ran in blocks.
+_SAMPLE_DIGESTS = {
+    "euclidean": (
+        "047c070d71c91c44343116c8680bd4127a12c243c747e4bfba78a7cd05ba517e",
+        "3c4748a23253bcbf7ccc978864a8975bd202f646623a060911beee5c34f95b9d",
+    ),
+    "sup": (
+        "251c94f33b7fb1d7573c77463fa67f8daa4a91e7015d7f72f93b66f63c5b2bff",
+        "07997eaf141f6cc551da132a6942cfd5717fd9aae730644dd86ed850f67bd57a",
+    ),
+    "weighted": (
+        "3e4b7b44a4d4736f1043bd6748bb6989ab9f4b549acc607bd5d8b8541888a6be",
+        "9f9c940e47693553bd7143d1d92f3a1e021e7de23952e0eb9ff7c6c865f67ce3",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "space",
+    [euclidean(8), sup_norm(3), weighted_quadratic([[2.0, 1.0], [1.0, 3.0]])],
+    ids=lambda s: s.norm_kind,
+)
+def test_samples_keep_their_bytes_across_block_edges(space):
+    n = 7 * _block_rows(space.dim) // 2
+    pairs = sample_pairs_restricted(space, 1.0, Sampler.restricted_pairs(11, n, 2.0))
+    vectors = sample_vectors(space, Sampler.annulus(11, n, 0.5, 2.0))
+    assert (_sha256(*pairs), _sha256(vectors)) == _SAMPLE_DIGESTS[space.norm_kind]
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_stays_near_the_samples():
+    """Sampling and inner-product detection hold little beyond the sampled
+    pairs themselves: whole-batch temporaries would cost 2.3x and 3.7x."""
+    space = p_norm(8, 3.0)
+    sampler = Sampler.restricted_pairs(3, 100_000, 2.0)
+    samples = 2 * sampler.count * space.dim * 8
+    assert _peak_bytes(lambda: sample_pairs_restricted(space, 0.0, sampler)) <= 1.6 * samples
+    assert _peak_bytes(lambda: detect_inner_product(space, sampler)) <= 1.6 * samples

@@ -277,6 +277,20 @@ class TestExponentScan:
         assert entry.sup_defect is not None
         assert entry.error is None
 
+    def test_each_sampled_norm_is_raised_to_each_exponent_once(self, monkeypatch):
+        # The default grid needs 4 terms x 3 exponents powers of the sampled
+        # norms, not 81 patterns x 4 terms.
+        raised, power = [], np.power
+
+        def counting_power(base, exponent, *args, **kwargs):
+            if np.size(base) == 300:
+                raised.append(exponent)
+            return power(base, exponent, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", counting_power)
+        self._scan(euclidean(2), count=300)
+        assert sorted(raised) == [1.0] * 4 + [2.0] * 4 + [3.0] * 4
+
     def test_determinism(self):
         a = self._scan(euclidean(2)).to_dict()
         b = self._scan(euclidean(2)).to_dict()

@@ -27,7 +27,7 @@ from quadlab import (
     residual_q,
 )
 from quadlab.errors import DimensionMismatchError
-from quadlab.space import _FORM_CHUNK
+from quadlab.space import row_blocks
 
 EPS = np.finfo(np.float64).eps
 
@@ -144,16 +144,17 @@ class TestFormKernel:
 
     @pytest.mark.parametrize("codim", [1, 2, 3])
     def test_row_alone_equals_its_row_at_chunk_edges(self, codim):
-        # Sub-batches that end just inside, on and just past a chunk edge give
-        # each row the bits it has in a batch of three whole chunks.
+        # Sub-batches that end just inside, on and just past a block edge give
+        # each row the bits it has in a batch of three whole row blocks.
         rng = np.random.default_rng(40 + codim)
         for dim in range(1, 9):
             form = _random_form(60 + dim, dim=dim, codim=codim)
-            xs = rng.standard_normal((3 * _FORM_CHUNK, dim)) * 100.0
-            ys = rng.standard_normal((3 * _FORM_CHUNK, dim))
+            block = next(row_blocks(10**9, codim * dim)).stop
+            xs = rng.standard_normal((3 * block, dim)) * 100.0
+            ys = rng.standard_normal((3 * block, dim))
             whole, pair = form(xs), form.bilinear(xs, ys)
-            for size in (1, 2, _FORM_CHUNK - 1, _FORM_CHUNK, _FORM_CHUNK + 1, _FORM_CHUNK + 2):
-                for start in (0, 1, _FORM_CHUNK - 1, 2 * _FORM_CHUNK - 2):
+            for size in (1, 2, block - 1, block, block + 1, block + 2):
+                for start in (0, 1, block - 1, 2 * block - 2):
                     rows = slice(start, start + size)
                     assert np.array_equal(form(xs[rows]), whole[rows]), (dim, size, start)
                     assert np.array_equal(

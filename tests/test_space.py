@@ -29,7 +29,7 @@ from quadlab import (
     weighted_quadratic,
 )
 from quadlab.errors import DimensionMismatchError
-from quadlab.space import _FORM_CHUNK, form_rows, row_norms
+from quadlab.space import form_rows, row_blocks, row_norms
 
 EPS = np.finfo(np.float64).eps
 
@@ -204,14 +204,33 @@ def test_only_a_vector_or_rows_is_accepted(call):
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
 def test_weighted_norm_rows_match_at_chunk_edges(dim):
     """A weighted norm gives each row the bits it has in a batch of three
-    whole kernel chunks, for sub-batches around every chunk edge."""
+    whole row blocks, for sub-batches around every block edge."""
     space = _every_norm_kind(dim)[-1]
-    rows = np.random.default_rng(dim).standard_normal((3 * _FORM_CHUNK, dim)) * 100.0
+    block = next(row_blocks(10**9, dim)).stop
+    rows = np.random.default_rng(dim).standard_normal((3 * block, dim)) * 100.0
     whole = norm_eval(space, rows)
-    for size in (1, 2, _FORM_CHUNK - 1, _FORM_CHUNK, _FORM_CHUNK + 1, _FORM_CHUNK + 2):
-        for start in (0, 1, _FORM_CHUNK - 1, 2 * _FORM_CHUNK - 2):
+    for size in (1, 2, block - 1, block, block + 1, block + 2):
+        for start in (0, 1, block - 1, 2 * block - 2):
             batch = slice(start, start + size)
             assert np.array_equal(norm_eval(space, rows[batch]), whole[batch]), (size, start)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_norm_rows_match_across_block_edges(dim):
+    """Every norm kind gives each row the bits it has in a batch of three
+    and a bit row blocks, for sub-batches that straddle block edges."""
+    block = next(row_blocks(10**9, dim)).stop
+    rows = np.random.default_rng(30 + dim).standard_normal((3 * block + 5, dim)) * 100.0
+    for space in _every_norm_kind(dim):
+        whole = norm_eval(space, rows)
+        for start in (0, 1, block - 1):
+            for size in (2, block, block + 2):
+                batch = slice(start, start + size)
+                assert np.array_equal(norm_eval(space, rows[batch]), whole[batch]), (
+                    space.norm_kind,
+                    space.p,
+                    batch,
+                )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
