@@ -66,6 +66,7 @@ from .quadratic import (
     residual_q,
 )
 from .space import (
+    PairSample,
     Sampler,
     SpaceSpec,
     euclidean,
@@ -107,6 +108,7 @@ __all__ = [
     "InnerProductVerdict",
     "MapHandle",
     "NoiseModel",
+    "PairSample",
     "ParameterError",
     "QuadraticForm",
     "Sampler",

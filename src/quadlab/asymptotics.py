@@ -116,7 +116,7 @@ def shell_delta_profile(
         split = rng.uniform(0.0, 1.0, per_shell_count)
         rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
         inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
-        xs, ys = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
+        (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
         deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
     return ShellProfile(
         n_min=int(n_min),

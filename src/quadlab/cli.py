@@ -58,6 +58,7 @@ from .space import (
     euclidean,
     p_norm,
     row_norms,
+    row_sums,
     sup_norm,
     weighted_quadratic,
 )
@@ -299,7 +300,7 @@ def _map_from(effective: dict) -> MapHandle:
         return make_perturbed(_form_from(effective), _noise_from(effective))
     if spec == "cube":
         def cube(rows):
-            return np.repeat(np.sum(rows**3, axis=-1, keepdims=True), codim, axis=1)
+            return np.repeat(row_sums(rows**3)[:, None], codim, axis=1)
 
         return map_from_callable(cube, dim, codim, label="cube")
     if spec.startswith("odd:"):

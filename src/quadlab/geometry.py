@@ -18,6 +18,7 @@ from .quadratic import EquationParams
 from .space import (
     Sampler,
     SpaceSpec,
+    blockwise,
     form_rows,
     norm_eval,
     pair_rows,
@@ -110,24 +111,27 @@ def detect_inner_product(
     """
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
-    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+    sample = sample_pairs_restricted(space, 0.0, sampler)
+    xs, ys = sample
+    n_xs, n_ys = sample.norms
     bi, bj = np.triu_indices(space.dim, k=1)
     eye = np.eye(space.dim)
-    # Basis pairs first, then the sampled pairs block by block; each value
-    # lands at its pair's index, so no stacked copy of the pairs is made.
-    m = bi.size
-    defects, normalized, n_x = np.empty((3, m + xs.shape[0]))
-    passes = [(slice(0, m), eye[bi], eye[bj])] + [
-        (slice(m + b.start, m + b.stop), xs[b], ys[b]) for b in row_blocks(*xs.shape)
-    ]
-    for rows, x, y in passes:
-        nx, ny = norm_eval(space, x), norm_eval(space, y)
-        defects[rows] = _parallelogram(norm_eval(space, x + y), norm_eval(space, x - y), nx, ny)
-        normalized[rows] = np.abs(defects[rows]) / (1.0 + nx**2 + ny**2)
-        n_x[rows] = nx
+    # Basis pairs first, then the sampled pairs block by block, on the norms
+    # the sampler took; each pass keeps only its largest defects.
+    passes = [(xs[b], ys[b], n_xs[b], n_ys[b]) for b in row_blocks(*xs.shape)]
+    if bi.size:
+        basis = (eye[bi], eye[bj])
+        passes.insert(0, (*basis, *(norm_eval(space, v) for v in basis)))
+    worst = np.empty((len(passes), 2))
+    for k, (x, y, nx, ny) in enumerate(passes):
+        defects = np.abs(
+            _parallelogram(norm_eval(space, x + y), norm_eval(space, x - y), nx, ny)
+        )
+        worst[k] = defects.max(), (defects / (1.0 + nx**2 + ny**2)).max()
 
-    basis_witness_max = float(np.abs(defects[:m]).max()) if m else 0.0
-    accepted = bool(normalized.max() <= tol)
+    basis_witness_max = float(worst[0, 0]) if bi.size else 0.0
+    max_defect, max_normalized_defect = (float(v) for v in worst.max(axis=0))
+    accepted = bool(max_normalized_defect <= tol)
 
     gram = None
     bil_defect = None
@@ -135,7 +139,7 @@ def detect_inner_product(
     if accepted:
         gram = recover_gram(space)
         quad = form_rows(xs, gram, xs)[:, 0]
-        norms_sq = n_x[m:] ** 2
+        norms_sq = n_xs**2
         bil_defect = float(
             (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()
         )
@@ -145,8 +149,8 @@ def detect_inner_product(
     summary["quasi_norm"] = space.is_quasi_norm
     return InnerProductVerdict(
         accepted=accepted,
-        max_defect=float(np.abs(defects).max()),
-        max_normalized_defect=float(normalized.max()),
+        max_defect=max_defect,
+        max_normalized_defect=max_normalized_defect,
         basis_witness_max=basis_witness_max,
         recovered_gram=gram,
         bilinearity_defect=bil_defect,
@@ -190,14 +194,21 @@ class Exponents:
 _PATTERN_TERMS = ("norm(r x + s y)", "norm(x - y)", "norm(x)", "norm(y)")
 
 
-def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys) -> tuple:
-    """The four norms of the weighted identity, in p, q, u, v order."""
-    return (
-        norm_eval(space, params.r * xs + params.s * ys),
-        norm_eval(space, xs - ys),
-        norm_eval(space, xs),
-        norm_eval(space, ys),
-    )
+def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys, own=None) -> tuple:
+    """The four norms of the weighted identity, in p, q, u, v order.
+
+    ``own`` is ``(norm(x), norm(y))`` when the caller already has them.
+    ``r x + s y`` and ``x - y`` are formed and normed one row block at a
+    time, so neither is built for the whole batch.
+    """
+    r, s = params.r, params.s
+
+    def normed(combine):
+        return blockwise(lambda b: norm_eval(space, combine(xs[b], ys[b])), *xs.shape)
+
+    if own is None:
+        own = (norm_eval(space, xs), norm_eval(space, ys))
+    return (normed(lambda x, y: r * x + s * y), normed(lambda x, y: x - y), *own)
 
 
 def _pattern_defect(params: EquationParams, exps: Exponents, norms, powers=None):
@@ -335,8 +346,10 @@ def exponent_scan(
         raise ParameterError("exponent grid must be nonempty")
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
-    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    norms = _pattern_norms(space, params, xs, ys)
+    sample = sample_pairs_restricted(space, 0.0, sampler)
+    norms = _pattern_norms(space, params, *sample, sample.norms)
+    # Only the norms are used below: freeing the pairs makes room for the powers.
+    del sample
     powers = {}
     witness_norms = _pattern_norms(space, params, *_scan_witness_pairs(space))
     witness_zero = np.stack(witness_norms) == 0.0

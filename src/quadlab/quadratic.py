@@ -413,33 +413,37 @@ class DerivationChainReport:
         }
 
 
+# The keys of DerivationChainReport.defects, in the order they are computed.
+_CHAIN_IDENTITIES = ("odd_r_scaling", "odd_s_scaling", "even_doubling", "even_cross_expansion")
+
+
 def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
     """Defects of the four derivation-chain identities at pairs (x, y).
 
     Returns one entry per key of :class:`DerivationChainReport` holding
     the Euclidean norm of each pair's defect: a float for a single pair,
-    an array for a batch.
+    an array for a batch.  Pairs go one row block at a time.
     """
-    handle = as_map(f)
-    xs, ys, single = pair_rows(x, y, handle.domain_dim)
-    f_even, f_odd = parity_decompose(handle)
+    f_even, f_odd = parity_decompose(f)
     r, s = params.r, params.s
-    defects = {
-        "odd_r_scaling": f_odd(r * xs) - r * r * f_odd(xs),
-        "odd_s_scaling": f_odd(s * ys) - s * (1.0 + r) * f_odd(ys),
-        "even_doubling": f_even(2.0 * xs) - 4.0 * f_even(xs),
-        "even_cross_expansion": (
-            f_even(2.0 * xs + ys)
-            + 2.0 * f_even(xs)
-            + f_even(ys)
-            - 2.0 * f_even(xs + ys)
-            - f_even(2.0 * xs)
-        ),
-    }
-    norms = {name: row_norms(v, None) for name, v in defects.items()}
-    if single:
-        return {name: float(v[0]) for name, v in norms.items()}
-    return norms
+
+    def chain(_, x, y):
+        defects = (
+            f_odd(r * x) - r * r * f_odd(x),
+            f_odd(s * y) - s * (1.0 + r) * f_odd(y),
+            f_even(2.0 * x) - 4.0 * f_even(x),
+            f_even(2.0 * x + y)
+            + 2.0 * f_even(x)
+            + f_even(y)
+            - 2.0 * f_even(x + y)
+            - f_even(2.0 * x),
+        )
+        return np.stack([row_norms(v, None) for v in defects], axis=1)
+
+    norms = _pair_pass(f, x, y, chain)
+    if norms.ndim == 1:
+        return {name: float(v) for name, v in zip(_CHAIN_IDENTITIES, norms)}
+    return dict(zip(_CHAIN_IDENTITIES, norms.T))
 
 
 def derivation_chain_check(

@@ -272,6 +272,33 @@ def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_sums(v: np.ndarray) -> np.ndarray:
+    """The sum of each row of the (N, w) array ``v``, in numpy's pairwise order.
+
+    Rows of up to 8 elements are summed column by column over all rows, in
+    the order numpy's ``sum`` takes within one row (as of numpy 2.4): 0.0
+    plus the elements in sequence below 8, and 0.0 plus
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` at 8.  That takes a few
+    whole-column operations in place of one short loop per row.  Wider rows
+    go to ``v.sum(axis=-1)`` itself.
+    """
+    n, w = v.shape
+    if w > 8:
+        return v.sum(axis=-1)
+    if w < 8:
+        out = np.zeros(n)
+        for j in range(w):
+            out += v[:, j]
+        return out
+    out = v[:, 0] + v[:, 1]
+    out += v[:, 2] + v[:, 3]
+    right = v[:, 4] + v[:, 5]
+    right += v[:, 6] + v[:, 7]
+    out += right
+    out += 0.0
+    return out
+
+
 def _norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
     """Norm of each of the C-ordered ``rows``, block by block; ``None``
     stands for the Euclidean norm."""
@@ -280,11 +307,11 @@ def _norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
 
 def _block_norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
     if space is None or space.norm_kind == "euclidean":
-        return np.sqrt(np.sum(rows * rows, axis=-1))
+        return np.sqrt(row_sums(rows * rows))
     if space.norm_kind == "sup":
         return np.max(np.abs(rows), axis=-1)
     if space.norm_kind == "p":
-        return np.sum(np.abs(rows) ** space.p, axis=-1) ** (1.0 / space.p)
+        return row_sums(np.abs(rows) ** space.p) ** (1.0 / space.p)
     return np.sqrt(np.maximum(form_rows(rows, space.gram, rows)[:, 0], 0.0))
 
 
@@ -356,31 +383,37 @@ def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray
             dirs[degenerate] = 0.0
             dirs[degenerate, 0] = 1.0
             norms = norm_eval(space, dirs)
-        return dirs / norms[:, None] * radii[rows, None]
+        dirs /= norms[:, None]
+        dirs *= radii[rows, None]
+        return dirs
 
     return blockwise(block, radii.shape[0], space.dim)
 
 
-def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float) -> list:
-    """``rows`` checked on their own norms, with offenders pulled inside.
+def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float):
+    """``rows`` checked on their own norms, with offenders pulled inside, and
+    the norms of the returned rows (a list of arrays, one per entry of
+    ``rows``).
 
     ``inside(*norms)`` marks the rows on the domain (never a NaN norm); the
     radius ``center`` clears every bound by ``room``.  A row that rounding left
     a few ulp off moves toward ``center`` until it clears every bound by
-    ``_REPAIR_SLACK`` (relative) or ``room / 2``.
+    ``_REPAIR_SLACK`` (relative) or ``room / 2``; the norms returned are then
+    the ones its re-check took.
     """
     norms = [norm_eval(space, r) for r in rows]
     bad = ~inside(*norms)
     if not np.any(bad):
-        return rows
+        return rows, norms
     pull = min(0.5, _REPAIR_SLACK * center / room)
     for r, n in zip(rows, norms):
         now = n[bad]
         want = now + pull * (center - now)
         r[bad] *= np.divide(want, now, out=np.ones_like(now), where=now > 0.0)[:, None]
-    if not np.all(inside(*(norm_eval(space, r) for r in rows))):
+    norms = [norm_eval(space, r) for r in rows]
+    if not np.all(inside(*norms)):
         raise InfeasibleDomainError("rounding or overflow leaves float64 rows off the domain")
-    return rows
+    return rows, norms
 
 
 def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
@@ -399,14 +432,29 @@ def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
     rng = generator(sampler.seed, STREAM_VECTORS)
     rows = [_rows_at_radii(space, rng, rng.uniform(lo, hi, sampler.count))]
     inside = lambda n: (n >= lo) & (n <= hi)  # noqa: E731
-    return _settled(space, rows, inside, (lo + hi) / 2, (hi - lo) / 2)[0]
+    (vectors,), _ = _settled(space, rows, inside, (lo + hi) / 2, (hi - lo) / 2)
+    return vectors
 
 
-def sample_pairs_restricted(
-    space: SpaceSpec, d: float, sampler: Sampler
-) -> tuple[np.ndarray, np.ndarray]:
+class PairSample(tuple):
+    """Sampled pairs ``(xs, ys)``, which unpack as a 2-tuple, and ``norms``,
+    the pair ``(norm_eval(space, xs), norm_eval(space, ys))`` the sampler
+    checked the rows on, so that callers need not norm them again."""
+
+    def __new__(cls, xs: np.ndarray, ys: np.ndarray, norms: tuple):
+        sample = super().__new__(cls, (xs, ys))
+        sample.norms = tuple(norms)
+        return sample
+
+    def __getnewargs__(self):
+        # tuple's own would pass (xs, ys) alone to __new__ on copy or unpickle.
+        return (*self, self.norms)
+
+
+def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> PairSample:
     """Draw pairs (x, y) with ``norm(x), norm(y) <= R = radius_max`` and
-    ``norm(x) + norm(y) >= d``, each pair once, with no rejection.
+    ``norm(x) + norm(y) >= d``, each pair once, with no rejection, as a
+    :class:`PairSample` that also carries each row's norm.
 
     The radii ``(a, b)`` are uniform on ``{a, b in [0, R], a + b >= d}``, the
     law of independent uniform radii conditioned on the constraint: ``a``
@@ -442,4 +490,5 @@ def sample_pairs_restricted(
     rows = [_rows_at_radii(space, rng_x, R * a), _rows_at_radii(space, rng_y, R * b)]
     inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
     room = (2.0 * R - d) / 4.0
-    return tuple(_settled(space, rows, inside, R - room, room))
+    (xs, ys), norms = _settled(space, rows, inside, R - room, room)
+    return PairSample(xs, ys, norms)

@@ -10,12 +10,16 @@ import pytest
 from quadlab import (
     NoiseModel,
     Sampler,
+    default_exponent_grid,
+    derivation_chain_check,
     detect_inner_product,
     equation_params,
     euclidean,
+    exponent_scan,
     make_odd_witness,
     make_perturbed,
     p_norm,
+    parity_decompose,
     random_symmetric_form,
     residual_gq,
     residual_q,
@@ -24,6 +28,7 @@ from quadlab import (
     sup_norm,
     weighted_quadratic,
 )
+from quadlab.quadratic import derivation_chain_defects
 from quadlab.space import form_rows, row_blocks
 
 _PARAMS = equation_params("1/3")
@@ -84,6 +89,33 @@ def test_residual_rows_match_across_block_edges(dim):
             )
         # One pair alone gives its row too.
         assert np.array_equal(residual_gq(f, _PARAMS, xs[block], ys[block]), whole_gq[block])
+
+
+def test_derivation_chain_matches_one_pass_across_block_edges():
+    """Block by block, each identity's defect norms are those of one pass
+    over the whole batch, bit for bit."""
+    block = _block_rows(8)
+    rng = np.random.default_rng(40)
+    xs = rng.standard_normal((2 * block + 9, 8)) * 10.0
+    ys = rng.standard_normal((2 * block + 9, 8)) * 10.0
+    r, s = _PARAMS.r, _PARAMS.s
+    for label, f in _maps(8):
+        even, odd = parity_decompose(f)
+        one_pass = {
+            "odd_r_scaling": odd(r * xs) - r * r * odd(xs),
+            "odd_s_scaling": odd(s * ys) - s * (1.0 + r) * odd(ys),
+            "even_doubling": even(2.0 * xs) - 4.0 * even(xs),
+            "even_cross_expansion": even(2.0 * xs + ys)
+            + 2.0 * even(xs)
+            + even(ys)
+            - 2.0 * even(xs + ys)
+            - even(2.0 * xs),
+        }
+        got = derivation_chain_defects(f, _PARAMS, xs, ys)
+        assert list(got) == list(one_pass), label
+        for name, defect in one_pass.items():
+            want = np.sqrt(np.sum(defect * defect, axis=-1))
+            assert np.array_equal(got[name], want), (label, name)
 
 
 @pytest.mark.parametrize(
@@ -164,10 +196,20 @@ def _peak_bytes(fn) -> int:
 
 
 def test_peak_memory_stays_near_the_samples():
-    """Sampling and inner-product detection hold little beyond the sampled
-    pairs themselves: whole-batch temporaries would cost 2.3x and 3.7x."""
+    """Sampling, inner-product detection, the exponent scan and the
+    derivation chain hold little beyond the sampled pairs themselves:
+    whole-batch temporaries would cost 2.3x, 3.7x, 2.1x and 2.8x."""
     space = p_norm(8, 3.0)
     sampler = Sampler.restricted_pairs(3, 100_000, 2.0)
     samples = 2 * sampler.count * space.dim * 8
-    assert _peak_bytes(lambda: sample_pairs_restricted(space, 0.0, sampler)) <= 1.6 * samples
-    assert _peak_bytes(lambda: detect_inner_product(space, sampler)) <= 1.6 * samples
+    form = random_symmetric_form(euclidean(8), euclidean(2), seed=1)
+    runs = {
+        "sampling": lambda: sample_pairs_restricted(space, 0.0, sampler),
+        "detect_inner_product": lambda: detect_inner_product(space, sampler),
+        "exponent_scan": lambda: exponent_scan(
+            space, _PARAMS, default_exponent_grid(), sampler
+        ),
+        "derivation_chain_check": lambda: derivation_chain_check(form, _PARAMS, space, sampler),
+    }
+    for label, run in runs.items():
+        assert _peak_bytes(run) <= 1.6 * samples, label

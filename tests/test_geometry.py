@@ -24,11 +24,28 @@ from quadlab import (
     sup_norm,
     weighted_quadratic,
 )
+from quadlab import geometry as geometry_module
+from quadlab import space as space_module
 from quadlab.errors import DimensionMismatchError
 from quadlab.geometry import ScanEntry
 from quadlab.space import form_rows
 
 WEIGHTED3 = weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+
+
+def _count_normed_rows(monkeypatch) -> list:
+    """Wrap norm_eval wherever it is looked up; the list grows by the row
+    count of each call."""
+    normed, norm = [], space_module.norm_eval
+
+    def counting(space, x):
+        normed.append(len(np.atleast_2d(x)))
+        return norm(space, x)
+
+    for module in (space_module, geometry_module):
+        monkeypatch.setattr(module, "norm_eval", counting)
+    return normed
+
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -158,6 +175,18 @@ class TestDetectInnerProduct:
             quad = form_rows(xs, verdict.recovered_gram, xs)[:, 0]
             want = float((np.abs(norms_sq - quad) / (1.0 + norms_sq)).max())
             assert verdict.bilinearity_defect == want
+
+    def test_norms_two_rows_per_sampled_pair_beyond_the_sampler(self, monkeypatch):
+        # The sampler norms 4 rows per pair (two directions, two domain
+        # checks) and hands over norm(x) and norm(y); detection adds only
+        # norm(x + y) and norm(x - y), plus 4 rows per basis pair.
+        normed = _count_normed_rows(monkeypatch)
+        space, sampler = p_norm(8, 3.0), self._sampler(count=20000)
+        sample_pairs_restricted(space, 0.0, sampler)
+        assert sum(normed) == 4 * sampler.count
+        normed.clear()
+        detect_inner_product(space, sampler)
+        assert sum(normed) == 6 * sampler.count + 4 * (8 * 7 // 2)
 
     def test_dict_round_trip(self):
         d = detect_inner_product(euclidean(2), self._sampler()).to_dict()
@@ -290,6 +319,14 @@ class TestExponentScan:
         monkeypatch.setattr(np, "power", counting_power)
         self._scan(euclidean(2), count=300)
         assert sorted(raised) == [1.0] * 4 + [2.0] * 4 + [3.0] * 4
+
+    def test_norms_two_rows_per_sampled_pair_beyond_the_sampler(self, monkeypatch):
+        # norm(r x + s y) and norm(x - y) per pair, plus 4 rows for each of
+        # the 9 witness pairs and 1 to scale their unit vector; norm(x) and
+        # norm(y) come from the sampler.
+        normed = _count_normed_rows(monkeypatch)
+        self._scan(euclidean(2), count=300)
+        assert sum(normed) == 4 * 300 + 2 * 300 + 4 * 9 + 1
 
     def test_determinism(self):
         a = self._scan(euclidean(2)).to_dict()

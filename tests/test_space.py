@@ -1,5 +1,7 @@
 """Norm evaluation and sampler contracts."""
 
+import copy
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +13,7 @@ from quadlab import (
     Exponents,
     InfeasibleDomainError,
     NoiseModel,
+    PairSample,
     ParameterError,
     Sampler,
     equation_params,
@@ -28,8 +31,9 @@ from quadlab import (
     sup_norm,
     weighted_quadratic,
 )
+from quadlab import space as space_module
 from quadlab.errors import DimensionMismatchError
-from quadlab.space import form_rows, row_blocks, row_norms
+from quadlab.space import form_rows, row_blocks, row_norms, row_sums
 
 EPS = np.finfo(np.float64).eps
 
@@ -213,6 +217,84 @@ def test_weighted_norm_rows_match_at_chunk_edges(dim):
         for start in (0, 1, block - 1, 2 * block - 2):
             batch = slice(start, start + size)
             assert np.array_equal(norm_eval(space, rows[batch]), whole[batch]), (size, start)
+
+
+_SPECIALS = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 1.0, -1.0])
+
+
+def _assert_same_sums(got, want, label):
+    """Equal values, NaN in the same places and zeros of the same sign.  The
+    sign of a NaN is not compared: numpy's own add loops disagree on it."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan), label
+    assert np.array_equal(got[~nan], want[~nan]), label
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])), label
+
+
+def _pairwise_sum(row) -> float:
+    """One row summed in Python floats, in the order row_sums states: 0.0
+    plus the elements in sequence below 8, and the joined pairs at 8."""
+    if len(row) == 8:
+        r = [float(x) for x in row]
+        return 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    total = 0.0
+    for x in row:
+        total += float(x)
+    return total
+
+
+def _edge_rows(rng, n, width):
+    """Rows of -0.0, of overflow to inf, of finite values over 24 decades,
+    of NaN/+-inf/+-1e308 and of a mix of the last two."""
+    finite = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-12, 12, (n, width))
+    special = rng.choice(_SPECIALS, (n, width))
+    mixed = np.where(rng.random((n, width)) < 0.2, special, finite)
+    return [np.full((n, width), -0.0), np.full((n, width), 1e308), finite, special, mixed]
+
+
+def test_row_sums_follow_their_stated_order():
+    """Up to 8 columns, where row_sums adds columns itself, each value is
+    the stated order's sum of its row, whatever numpy does."""
+    rng = np.random.default_rng(16)
+    for width in range(1, 9):
+        for n in (0, 1, 40):
+            for rows in _edge_rows(rng, n, width):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = row_sums(rows)
+                want = np.array([_pairwise_sum(row) for row in rows])
+                _assert_same_sums(got, want, (width, n))
+
+
+def test_row_sums_are_numpys_row_sums_bit_for_bit():
+    """row_sums equals np.sum along rows, at every width, in one row and in
+    batches of many.  This pins numpy's own order (checked on numpy 2.4),
+    which numpy does not document: a failure on another numpy with
+    test_row_sums_follow_their_stated_order passing means np.sum changed."""
+    rng = np.random.default_rng(17)
+    for width in range(1, 301):
+        for n in (0, 1, 40):
+            for rows in _edge_rows(rng, n, width):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = row_sums(rows), np.sum(rows, axis=-1)
+                _assert_same_sums(got, want, (np.__version__, width, n))
+    for width in (2, 7, 8):
+        rows = rng.standard_normal((5000, width)) * 10.0 ** rng.integers(-12, 12, (5000, width))
+        _assert_same_sums(row_sums(rows), np.sum(rows, axis=-1), (np.__version__, width))
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_norms_are_numpys_reductions_bit_for_bit(dim):
+    """Euclidean, p- and sup norms give the bits of numpy's row reductions."""
+    rows = np.random.default_rng(dim).standard_normal((300, dim)) * 1e3
+    rows[::7, 0] = -0.0
+    pinned = [
+        (euclidean(dim), np.sqrt(np.sum(rows * rows, axis=-1))),
+        (p_norm(dim, 3.0), np.sum(np.abs(rows) ** 3.0, axis=-1) ** (1.0 / 3.0)),
+        (p_norm(dim, 0.5), np.sum(np.abs(rows) ** 0.5, axis=-1) ** 2.0),
+        (sup_norm(dim), np.max(np.abs(rows), axis=-1)),
+    ]
+    for space, want in pinned:
+        assert np.array_equal(norm_eval(space, rows), want), (space.norm_kind, space.p)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -469,6 +551,51 @@ class TestRestrictedPairs:
         b = sample_pairs_restricted(space, 1.0, sampler)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tobytes() == b[1].tobytes()
+
+    @pytest.mark.parametrize("space", _every_norm_kind(3), ids=lambda s: f"{s.norm_kind}{s.p or ''}")
+    def test_pair_sample_carries_the_norms_of_its_rows(self, space):
+        sample = sample_pairs_restricted(space, 1.5, Sampler.restricted_pairs(4, 20000, 2.0))
+        xs, ys = sample
+        assert isinstance(sample, tuple) and len(sample) == 2
+        assert np.array_equal(sample.norms[0], norm_eval(space, xs))
+        assert np.array_equal(sample.norms[1], norm_eval(space, ys))
+
+    def test_repaired_rows_carry_the_norms_of_their_recheck(self, monkeypatch):
+        # At d = nextafter(2R, 0) with R = 1.1, rounding leaves rows short of
+        # the sum bound; the sampler pulls them inside and norms them again.
+        normed, norm = [], space_module.norm_eval
+
+        def counting(space, x):
+            normed.append(len(x))
+            return norm(space, x)
+
+        monkeypatch.setattr(space_module, "norm_eval", counting)
+        space, radius = sup_norm(3), 1.1
+        d = float(np.nextafter(2.0 * radius, 0.0))
+        sample = sample_pairs_restricted(space, d, Sampler.restricted_pairs(0, 1000, radius))
+        # Two directions, two checks and two re-checks of 1000 rows each.
+        assert normed == [1000] * 6
+        for rows, norms in zip(sample, sample.norms):
+            assert np.array_equal(norms, norm(space, rows))
+        nx, ny = sample.norms
+        assert np.all(nx <= radius) and np.all(ny <= radius) and np.all(nx + ny >= d)
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda x, proto=proto: pickle.loads(pickle.dumps(x, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"]
+        + [f"pickle{proto}" for proto in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_pair_sample_survives_copy_and_pickle(self, copy_of):
+        sample = sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(2, 50, 1.0))
+        again = copy_of(sample)
+        assert type(again) is PairSample and len(again) == 2
+        for got, want in zip((*again, *again.norms), (*sample, *sample.norms)):
+            assert got.tobytes() == want.tobytes()
 
     def test_streams_are_independent(self):
         # The x-half and y-half come from distinct streams, so they differ
