@@ -12,6 +12,7 @@ Modules:
 * :mod:`quadlab.stability` -- constants, limit extraction, certificates;
 * :mod:`quadlab.geometry` -- parallelogram law and exponent scans;
 * :mod:`quadlab.asymptotics` -- shell profiles and asymptotic verdicts;
+* :mod:`quadlab.textrows` -- float64 rows as CSV text, each value its ``repr``;
 * :mod:`quadlab.cli` -- the ``quadlab`` command.
 """
 

@@ -57,12 +57,14 @@ from .space import (
     SpaceSpec,
     euclidean,
     p_norm,
+    row_blocks,
     row_norms,
     row_sums,
     sup_norm,
     weighted_quadratic,
 )
 from .stability import certify
+from .textrows import format_rows
 
 SCHEMA_VERSION = 1
 
@@ -338,15 +340,12 @@ def run_certify(effective: dict):
     )
     csv = None
     if effective["emit_samples"]:
-        xs, ys, norms = cert.samples
         header = (
             [f"x{i + 1}" for i in range(space.dim)]
             + [f"y{i + 1}" for i in range(space.dim)]
             + ["residual_norm"]
         )
-        fmt = ",".join(["%r"] * len(header))
-        lines = [fmt % tuple(row) for row in np.column_stack((xs, ys, norms)).tolist()]
-        csv = (header, lines)
+        csv = (header, cert.samples)
     return cert.to_dict(), cert.passed, csv
 
 
@@ -399,12 +398,8 @@ def run_profile(effective: dict):
     results = {"profile": profile.to_dict(), "verdict": verdict.to_dict()}
     csv = None
     if effective["emit_samples"]:
-        header = ["shell_lower", "delta"]
-        lines = [
-            "%r,%r" % (float(n), float(profile.deltas[k]))
-            for k, n in enumerate(range(profile.n_min, profile.n_max + 1))
-        ]
-        csv = (header, lines)
+        shells = np.arange(profile.n_min, profile.n_max + 1, dtype=np.float64)
+        csv = (["shell_lower", "delta"], (shells, profile.deltas))
     return results, passed, csv
 
 
@@ -436,7 +431,8 @@ def run_residual(effective: dict):
 
 
 # One row per subcommand: name -> (run, default --tol, help).  Each run
-# returns (results, passed, samples CSV as (header, lines) or None).
+# returns (results, passed, samples CSV as (header, float columns) or None);
+# the columns are arrays of equal length, one (N,) or (N, k) array each.
 _COMMANDS = {
     "certify": (run_certify, 1e-10, "stability certificate for a perturbed form"),
     "detect-ip": (run_detect_ip, 1e-9, "parallelogram-law check with Gram recovery"),
@@ -469,10 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_samples_csv(out_path: str, header: list, lines: list) -> Path:
-    path = Path(out_path).with_suffix(".samples.csv")
-    path.write_text("\n".join([",".join(header), *lines]) + "\n")
-    return path
+def _write_samples_csv(path: Path, header: list, columns: tuple) -> None:
+    """Write the header, then the columns' rows (one value per header
+    name), every value as its ``repr``, one block of rows at a time; on a
+    failed write, remove the partial file and re-raise."""
+    out = path.open("wb")
+    try:
+        with out:
+            out.write((",".join(header) + "\n").encode("ascii"))
+            for rows in row_blocks(columns[0].shape[0], len(header)):
+                out.write(format_rows(np.column_stack([column[rows] for column in columns])))
+    except OSError:
+        path.unlink()
+        raise
 
 
 def main(argv=None) -> int:
@@ -514,7 +519,7 @@ def main(argv=None) -> int:
             report_path.write_text(text)
             if csv is not None:
                 try:
-                    _write_samples_csv(effective["out"], *csv)
+                    _write_samples_csv(report_path.with_suffix(".samples.csv"), *csv)
                 except OSError:
                     # A report without its samples would pass for a finished run.
                     report_path.unlink()

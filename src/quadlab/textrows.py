@@ -1,0 +1,319 @@
+"""Float64 rows as CSV text, byte for byte what Python's ``repr`` prints.
+
+:func:`format_rows` turns a block of rows into the bytes of
+``",".join(map(repr, row)) + "\\n"`` for each row, with numpy operations on
+the whole block instead of one ``repr`` call per value.
+
+``repr`` prints the shortest decimal that reads back as the same double,
+and of the shortest ones the nearest; it writes fixed notation when the
+decimal point falls at ``-4 < decpt <= 16`` (``1e-4 <= |x| < 1e16``) and
+scientific notation otherwise.  For a normal ``x`` the kernel finds those
+digits with integer arithmetic:
+
+* **Scaled value.**  ``S = |x| * 10**k`` with ``k = 16 - floor(log10|x|)``,
+  corrected by one step, lies in ``[1e16, 1e17)``.  ``10**k`` is a
+  double-double ``2**a * (t_hi + t_lo)``, so Dekker's TwoProduct
+  (Numer. Math. 18, 1971) gives ``S`` as ``hi + lo`` to about ``2**-100``
+  relative (exactly for ``0 <= k <= 22``), and ``S = N + rem`` with ``N`` an
+  integer and ``|rem| <= 1/2``.
+* **Digit count.**  Every decimal within half a gap ``h = spacing(x) / 2 *
+  10**k`` of ``S`` reads back as ``x``, and ``h`` is below 11.2 units of the
+  17th digit.  The shortest digits are the nearest multiple of ``10**q`` to
+  ``S`` for the largest ``q`` whose nearest multiple lies inside that gap.
+  A multiple of ``10**(q + 1)`` is one of ``10**q`` too, so the levels that
+  qualify are exactly ``q = 0 .. q*``; the search climbs from ``q = 0`` on
+  the rows that qualified at every level so far.
+* **Layout.**  Digits come from a 4-digit lookup table into a matrix led by
+  ``'0'`` bytes.  Each class of decimal-point position is laid out by
+  whole-column copies, and one mask over the block cuts every value's text
+  and separator out in order.
+
+Zeros are laid out as ``0.0``.  The rest goes to ``repr`` one value at a
+time: non-finite and subnormal values, powers of two (whose lower gap is
+half the upper one), and values whose nearest candidate sits within
+``_MARGIN`` of a gap edge or of a tie between two candidates, where the
+round-half-even rules of the reader decide.  Shortest round-trip printing
+by integer arithmetic with an exact fallback follows Loitsch, "Printing
+Floating-Point Numbers Quickly and Accurately with Integers" (PLDI 2010).
+
+The kernel's integer work uses int64 throughout, and ``//`` rather than
+the slower ``%``;
+mixing a uint64 array with int64 (or, under numpy 1.x, with a negative
+Python int) silently gives float64.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import NamedTuple
+
+import numpy as np
+
+# Distance, in units of the 17th significant digit, within which a
+# candidate counts as on a gap edge or a tie.  Distances that matter are
+# below 12 units and carry rounding errors below 2**-40 units.
+_MARGIN = 2.0**-20
+
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``a == hi + lo`` exactly, each half 26 bits wide."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _powers_of_ten(k_min: int, k_max: int):
+    """For each k in [k_min, k_max]: the exponent ``a`` with ``10**k / 2**a``
+    in [1, 2), and that quotient as a double-double ``hi + lo``."""
+    shift, parts = [], []
+    for k in range(k_min, k_max + 1):
+        power = 10 ** abs(k)
+        bits = power.bit_length()
+        if k >= 0:
+            num, den = power, 1 << bits - 1
+            shift.append(bits - 1)
+        else:
+            num, den = 1 << bits, power
+            shift.append(-bits)
+        hi = num / den
+        # lo: what hi = m / e leaves of num / den, correctly rounded.
+        m, e = hi.as_integer_ratio()
+        parts.append((hi, (num * e - m * den) / (den * e)))
+    hi, lo = np.array(parts).T.copy()
+    return np.array(shift), hi, lo
+
+
+# k = 16 - floor(log10 x) over the normal doubles, with a step to spare on
+# each side for the first estimate and its correction.
+_K_MIN, _K_MAX = -294, 326
+
+_DOT, _MINUS, _PLUS, _E, _COMMA, _NEWLINE = b".-+e,\n"
+
+# Text columns of one value: a sign column, then at most 24 bytes (the
+# longest repr, '-2.2250738585072014e-308'), then the separator.
+_WIDTH = 26
+
+
+class _Tables(NamedTuple):
+    shift: np.ndarray  # by k - _K_MIN: the a with 10**k / 2**a in [1, 2)
+    ten_hi: np.ndarray  # 10**k / 2**a as ten_hi + ten_lo
+    ten_lo: np.ndarray
+    ten_hi_hi: np.ndarray  # ten_hi split for TwoProduct
+    ten_hi_lo: np.ndarray
+    # Four ASCII digits of each integer 0 .. 9999, packed in one uint32 so
+    # that a row of them views as a row of bytes in reading order.
+    quads: np.ndarray
+    # keep[start * _WIDTH + stop]: the columns of a text row from start (0
+    # or 1) to its separator at stop.
+    keep: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built on first use, so that importing
+    the CLI costs a run that writes no CSV neither time nor memory.  The
+    arrays are shared; nothing writes to them."""
+    shift, ten_hi, ten_lo = _powers_of_ten(_K_MIN, _K_MAX)
+    quads = np.ascontiguousarray(
+        np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
+    )
+    column = np.arange(_WIDTH)
+    keep = (column >= np.arange(2)[:, None, None]) & (column <= column[:, None])
+    return _Tables(
+        shift,
+        ten_hi,
+        ten_lo,
+        *_split(ten_hi),
+        quads.view(np.uint32).reshape(-1),
+        keep.reshape(-1, _WIDTH),
+    )
+
+
+def _scaled(x: np.ndarray, k: np.ndarray):
+    """``hi + lo`` close to ``x * 10**k``, and the exponent ``a`` used."""
+    tables = _tables()
+    row = k - _K_MIN
+    shift = tables.shift.take(row)
+    xs = np.ldexp(x, shift)
+    hi = xs * tables.ten_hi.take(row)
+    x_hi, x_lo = _split(xs)
+    p_hi, p_lo = tables.ten_hi_hi.take(row), tables.ten_hi_lo.take(row)
+    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
+    return hi, lo + xs * tables.ten_lo.take(row), shift
+
+
+def _shortest(x: np.ndarray):
+    """Shortest round-trip digits of each positive normal ``x``.
+
+    Returns ``(digits, count, decpt, unsure)``: ``digits`` is the 17-digit
+    int64 whose leading ``count`` digits are the shortest ones (trailing
+    zeros after them), ``x`` reads ``0.<digits> * 10**decpt``, and
+    ``unsure`` marks the values to leave to ``repr``.
+    """
+    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    hi, lo, shift = _scaled(x, k)
+    step = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64)
+    step -= (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        hi[moved], lo[moved], shift[moved] = _scaled(x[moved], k[moved])
+    whole = np.rint(lo)
+    n = hi.astype(np.int64) + whole.astype(np.int64)
+    rem = lo - whole
+    # spacing(x) / 2 * 2**shift, from x's exponent bits, times t_hi.
+    ten_hi = _tables().ten_hi.take(k - _K_MIN)
+    half_gap = np.ldexp(ten_hi, (x.view(np.int64) >> 52) - 1076 + shift)
+
+    digits = np.empty_like(n)
+    count = np.empty_like(n)
+    unsure = np.empty(x.shape, dtype=bool)
+    # Level q = 0: N itself lies within 1/2 < h of S; a tie is |rem| = 1/2.
+    rows = np.arange(x.shape[0])
+    candidate = n
+    tie = np.abs(rem) >= 0.5 - _MARGIN
+    for q in range(1, 17):
+        m = 10**q
+        above = n // m
+        below = n - above * m
+        # S lies |below + rem| from the multiple of m under N and
+        # m - below - rem from the one over it; each is summed from an exact
+        # integer, so it is accurate whenever it is small enough to matter.
+        to_lower = np.abs(below + rem)
+        to_upper = (m - below) - rem
+        up = to_upper < to_lower
+        dist = np.minimum(to_upper, to_lower)
+        inside = half_gap - dist
+        # Rows that stop here keep the previous level's candidate; a level
+        # too close to call leaves the count unknown.
+        done = np.flatnonzero(inside <= _MARGIN)
+        if done.size:
+            settled = rows[done]
+            digits[settled] = candidate[done]
+            count[settled] = 18 - q
+            unsure[settled] = tie[done] | (inside[done] >= -_MARGIN)
+            live = np.flatnonzero(inside > _MARGIN)
+            rows, n, rem, half_gap = rows[live], n[live], rem[live], half_gap[live]
+            above, up, dist = above[live], up[live], dist[live]
+        candidate = (above + up) * m
+        tie = np.abs(dist - 0.5 * m) <= _MARGIN
+    # One digit is as short as digits get.
+    digits[rows] = candidate
+    count[rows] = 1
+    unsure[rows] = tie
+    decpt = 17 - k
+    # 10**17 is a one-digit '1' one place further left.
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    decpt[carry] += 1
+    return digits, count, decpt, unsure
+
+
+def _digit_bytes(digits: np.ndarray) -> np.ndarray:
+    """(n, 24) ASCII bytes: seven ``'0'`` then the 17 digits of each int64."""
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    high_quad = high // 10**4
+    low_quad = low // 10**4
+    quads = np.stack(
+        [
+            np.zeros_like(lead),
+            lead,
+            high_quad,
+            high - high_quad * 10**4,
+            low_quad,
+            low - low_quad * 10**4,
+        ],
+        axis=1,
+    )
+    return _tables().quads[quads].view(np.uint8)
+
+
+def _fixed(digit_bytes: np.ndarray, count: np.ndarray, point: int):
+    """Text rows (from column 1) and lengths for values that all read
+    ``0.<digits> * 10**point`` with ``-4 < point <= 16``."""
+    text = np.empty((count.shape[0], _WIDTH), dtype=np.uint8)
+    # Integer digits, '.', fraction digits, all one window of the '0'-led
+    # digit matrix: a lone '0' before the point when point <= 0, and a lone
+    # '0' after it when no digit is left for the fraction.
+    whole = max(point, 1)
+    text[:, 1 : 1 + whole] = digit_bytes[:, 7 + point - whole : 7 + point]
+    text[:, 1 + whole] = _DOT
+    text[:, 2 + whole : 19 + whole - point] = digit_bytes[:, 7 + point :]
+    return text, whole + 1 + np.maximum(count - point, 1)
+
+
+def _scientific(digit_bytes: np.ndarray, count: np.ndarray, decpt: np.ndarray):
+    """Text rows (from column 1) and lengths in repr's scientific notation:
+    ``d`` or ``d.ddd``, then ``e``, the exponent's sign and at least two of
+    its digits."""
+    text = np.empty((count.shape[0], _WIDTH), dtype=np.uint8)
+    text[:, 1] = digit_bytes[:, 7]
+    text[:, 2] = _DOT
+    text[:, 3:19] = digit_bytes[:, 8:]
+    mark = np.where(count > 1, count + 2, 2)
+    exponent = decpt - 1
+    wide = np.abs(exponent) >= 100
+    # Three exponent digits, then 'e' and the sign over the first of them
+    # when two are enough.
+    rows = np.arange(count.shape[0])
+    exponent_digits = _tables().quads[np.abs(exponent)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    text[rows[:, None], (mark + 1 + wide)[:, None] + np.arange(3)] = exponent_digits
+    text[rows, mark] = _E
+    text[rows, mark + 1] = np.where(exponent < 0, _MINUS, _PLUS)
+    return text, mark + 3 + wide
+
+
+def format_rows(block: np.ndarray) -> bytes:
+    """CSV bytes of a C-ordered (n, w) float64 block, one line per row,
+    equal to ``",".join(map(repr, row)) + "\\n"`` for each row."""
+    width = block.shape[1]
+    values = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    size = values.shape[0]
+    bits = values.view(np.int64)
+    exponent_bits = (bits >> 52) & 0x7FF
+    # Normal, and not a power of two.
+    fast = np.flatnonzero(
+        (exponent_bits > 0) & (exponent_bits < 0x7FF) & ((bits & (2**52 - 1)) != 0)
+    )
+    digits, count, decpt, unsure = _shortest(np.abs(values[fast]))
+    digit_bytes = _digit_bytes(digits)
+
+    text = np.empty((size, _WIDTH), dtype=np.uint8)
+    length = np.empty(size, dtype=np.int64)
+    # Classes -4 and 17 hold every value in scientific notation.
+    point = np.clip(decpt, -4, 17)
+    for cls in (np.flatnonzero(np.bincount(point + 4)) - 4).tolist():
+        members = np.flatnonzero(point == cls)
+        if -4 < cls <= 16:
+            laid = _fixed(digit_bytes[members], count[members], cls)
+        else:
+            laid = _scientific(digit_bytes[members], count[members], decpt[members])
+        text[fast[members]], length[fast[members]] = laid
+    zero = np.flatnonzero((bits & (2**63 - 1)) == 0)
+    text[zero, 1:4] = np.frombuffer(b"0.0", dtype=np.uint8)
+    length[zero] = 3
+    text[:, 0] = _MINUS
+    # Text starts at column 1, or at the '-' in column 0.
+    start = (bits >= 0).astype(np.int64)
+
+    slow = np.ones(size, dtype=bool)
+    slow[fast[~unsure]] = False
+    slow[zero] = False
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        spelled = [repr(value) for value in values[slow].tolist()]
+        padded = "".join(word.ljust(24) for word in spelled).encode("ascii")
+        text[slow, 1:25] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, 24)
+        length[slow] = [len(word) for word in spelled]
+        start[slow] = 1
+
+    stop = 1 + length
+    separator = np.full(size, _COMMA, dtype=np.uint8)
+    separator[width - 1 :: width] = _NEWLINE
+    text.reshape(-1)[np.arange(0, size * _WIDTH, _WIDTH) + stop] = separator
+    return text[np.take(_tables().keep, start * _WIDTH + stop, axis=0)].tobytes()

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, config merging, CSV output."""
 
+import errno
 import json
 import os
 import re
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quadlab import cli, space
 from quadlab.cli import main
+from quadlab.textrows import format_rows
 
 RUNTIME_LINE = re.compile(r'^\s*"runtime_ms": [^,\n]+,?$', re.MULTILINE)
 
@@ -175,6 +178,32 @@ class TestOutputFiles:
         assert captured.err.startswith("error: cannot write ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
+        assert (tmp_path / "r.samples.csv").is_dir()
+
+    def test_csv_write_failing_after_a_block_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        # Several blocks, and the disk fills up once the first is written.
+        monkeypatch.setattr(space, "_BLOCK_VALUES", 5 * 5)
+        csv_path = tmp_path / "r.samples.csv"
+        blocks = []
+
+        def format_then_fail(block):
+            blocks.append(block.shape[0])
+            if len(blocks) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(csv_path))
+            return format_rows(block)
+
+        monkeypatch.setattr(cli, "format_rows", format_then_fail)
+        code, report, captured = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(tmp_path / "r.json"),
+            "--emit-samples",
+        )
+        assert code == 2
+        assert blocks == [5, 5]
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: cannot write {str(csv_path)!r}: {os.strerror(errno.ENOSPC)}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_emit_samples_requires_out(self, capsys):
         code, report, captured = run_cli(
@@ -183,6 +212,99 @@ class TestOutputFiles:
         assert code == 2
         assert report is None
         assert "emit-samples" in captured.err
+
+
+# The benchmark's two emitting command lines (certify_bulk, shell_profile).
+CERTIFY_EMIT = (
+    "certify --dim 8 --codim 2 --r 1/3 --d 1 --noise uniform:0.05 --samples 20000 --probes 8"
+)
+PROFILE_EMIT = "profile --dim 8 --codim 2 --n-min 1 --n-max 64 --per-shell 5000"
+
+
+def percent_r_certify_csv(header, samples) -> bytes:
+    """The samples CSV as the ``%r`` formatting wrote it before streaming."""
+    xs, ys, norms = samples
+    fmt = ",".join(["%r"] * len(header))
+    lines = [fmt % tuple(row) for row in np.column_stack((xs, ys, norms)).tolist()]
+    return ("\n".join([",".join(header), *lines]) + "\n").encode("ascii")
+
+
+def percent_r_profile_csv(n_min, n_max, deltas) -> bytes:
+    lines = [
+        "%r,%r" % (float(n), float(deltas[k]))
+        for k, n in enumerate(range(n_min, n_max + 1))
+    ]
+    return ("\n".join(["shell_lower,delta", *lines]) + "\n").encode("ascii")
+
+
+class TestSamplesCsvBytes:
+    """Every CSV value is its ``repr``: the streamed file equals the one the
+    ``%r`` expression built, and emitting it leaves the report unchanged."""
+
+    def _emit(self, capsys, tmp_path, monkeypatch, line):
+        written = []
+        write = cli._write_samples_csv
+
+        def recording(path, header, columns):
+            written.append((header, columns))
+            write(path, header, columns)
+
+        monkeypatch.setattr(cli, "_write_samples_csv", recording)
+        out = tmp_path / "run.json"
+        code = main([*line.split(), "--emit-samples", "--out", str(out)])
+        capsys.readouterr()
+        (header, columns), = written
+        report = json.loads(out.read_text())
+        # The report is the one the same command prints without a CSV.
+        assert main(line.split()) == code
+        alone = json.loads(capsys.readouterr().out)
+        for side in (report, alone):
+            del side["runtime_ms"]
+            side["config"].update(emit_samples=None, out=None)
+        assert report == alone
+        return header, columns, (tmp_path / "run.samples.csv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_bulk_command(self, capsys, tmp_path, monkeypatch, seed):
+        header, samples, csv = self._emit(
+            capsys, tmp_path, monkeypatch, f"{CERTIFY_EMIT} --seed {seed}"
+        )
+        assert header[0] == "x1" and header[-1] == "residual_norm"
+        assert csv == percent_r_certify_csv(header, samples)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "noise", ["--noise decay:1,1 --decay-tol 0.8", "--noise constant:1 --decay-tol 0.02"]
+    )
+    def test_shell_profile_command(self, capsys, tmp_path, monkeypatch, seed, noise):
+        header, (shells, deltas), csv = self._emit(
+            capsys, tmp_path, monkeypatch, f"{PROFILE_EMIT} {noise} --seed {seed}"
+        )
+        assert csv == percent_r_profile_csv(1, 64, deltas)
+
+    def test_200k_rows(self, capsys, tmp_path, monkeypatch):
+        header, samples, csv = self._emit(
+            capsys, tmp_path, monkeypatch,
+            "certify --dim 8 --codim 2 --probes 8 --samples 200000",
+        )
+        assert csv == percent_r_certify_csv(header, samples)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "certify --dim 3 --noise uniform:0.1 --samples 300 --seed 2",
+            "profile --dim 2 --n-min 1 --n-max 12 --per-shell 30 --seed 4",
+        ],
+    )
+    def test_block_size_changes_no_byte(self, capsys, tmp_path, monkeypatch, line):
+        argv = [*line.split(), "--emit-samples", "--out", str(tmp_path / "run.json")]
+        main(argv)
+        whole = (tmp_path / "run.samples.csv").read_bytes()
+        for values in (1, 7, 2 * 7 + 1):
+            monkeypatch.setattr(space, "_BLOCK_VALUES", values)
+            main(argv)
+            assert (tmp_path / "run.samples.csv").read_bytes() == whole
+        capsys.readouterr()
 
 
 class TestConfigFile:
