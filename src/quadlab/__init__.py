@@ -6,7 +6,7 @@ much does a small equation defect on part of the domain cost globally?
 
 Modules:
 
-* :mod:`quadlab.space` -- normed spaces and deterministic samplers;
+* :mod:`quadlab.space` -- normed spaces and the restricted-pair sampler;
 * :mod:`quadlab.quadratic` -- forms, residuals, parity, polarization;
 * :mod:`quadlab.perturb` -- test maps with known perturbation envelopes;
 * :mod:`quadlab.stability` -- constants, limit extraction, certificates;
@@ -59,10 +59,8 @@ from .quadratic import (
     derivation_chain_check,
     equation_params,
     map_from_callable,
-    map_from_table,
     parity_decompose,
     polarize,
-    quad_eval,
     residual_gq,
     residual_q,
 )
@@ -74,7 +72,6 @@ from .space import (
     norm_eval,
     p_norm,
     sample_pairs_restricted,
-    sample_vectors,
     sup_norm,
     weighted_quadratic,
 )
@@ -137,20 +134,17 @@ __all__ = [
     "make_perturbed",
     "make_quadratic",
     "map_from_callable",
-    "map_from_table",
     "noise_values",
     "norm_eval",
     "p_norm",
     "parallelogram_defect",
     "parity_decompose",
     "polarize",
-    "quad_eval",
     "random_symmetric_form",
     "recover_gram",
     "residual_gq",
     "residual_q",
     "sample_pairs_restricted",
-    "sample_vectors",
     "shell_delta_profile",
     "stability_constants",
     "sup_norm",

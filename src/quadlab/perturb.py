@@ -104,21 +104,6 @@ class NoiseModel:
     def sine(cls, c: float, freq) -> "NoiseModel":
         return cls(kind="sine", c=float(c), freq=np.asarray(freq, dtype=np.float64))
 
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "constant":
-            out["c"] = self.c
-        elif self.kind == "uniform_bounded":
-            out["delta"] = self.delta
-            out["seed"] = self.seed
-        elif self.kind == "decay":
-            out["c"] = self.c
-            out["alpha"] = self.alpha
-        elif self.kind == "sine":
-            out["c"] = self.c
-            out["freq"] = self.freq.tolist()
-        return out
-
 
 def _hash_unit(rows: np.ndarray, seed: int, codim: int) -> np.ndarray:
     """Per-row hash values in [0, 1) of C-ordered float64 rows, shape (N, codim).

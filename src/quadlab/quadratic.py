@@ -171,11 +171,6 @@ class QuadraticForm:
         )
 
 
-def quad_eval(form: QuadraticForm, x):
-    """Evaluate a quadratic form on a vector or batch (function-style alias)."""
-    return form(x)
-
-
 @dataclass(frozen=True)
 class MapHandle:
     """A deterministic total map R^n -> R^m with batched evaluation.
@@ -188,15 +183,12 @@ class MapHandle:
     block of their rows (:func:`~quadlab.space.row_blocks`), so an
     evaluator must give each row the same value in any block; every
     built-in map does, bit for bit.
-    ``tabulated`` marks maps backed by a finite table of exact points; such
-    maps cannot be rescaled and are rejected by the limit extractor.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain_dim: int
     codomain_dim: int
     label: str = ""
-    tabulated: bool = False
 
     def __post_init__(self):
         if self.domain_dim < 1 or self.codomain_dim < 1:
@@ -218,67 +210,12 @@ class MapHandle:
 
 
 def map_from_callable(
-    fn: Callable,
-    domain_dim: int,
-    codomain_dim: int,
-    label: str = "",
-    vectorized: bool = True,
+    fn: Callable, domain_dim: int, codomain_dim: int, label: str = ""
 ) -> MapHandle:
-    """Wrap a plain function as a MapHandle.
-
-    With ``vectorized=False`` the function is called once per row; otherwise
-    it must accept an (N, n) array.
-    """
-    if vectorized:
-        evaluator = fn
-    else:
-        def evaluator(rows, _fn=fn):
-            return np.array([np.atleast_1d(_fn(row)) for row in rows], dtype=np.float64)
-
+    """Wrap a function of C-ordered (N, n) float64 rows as a MapHandle; it
+    returns (N, m) values (or (N,) when m = 1), as :class:`MapHandle` says."""
     return MapHandle(
-        evaluator=evaluator,
-        domain_dim=domain_dim,
-        codomain_dim=codomain_dim,
-        label=label,
-    )
-
-
-def map_from_table(points, values, label: str = "tabulated") -> MapHandle:
-    """Exact-lookup map defined only on the given points.
-
-    Evaluation at any vector not bitwise-equal to a tabulated point raises
-    :class:`ParameterError`; the handle is marked ``tabulated`` so scaling
-    routines refuse it up front.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DimensionMismatchError(f"points must be (N, dim), got shape {pts.shape}")
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != pts.shape[0]:
-        raise DimensionMismatchError(
-            f"{pts.shape[0]} points but {vals.shape[0]} values"
-        )
-    table = {pts[i].tobytes(): vals[i] for i in range(pts.shape[0])}
-
-    def evaluator(rows):
-        out = np.empty((rows.shape[0], vals.shape[1]), dtype=np.float64)
-        for i, row in enumerate(rows):
-            key = row.tobytes()
-            if key not in table:
-                raise ParameterError(
-                    f"tabulated map has no entry for {row.tolist()}"
-                )
-            out[i] = table[key]
-        return out
-
-    return MapHandle(
-        evaluator=evaluator,
-        domain_dim=pts.shape[1],
-        codomain_dim=vals.shape[1],
-        label=label,
-        tabulated=True,
+        evaluator=fn, domain_dim=domain_dim, codomain_dim=codomain_dim, label=label
     )
 
 
@@ -356,14 +293,12 @@ def parity_decompose(f) -> tuple[MapHandle, MapHandle]:
         domain_dim=handle.domain_dim,
         codomain_dim=handle.codomain_dim,
         label=f"{base}:even",
-        tabulated=handle.tabulated,
     )
     odd = MapHandle(
         evaluator=odd_eval,
         domain_dim=handle.domain_dim,
         codomain_dim=handle.codomain_dim,
         label=f"{base}:odd",
-        tabulated=handle.tabulated,
     )
     return even, odd
 

@@ -9,14 +9,16 @@ pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
 evaluator gives a row the same bits in any block.
 
 All randomness flows through counter-based Philox generators keyed on
-``(seed, stream_tag)``.  Distinct purposes (ball draws, the two halves of a
-restricted pair, extraction probes, shell pairs) get distinct tags, so the
-stream consumed by one routine can never shift the values produced by
-another, and equal seeds give bitwise-equal output across runs.
+``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
+pair, extraction probes, shell pairs) get distinct tags, so the stream
+consumed by one routine can never shift the values produced by another,
+and equal seeds give bitwise-equal output across runs.
 """
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +26,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InfeasibleDomainError, ParameterError
 
 # Stream tags combined with the user seed to key a Philox generator.
-# One tag per sampling purpose; never reuse a tag for a new purpose.
-STREAM_VECTORS = 1
+# One tag per sampling purpose; never reuse a tag for a new purpose.  Tag 1
+# (single-vector ball draws) is retired and is never reused.
 STREAM_PAIR_X = 2
 STREAM_PAIR_Y = 3
 STREAM_PROBES = 4
@@ -317,52 +319,30 @@ def _block_norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sampler:
-    """Deterministic sampling request: seed, count, and a support region.
-
-    mode is ``"annulus"`` (``r_min <= norm <= radius_max``, ``0 <= r_min < radius_max``)
-    or ``"ball"`` (the same with ``r_min = 0``) for :func:`sample_vectors`, or
-    ``"restricted_pairs"`` for :func:`sample_pairs_restricted`; each
-    refuses the other modes.  Use the classmethods rather than the raw
-    constructor.
+    """Deterministic request for restricted pairs: seed, count, and the
+    radius ``radius_max`` of the ball both halves of a pair lie in (see
+    :func:`sample_pairs_restricted`).  Build it with :meth:`restricted_pairs`.
     """
 
     seed: int
     count: int
     radius_max: float
-    mode: str = "ball"
-    r_min: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not isinstance(self.count, (int, np.integer)) or self.count < 1:
             raise ParameterError(f"count must be a positive integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
-        if self.mode not in ("ball", "annulus", "restricted_pairs"):
-            raise ParameterError(f"unknown sampler mode {self.mode!r}")
-        if not np.isfinite(self.radius_max) or self.radius_max <= 0:
-            raise ParameterError(f"radius_max must be finite and > 0, got {self.radius_max!r}")
-        if self.mode != "restricted_pairs" and not 0.0 <= self.r_min < self.radius_max:
-            raise ParameterError(
-                f"annulus needs 0 <= r_min < r_max, got [{self.r_min}, {self.radius_max}]"
-            )
-
-    @classmethod
-    def ball(cls, seed: int, count: int, radius_max: float) -> "Sampler":
-        return cls(seed=seed, count=count, radius_max=radius_max, mode="ball")
-
-    @classmethod
-    def annulus(cls, seed: int, count: int, r_min: float, r_max: float) -> "Sampler":
-        return cls(
-            seed=seed,
-            count=count,
-            radius_max=float(r_max),
-            mode="annulus",
-            r_min=float(r_min),
-        )
+        radius = self.radius_max
+        # Comparing before converting keeps ints too large for a float out.
+        real = isinstance(radius, numbers.Real) and not isinstance(radius, bool)
+        if not real or not 0 < radius <= sys.float_info.max:
+            raise ParameterError(f"radius_max must be finite and > 0, got {radius!r}")
+        object.__setattr__(self, "radius_max", float(radius))
 
     @classmethod
     def restricted_pairs(cls, seed: int, count: int, radius_max: float) -> "Sampler":
-        return cls(seed=seed, count=count, radius_max=radius_max, mode="restricted_pairs")
+        return cls(seed=seed, count=count, radius_max=radius_max)
 
 
 def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
@@ -416,26 +396,6 @@ def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float):
     return rows, norms
 
 
-def sample_vectors(space: SpaceSpec, sampler: Sampler) -> np.ndarray:
-    """Draw ``sampler.count`` vectors, shape (count, dim), from a ball or annulus.
-
-    Norms are uniform and directions norm-uniform, so the draw is *not*
-    uniform in volume; it deliberately oversamples small norms, which is
-    where the restricted domain and the extraction probes need coverage.
-    Equal (space, sampler) inputs reproduce bitwise-equal output.
-    """
-    if sampler.mode == "restricted_pairs":
-        raise ParameterError(
-            f"sample_vectors needs a ball or annulus sampler, got {sampler.mode!r}"
-        )
-    lo, hi = sampler.r_min, sampler.radius_max
-    rng = generator(sampler.seed, STREAM_VECTORS)
-    rows = [_rows_at_radii(space, rng, rng.uniform(lo, hi, sampler.count))]
-    inside = lambda n: (n >= lo) & (n <= hi)  # noqa: E731
-    (vectors,), _ = _settled(space, rows, inside, (lo + hi) / 2, (hi - lo) / 2)
-    return vectors
-
-
 class PairSample(tuple):
     """Sampled pairs ``(xs, ys)``, which unpack as a 2-tuple, and ``norms``,
     the pair ``(norm_eval(space, xs), norm_eval(space, ys))`` the sampler
@@ -461,15 +421,11 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     from the inverse CDF of its density ``min(R, R - d + a)`` on
     ``[max(0, d - R), R]``, ``b`` uniform on ``[max(0, d - a), R]``; the
     directions are independent and norm-uniform.  Raises
-    :class:`ParameterError` for a sampler not in ``restricted_pairs`` mode
-    or a negative or non-finite ``d``, and :class:`InfeasibleDomainError`
-    when ``d >= 2 * R`` (an empty or measure-zero domain) or when rounding
-    or overflow leaves rows off the domain.
+    :class:`ParameterError` for a negative or non-finite ``d``, and
+    :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
+    measure-zero domain) or when rounding or overflow leaves rows off the
+    domain.
     """
-    if sampler.mode != "restricted_pairs":
-        raise ParameterError(
-            f"sample_pairs_restricted needs a restricted_pairs sampler, got {sampler.mode!r}"
-        )
     if not np.isfinite(d) or d < 0:
         raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
     R = sampler.radius_max

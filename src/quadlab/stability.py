@@ -125,7 +125,8 @@ class BatchExtraction:
 
     Row ``i`` holds what :func:`extract_quadratic` reports for that row on
     its own: ``limits[i]``, ``iterations[i]``, ``converged[i]``, its
-    deviations ``deviations[i, :k]`` (NaN past the last one) and
+    deviations ``deviations[i, :k]`` (NaN past the last one; one column per
+    doubling the batch took, at most ``max_iters``) and
     ``tail_estimate[i]``.  ``failed_at[i]`` is -1 while the row's map values
     stay finite, 0 when its base value is not finite, and ``n`` when the
     value at ``2**n`` times the row is not; a failed row's limit and tail
@@ -170,11 +171,6 @@ class BatchExtraction:
 def _extraction_map(f, max_iters, tol):
     """``f`` as a rescalable map handle, with the extraction controls checked."""
     handle = as_map(f)
-    if handle.tabulated:
-        raise ParameterError(
-            "cannot extract a limit from a tabulated map: scaled arguments "
-            "fall outside its table"
-        )
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ParameterError(f"max_iters must be a positive integer, got {max_iters!r}")
     if not np.isfinite(tol) or tol <= 0:
@@ -204,7 +200,10 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
     limits = handle(rows).copy()
     iterations = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
-    deviations = np.full((count, max_iters), np.nan)
+    # Per doubling, the rows it moved and their deviations; the (count, n)
+    # record is built at the end, so memory follows the doublings taken.
+    doublings = []
+    last = np.full(count, np.nan)
     failed_at = np.where(np.all(np.isfinite(limits), axis=1), -1, 0)
     active = np.flatnonzero(failed_at < 0)
     for n in range(1, max_iters + 1):
@@ -221,17 +220,20 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
         step = current - limits[active]
         dev = np.sqrt(row_dots(step, step))
         scale = np.sqrt(row_dots(current, current))
-        deviations[active, n - 1] = dev
+        doublings.append((active, dev))
+        last[active] = dev
         limits[active] = current
         # Norms of huge finite iterates can overflow to inf; an infinite
         # deviation or scale must read as divergence, not convergence.
         done = np.isfinite(dev) & np.isfinite(scale) & (dev <= tol * (1.0 + scale))
         converged[active[done]] = True
         active = active[~done]
+    deviations = np.full((count, len(doublings)), np.nan)
+    for n, (moved, dev) in enumerate(doublings):
+        deviations[moved, n] = dev
     failed = failed_at >= 0
     limits[failed] = np.nan
     # Quarter-ratio geometric tail: sum_{k>=1} dev * 4^-k = dev / 3.
-    last = deviations[np.arange(count), np.maximum(iterations - 1, 0)]
     tail = np.where(failed, np.nan, last / 3.0)
     return BatchExtraction(limits, iterations, converged, deviations, tail, failed_at, float(tol))
 
@@ -242,9 +244,8 @@ def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
 
     Returns ``(value, diagnostics)``.  The iteration stops once successive
     iterates agree to relative ``tol``, or after ``max_iters`` doublings.
-    Tabulated maps are rejected (they cannot be evaluated at scaled
-    arguments); a non-finite evaluation raises :class:`ExtractionError`
-    carrying the diagnostics gathered so far.
+    A non-finite evaluation raises :class:`ExtractionError` carrying the
+    diagnostics gathered so far.
     """
     handle = _extraction_map(f, max_iters, tol)
     point = np.asarray(x, dtype=np.float64)

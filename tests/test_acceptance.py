@@ -34,7 +34,6 @@ from quadlab import (
     residual_gq,
     residual_q,
     sample_pairs_restricted,
-    sample_vectors,
     shell_delta_profile,
     stability_constants,
     sup_norm,
@@ -94,7 +93,9 @@ def test_criterion_2_half_defect_bound_is_attained():
             delta_hat = float(np.abs(residual_q(f, xs, ys)).max())
             assert abs(delta_hat - 2.0 * abs(c)) <= 1e-10
 
-            probes = sample_vectors(space, Sampler.ball(4200, 40, 2.0))
+            probes, _ = sample_pairs_restricted(
+                space, 0.0, Sampler.restricted_pairs(4200, 40, 2.0)
+            )
             max_dev = 0.0
             for probe in probes:
                 limit, _ = extract_quadratic(f, probe, max_iters=26)
@@ -162,7 +163,9 @@ def test_criterion_5_linear_witness_residual_closed_form():
         for i in range(5):
             L = rng.standard_normal((2, 3))
             f = make_odd_witness(L)
-            xs = sample_vectors(euclidean(3), Sampler.ball(6100 + i, 1000, 3.0))
+            xs, _ = sample_pairs_restricted(
+                euclidean(3), 0.0, Sampler.restricted_pairs(6100 + i, 1000, 3.0)
+            )
             got = residual_gq(f, params, xs, np.zeros_like(xs))
             want = params.rs * (xs @ L.T)
             scale = 1.0 + _row_norms(want)

@@ -104,6 +104,19 @@ class TestDeterminism:
         _, text_b = self._bytes(capsys, *base, "--seed", "2")
         assert text_a != text_b
 
+    def test_extraction_budget_changes_only_max_iters(self, capsys):
+        # The probes converge within 26 doublings, so a far larger budget
+        # changes nothing but its echo, and costs no memory of its own.
+        base = (
+            "certify", "--dim", "8", "--codim", "2", "--samples", "1000",
+            "--probes", "512", "--noise", "uniform:0.05", "--seed", "1",
+        )
+        reports = [run_cli(capsys, *base, "--iters", iters)[1] for iters in ("26", "1000000")]
+        results = [report["results"] for report in reports]
+        assert [r.pop("max_iters") for r in results] == [26, 1000000]
+        assert results[0] == results[1]
+        assert results[0]["pass"] is True
+
 
 class TestOutputFiles:
     def test_out_writes_report_file(self, capsys, tmp_path):

@@ -175,12 +175,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             build()
 
-    def test_describe_round_trips_parameters(self):
-        d = NoiseModel.uniform_bounded(0.25, seed=9).describe()
-        assert d == {"kind": "uniform_bounded", "delta": 0.25, "seed": 9}
-        d = NoiseModel.sine(1.0, [1.0, 2.0]).describe()
-        assert d["freq"] == [1.0, 2.0]
-
 
 class TestGenerators:
     def test_make_quadratic_symmetrizes_with_warning(self):

@@ -18,11 +18,9 @@ from quadlab import (
     make_odd_witness,
     make_perturbed,
     map_from_callable,
-    map_from_table,
     NoiseModel,
     parity_decompose,
     polarize,
-    quad_eval,
     residual_gq,
     residual_q,
 )
@@ -86,7 +84,7 @@ class TestQuadraticForm:
     def test_eval_oracle(self):
         # [[1,2],[2,5]] at (1,1): 1 + 2 + 2 + 5 = 10
         form = QuadraticForm(np.array([[1.0, 2.0], [2.0, 5.0]]))
-        assert quad_eval(form, [1.0, 1.0]) == np.array([10.0])
+        assert form([1.0, 1.0]) == np.array([10.0])
 
     def test_batch_matches_rows(self):
         form = _random_form(1)
@@ -388,27 +386,6 @@ class TestDerivationChain:
 
 
 class TestMapHandles:
-    def test_tabulated_exact_lookup(self):
-        points = np.array([[1.0, 2.0], [3.0, 4.0]])
-        values = np.array([10.0, 20.0])
-        f = map_from_table(points, values)
-        assert f.tabulated
-        assert f(np.array([3.0, 4.0])) == np.array([20.0])
-        with pytest.raises(ParameterError):
-            f(np.array([0.0, 0.0]))
-
-    def test_row_loop_wrapper_matches_vectorized(self):
-        def scalar(v):
-            return float(v @ v)
-
-        f_slow = map_from_callable(scalar, 3, 1, vectorized=False)
-        f_fast = map_from_callable(
-            lambda rows: np.sum(rows * rows, axis=-1, keepdims=True), 3, 1
-        )
-        rng = np.random.default_rng(30)
-        xs = rng.standard_normal((20, 3))
-        assert f_slow(xs) == pytest.approx(f_fast(xs), rel=1e-15)
-
     def test_wrong_evaluator_shape_is_caught(self):
         f = map_from_callable(lambda rows: np.ones((rows.shape[0], 3)), 2, 2)
         with pytest.raises(DimensionMismatchError):

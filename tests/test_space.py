@@ -27,7 +27,6 @@ from quadlab import (
     random_symmetric_form,
     residual_gq,
     sample_pairs_restricted,
-    sample_vectors,
     sup_norm,
     weighted_quadratic,
 )
@@ -383,62 +382,51 @@ class TestSpaceValidation:
 
 
 class TestSamplers:
-    def test_ball_bounds(self):
-        space = euclidean(3)
-        xs = sample_vectors(space, Sampler.ball(seed=1, count=500, radius_max=1.0))
-        assert xs.shape == (500, 3)
-        assert np.all(space.norm(xs) <= 1.0)
+    def test_fields(self):
+        sampler = Sampler.restricted_pairs(seed=3, count=10, radius_max=2)
+        assert [f.name for f in fields(Sampler)] == ["seed", "count", "radius_max"]
+        assert (sampler.seed, sampler.count, sampler.radius_max) == (3, 10, 2.0)
+        assert type(sampler.radius_max) is float
 
-    def test_annulus_bounds(self):
-        space = p_norm(3, 1.0)
-        xs = sample_vectors(
-            space, Sampler.annulus(seed=2, count=500, r_min=2.0, r_max=3.0)
-        )
+    def test_ball_bounds(self):
+        # At d = 0 the x half is a ball draw: norms uniform on [0, R] (mean
+        # R / 2, sd R / sqrt(12)) and norm-uniform directions.
+        space = euclidean(3)
+        xs, _ = sample_pairs_restricted(space, 0.0, Sampler.restricted_pairs(1, 500, 1.0))
         norms = space.norm(xs)
-        assert np.all(norms >= 2.0) and np.all(norms <= 3.0)
+        assert xs.shape == (500, 3)
+        assert np.all(norms <= 1.0)
+        assert abs(norms.mean() - 0.5) <= 4.0 / np.sqrt(12.0 * 500)
 
     def test_bitwise_determinism(self):
         space = euclidean(4)
-        sampler = Sampler.ball(seed=9, count=64, radius_max=2.0)
-        a = sample_vectors(space, sampler)
-        b = sample_vectors(space, sampler)
-        assert a.tobytes() == b.tobytes()
+        sampler = Sampler.restricted_pairs(seed=9, count=64, radius_max=2.0)
+        a = sample_pairs_restricted(space, 0.0, sampler)
+        b = sample_pairs_restricted(space, 0.0, sampler)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
 
     def test_seed_sensitivity(self):
         space = euclidean(4)
-        a = sample_vectors(space, Sampler.ball(seed=9, count=64, radius_max=2.0))
-        b = sample_vectors(space, Sampler.ball(seed=10, count=64, radius_max=2.0))
-        assert not np.array_equal(a, b)
-
-    def test_annulus_bad_range(self):
-        with pytest.raises(ParameterError):
-            Sampler.annulus(seed=0, count=10, r_min=3.0, r_max=2.0)
-        # A degenerate annulus: no rescale lands a row on both bounds at once.
-        with pytest.raises(ParameterError):
-            Sampler.annulus(seed=0, count=10, r_min=1.0, r_max=1.0)
-
-    def test_annulus_outer_radius_is_radius_max(self):
-        sampler = Sampler.annulus(seed=0, count=10, r_min=1.0, r_max=3.0)
-        assert (sampler.r_min, sampler.radius_max) == (1.0, 3.0)
-        assert "r_max" not in {f.name for f in fields(Sampler)}
+        a = sample_pairs_restricted(space, 0.0, Sampler.restricted_pairs(9, 64, 2.0))
+        b = sample_pairs_restricted(space, 0.0, Sampler.restricted_pairs(10, 64, 2.0))
+        assert not np.array_equal(a[0], b[0])
+        assert not np.array_equal(a[1], b[1])
 
     def test_bad_seed(self):
         with pytest.raises(ParameterError):
-            Sampler.ball(seed=-1, count=10, radius_max=1.0)
+            Sampler.restricted_pairs(seed=-1, count=10, radius_max=1.0)
         with pytest.raises(ParameterError):
-            Sampler.ball(seed=2**64, count=10, radius_max=1.0)
+            Sampler.restricted_pairs(seed=2**64, count=10, radius_max=1.0)
 
     def test_bad_count_and_radius(self):
         with pytest.raises(ParameterError):
-            Sampler.ball(seed=0, count=0, radius_max=1.0)
-        with pytest.raises(ParameterError):
-            Sampler.ball(seed=0, count=4, radius_max=0.0)
-
-    def test_vector_sampler_rejects_pair_mode(self):
-        with pytest.raises(ParameterError):
-            sample_vectors(
-                euclidean(2), Sampler.restricted_pairs(seed=0, count=4, radius_max=1.0)
-            )
+            Sampler.restricted_pairs(seed=0, count=0, radius_max=1.0)
+        # Not finite and positive, or not a real number at all (a bool is
+        # not a radius; 10**400 has no float).
+        for radius in (0.0, -1.0, np.inf, np.nan, 10**400, "2", None, True, np.bool_(True), 1j):
+            with pytest.raises(ParameterError):
+                Sampler.restricted_pairs(seed=0, count=4, radius_max=radius)
 
 
 class TestRestrictedPairs:
@@ -530,12 +518,6 @@ class TestRestrictedPairs:
         got = np.mean(statistic(space.norm(xs)))
         assert abs(got - expected) <= 4.0 * sd / np.sqrt(count)
 
-    def test_rejects_vector_sampler(self):
-        with pytest.raises(ParameterError):
-            sample_pairs_restricted(
-                euclidean(2), 0.0, Sampler.ball(seed=0, count=4, radius_max=1.0)
-            )
-
     def test_negative_d_rejected(self):
         with pytest.raises(ParameterError):
             sample_pairs_restricted(
@@ -616,7 +598,3 @@ class TestDirectionNormOverflow:
             sample_pairs_restricted(
                 p_norm(2, p), 0.0, Sampler.restricted_pairs(seed=1, count=1000, radius_max=2.0)
             )
-
-    def test_vectors_refuse(self, p):
-        with pytest.raises(InfeasibleDomainError), np.errstate(over="ignore"):
-            sample_vectors(p_norm(2, p), Sampler.ball(seed=1, count=1000, radius_max=2.0))

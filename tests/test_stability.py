@@ -2,6 +2,7 @@
 half-defect bound."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from quadlab import (
     extract_quadratic_batch,
     make_perturbed,
     map_from_callable,
-    map_from_table,
     p_norm,
     random_symmetric_form,
     sample_pairs_restricted,
@@ -196,11 +196,6 @@ class TestExtraction:
         with pytest.raises(ExtractionError):
             extract_quadratic(bad, np.ones(2))
 
-    def test_tabulated_map_rejected(self):
-        f = map_from_table(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ParameterError):
-            extract_quadratic(f, np.array([1.0, 0.0]))
-
     @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": 0.0}, {"tol": np.inf}])
     def test_bad_controls(self, kwargs):
         form = random_symmetric_form(euclidean(2), euclidean(1), seed=7)
@@ -294,17 +289,31 @@ class TestBatchExtraction:
         for n, rows in enumerate(calls[1:], start=1):
             assert rows == np.count_nonzero(batch.iterations >= n)
 
+    def test_memory_follows_the_doublings_taken(self):
+        # A (64, max_iters) deviation record would take 51 MB here; the rows
+        # converge within a few dozen doublings.
+        form = random_symmetric_form(euclidean(8), euclidean(2), seed=46)
+        f = make_perturbed(form, NoiseModel.uniform_bounded(0.05, seed=1))
+        points = np.random.default_rng(47).standard_normal((64, 8))
+        tracemalloc.start()
+        try:
+            batch = extract_quadratic_batch(f, points, max_iters=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(batch.converged)
+        assert peak < 2**20
+        assert batch.deviations.shape == (64, batch.iterations.max())
+        reference = extract_quadratic_batch(f, points)
+        assert np.array_equal(batch.deviations, reference.deviations, equal_nan=True)
+        assert np.array_equal(batch.limits, reference.limits)
+
     def test_does_not_write_to_its_input(self):
         identity = map_from_callable(lambda rows: rows, 2, 2)
         points = np.array([[1.0, 2.0], [3.0, -4.0]])
         kept = points.copy()
         extract_quadratic_batch(identity, points)
         assert np.array_equal(points, kept)
-
-    def test_tabulated_map_rejected(self):
-        f = map_from_table(np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(ParameterError):
-            extract_quadratic_batch(f, np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": 0.0}, {"tol": np.inf}])
     def test_bad_controls(self, kwargs):
