@@ -169,7 +169,7 @@ class BatchExtraction:
 
 
 def _extraction_map(f, max_iters, tol):
-    """``f`` as a rescalable map handle, with the extraction controls checked."""
+    """``f`` as a map handle, with the extraction controls checked."""
     handle = as_map(f)
     if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
         raise ParameterError(f"max_iters must be a positive integer, got {max_iters!r}")
