@@ -89,6 +89,12 @@ def shell_delta_profile(
     (with a tiny interior margin so rounding cannot push a pair across
     the boundary), splits it as ``norm(x) = a t``, ``norm(y) = (1-a) t``
     with ``a`` uniform, and draws independent directions.
+
+    Every draw is taken on the calling thread, in stream order; one helper
+    thread evaluates each shell's residuals while the next shell is drawn,
+    and calls ``f`` one batch at a time under the caller's numpy error
+    state.  At most two shells' rows are alive at once, and the deltas are
+    bit for bit those of a serial loop over the shells.
     """
     handle = as_map_on(f, space)
     if not isinstance(n_min, (int, np.integer)) or not isinstance(n_max, (int, np.integer)):
@@ -109,15 +115,35 @@ def shell_delta_profile(
         raise ParameterError(
             f"per_shell_count must be a positive integer, got {per_shell_count!r}"
         )
+    # Imported here: cli imports this module, and the import costs every
+    # other command memory.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # A new thread starts from numpy's default error state, not the caller's.
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def worst(xs, ys):
+        with np.errstate(**errstate):
+            return row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+
     rng = generator(seed, STREAM_SHELL)
     deltas = np.empty(shell_count)
-    for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
-        t = rng.uniform(*_shell_interval(n), per_shell_count)
-        split = rng.uniform(0.0, 1.0, per_shell_count)
-        rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
-        inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
-        (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
-        deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+    pending = None
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
+            try:
+                t = rng.uniform(*_shell_interval(n), per_shell_count)
+                split = rng.uniform(0.0, 1.0, per_shell_count)
+                rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
+                inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
+                (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
+            finally:
+                # Shell k-1 is collected even when drawing shell k raised, so
+                # errors surface in shell order.
+                if pending is not None:
+                    deltas[k - 1] = pending.result()
+            pending = helper.submit(worst, xs, ys)
+        deltas[-1] = pending.result()
     return ShellProfile(
         n_min=int(n_min),
         n_max=int(n_max),

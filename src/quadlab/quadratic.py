@@ -183,6 +183,9 @@ class MapHandle:
     block of their rows (:func:`~quadlab.space.row_blocks`), so an
     evaluator must give each row the same value in any block; every
     built-in map does, bit for bit.
+    :func:`~quadlab.asymptotics.shell_delta_profile` calls the evaluator
+    from one helper thread, one call at a time, under the caller's numpy
+    error state.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]

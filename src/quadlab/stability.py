@@ -209,12 +209,13 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
     for n in range(1, max_iters + 1):
         if active.size == 0:
             break
-        values = handle(rows[active] * 2.0**n)
+        # ldexp, not Python float powers: 4.0**512 raises OverflowError.
+        values = handle(np.ldexp(rows[active], n))
         iterations[active] = n
         finite = np.all(np.isfinite(values), axis=1)
         failed_at[active[~finite]] = n
         active = active[finite]
-        current = values[finite] / 4.0**n
+        current = np.ldexp(values[finite], -2 * n)
         # Square roots of row dot products: equal bit for bit to
         # np.linalg.norm of each row alone.
         step = current - limits[active]

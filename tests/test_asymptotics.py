@@ -1,5 +1,8 @@
 """Shell-resolved defect profiles and their classification."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,53 @@ from quadlab import (
     equation_params,
     euclidean,
     make_perturbed,
+    map_from_callable,
+    p_norm,
     random_symmetric_form,
+    residual_gq,
     shell_delta_profile,
+    sup_norm,
+    weighted_quadratic,
 )
+from quadlab import asymptotics
+from quadlab import space as space_module
+from quadlab.asymptotics import _shell_interval
 from quadlab.errors import DimensionMismatchError
+from quadlab.quadratic import as_map_on
+from quadlab.space import STREAM_SHELL, _rows_at_radii, _settled, generator, row_norms
+
+
+def _reference_deltas(f, params, space, n_min, n_max, count, seed, codomain=None):
+    """The serial shell loop that the pipelined profile replaced, kept as
+    the reference for its deltas: draw a shell, then take its residuals."""
+    handle = as_map_on(f, space)
+    rng = generator(seed, STREAM_SHELL)
+    deltas = np.empty(n_max - n_min + 1)
+    for k, n in enumerate(range(n_min, n_max + 1)):
+        t = rng.uniform(*_shell_interval(n), count)
+        split = rng.uniform(0.0, 1.0, count)
+        rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
+        inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
+        (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
+        deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+    return deltas
+
+
+def _norm(kind, dim):
+    if kind == "weighted":
+        gram = np.eye(dim) + 0.3 * np.diag(np.ones(dim - 1), 1) + 0.3 * np.diag(np.ones(dim - 1), -1)
+        return weighted_quadratic(gram)
+    return {"euclidean": euclidean, "p": lambda d: p_norm(d, 1.5), "sup": sup_norm}[kind](dim)
+
+
+def _shell_noise(kind, dim):
+    return {
+        "none": NoiseModel.none(),
+        "constant": NoiseModel.constant(0.7),
+        "decay": NoiseModel.decay(1.0, 0.8),
+        "sine": NoiseModel.sine(0.4, np.linspace(-1.0, 1.5, dim)),
+        "uniform": NoiseModel.uniform_bounded(0.2, seed=dim),
+    }[kind]
 
 
 def _profile_of(deltas):
@@ -125,6 +171,115 @@ class TestShellProfile:
             shell_delta_profile(
                 form, equation_params("1/2"), euclidean(2), 0, 4, 10, seed=0
             )
+
+
+class TestPipelinedShells:
+    """The profile overlaps each shell's residuals with the next shell's
+    draws; its deltas, errors and numpy error state are a serial loop's."""
+
+    def _check(self, norm, noise, dim, n_min, n_max, count, seed):
+        space = _norm(norm, dim)
+        codomain = _norm(norm, 2)
+        form = random_symmetric_form(space, euclidean(2), seed=seed)
+        f = make_perturbed(form, _shell_noise(noise, dim))
+        params = equation_params("1/3")
+        got = shell_delta_profile(f, params, space, n_min, n_max, count, seed, codomain)
+        want = _reference_deltas(f, params, space, n_min, n_max, count, seed, codomain)
+        assert np.array_equal(got.deltas.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("noise", ["none", "constant", "decay", "sine", "uniform"])
+    @pytest.mark.parametrize("norm", ["euclidean", "p", "weighted", "sup"])
+    @pytest.mark.parametrize("count", [1, 2, 37])
+    def test_deltas_match_serial_loop(self, norm, noise, count):
+        self._check(norm, noise, 3, 0, 9, count, seed=count)
+
+    @pytest.mark.parametrize("noise", ["none", "decay", "uniform"])
+    @pytest.mark.parametrize("norm", ["euclidean", "sup"])
+    def test_deltas_match_serial_loop_across_a_block_edge(self, norm, noise):
+        # 8193 rows of dim 8 take two row blocks.
+        assert space_module._BLOCK_VALUES // 8 < 8193
+        self._check(norm, noise, 8, 2, 4, 8193, seed=5)
+
+    @pytest.mark.parametrize("noise", ["constant", "sine", "uniform"])
+    @pytest.mark.parametrize("norm", ["euclidean", "p", "weighted", "sup"])
+    def test_deltas_match_serial_loop_in_small_blocks(self, monkeypatch, norm, noise):
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 7 * 4)
+        self._check(norm, noise, 4, 1, 6, 45, seed=9)
+
+    @pytest.mark.parametrize("bad_shell", [0, 1, 4])
+    def test_evaluator_error_surfaces_from_its_shell(self, bad_shell):
+        calls = []
+        threads = set()
+
+        def evaluator(rows):
+            calls.append(rows.shape[0])
+            threads.add(threading.get_ident())
+            # residual_gq makes four map calls per shell.
+            if len(calls) > 4 * bad_shell:
+                raise ValueError(f"shell {len(calls) // 4} refused")
+            return np.sum(rows * rows, axis=1)
+
+        f = map_from_callable(evaluator, 2, 1)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=rf"^shell {bad_shell} refused$"):
+            shell_delta_profile(f, equation_params("1/2"), euclidean(2), 1, 6, 20, seed=1)
+        assert threading.active_count() == before
+        assert len(calls) == 4 * bad_shell + 1
+        assert len(threads) == 1
+
+    def test_draw_error_waits_for_the_pending_shell(self, monkeypatch):
+        # Settling shell 3 fails while shell 2's residuals are still running,
+        # and shell 2's own error must win.
+        started = threading.Event()
+
+        def evaluator(rows):
+            started.set()
+            raise ValueError("shell 2 refused")
+
+        def settled(space, rows, inside, center, room):
+            if center == (3 + 0.5) / 2.0:
+                assert started.wait(10.0)
+                raise ParameterError("shell 3 cannot settle")
+            return _settled(space, rows, inside, center, room)
+
+        monkeypatch.setattr(asymptotics, "_settled", settled)
+        f = map_from_callable(evaluator, 2, 1)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^shell 2 refused$"):
+            shell_delta_profile(f, equation_params("1/2"), euclidean(2), 2, 5, 10, seed=1)
+        assert threading.active_count() == before
+
+    def test_draw_error_after_good_shells_surfaces(self, monkeypatch):
+        def settled(space, rows, inside, center, room):
+            if center == (4 + 0.5) / 2.0:
+                raise ParameterError("shell 4 cannot settle")
+            return _settled(space, rows, inside, center, room)
+
+        monkeypatch.setattr(asymptotics, "_settled", settled)
+        form = random_symmetric_form(euclidean(2), euclidean(1), seed=3)
+        before = threading.active_count()
+        with pytest.raises(ParameterError, match="^shell 4 cannot settle$"):
+            shell_delta_profile(form, equation_params("1/2"), euclidean(2), 1, 6, 10, seed=1)
+        assert threading.active_count() == before
+
+    def _overflowing(self):
+        # Squaring residuals near 1e308 in the codomain norm overflows.
+        form = random_symmetric_form(euclidean(2), euclidean(1), seed=2)
+        return make_perturbed(form, NoiseModel.constant(1e308))
+
+    def test_raising_error_state_reaches_the_residuals(self):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            shell_delta_profile(
+                self._overflowing(), equation_params("1/2"), euclidean(2), 1, 4, 10, seed=1
+            )
+
+    def test_ignoring_error_state_reaches_the_residuals(self):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profile = shell_delta_profile(
+                self._overflowing(), equation_params("1/2"), euclidean(2), 1, 4, 10, seed=1
+            )
+        assert not np.all(np.isfinite(profile.deltas))
 
 
 class TestVerdict:

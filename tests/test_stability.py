@@ -315,6 +315,36 @@ class TestBatchExtraction:
         extract_quadratic_batch(identity, points)
         assert np.array_equal(points, kept)
 
+    def test_deep_doublings_end_the_row_not_the_run(self):
+        # |r|^2 (1.5 + sin |r|) never settles, so the row reaches doubling
+        # 512, where 4.0**n overflows a Python float.
+        def evaluator(rows):
+            sq = np.sum(rows * rows, axis=1, keepdims=True)
+            return sq * (1.5 + np.sin(np.sqrt(sq)))
+
+        wobble = map_from_callable(evaluator, 2, 1)
+        point = np.array([1e-3, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = extract_quadratic_batch(wobble, point[None, :], max_iters=600)
+            # |2**n x|^2 overflows at n = 522: the row fails there.
+            assert batch.failed_at[0] == batch.iterations[0] == 522
+            assert not batch.converged[0]
+            with pytest.raises(ExtractionError, match=r"scale 2\*\*522$"):
+                extract_quadratic(wobble, point, max_iters=600)
+
+    def test_power_of_two_scaling_keeps_the_float_power_bits(self):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array(
+            [1e-3, -2.5, 1.0 - 2**-53, 2.2250738585072014e-308, 3 * tiny, tiny, 0.0, -0.0,
+             1e300, np.inf, -np.inf, np.nan]
+        )
+        with np.errstate(over="ignore"):
+            for n in range(1, 512):
+                up, down = np.ldexp(values, n), np.ldexp(values, -2 * n)
+                assert np.array_equal(up, values * 2.0**n, equal_nan=True)
+                assert np.array_equal(down, values / 4.0**n, equal_nan=True)
+                assert np.array_equal(np.signbit(down), np.signbit(values / 4.0**n))
+
     @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": 0.0}, {"tol": np.inf}])
     def test_bad_controls(self, kwargs):
         form = random_symmetric_form(euclidean(2), euclidean(1), seed=45)
