@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import ParameterError
 from .quadratic import EquationParams, as_map_on, residual_gq
-from .space import STREAM_SHELL, SpaceSpec, _rows_at_radii, _settled, generator, row_norms
+from .space import (
+    STREAM_SHELL,
+    SpaceSpec,
+    _helper_thread,
+    _rows_at_radii,
+    _settled,
+    generator,
+    row_norms,
+)
 
 VERDICT_DECAYING = "asymptotically_quadratic"
 VERDICT_PERSISTENT = "persistent_defect"
@@ -115,21 +123,13 @@ def shell_delta_profile(
         raise ParameterError(
             f"per_shell_count must be a positive integer, got {per_shell_count!r}"
         )
-    # Imported here: cli imports this module, and the import costs every
-    # other command memory.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # A new thread starts from numpy's default error state, not the caller's.
-    errstate = dict(np.geterr(), call=np.geterrcall())
-
     def worst(xs, ys):
-        with np.errstate(**errstate):
-            return row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+        return row_norms(residual_gq(handle, params, xs, ys), codomain).max()
 
     rng = generator(seed, STREAM_SHELL)
     deltas = np.empty(shell_count)
     pending = None
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with _helper_thread() as submit:
         for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
             try:
                 t = rng.uniform(*_shell_interval(n), per_shell_count)
@@ -142,7 +142,7 @@ def shell_delta_profile(
                 # errors surface in shell order.
                 if pending is not None:
                     deltas[k - 1] = pending.result()
-            pending = helper.submit(worst, xs, ys)
+            pending = submit(worst, xs, ys)
         deltas[-1] = pending.result()
     return ShellProfile(
         n_min=int(n_min),

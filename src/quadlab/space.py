@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numbers
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,43 +346,63 @@ class Sampler:
         return cls(seed=seed, count=count, radius_max=radius_max)
 
 
-def _rows_at_radii(space: SpaceSpec, rng: np.random.Generator, radii: np.ndarray) -> np.ndarray:
+def _rows_at_radii(
+    space: SpaceSpec,
+    rng: np.random.Generator,
+    radii: np.ndarray,
+    rows: np.ndarray | None = None,
+    norms: np.ndarray | None = None,
+) -> np.ndarray:
     """Each radius (up to rounding) times a norm-uniform unit direction from ``rng``;
     :class:`InfeasibleDomainError` if a direction's norm overflows (its row would be zero).
 
-    Blocks draw their directions from ``rng`` in order, which is the stream
-    one whole-batch draw would take, so blocking leaves every row's bits.
+    The caller allocates: ``rows`` is a C-ordered (N, dim) float64 array for
+    the N radii (None allocates one here), and ``norms``, when given, an
+    (N,) array.  This function fills them in place and returns ``rows``.
+    Each block of :func:`row_blocks` draws its directions from ``rng``
+    straight into its rows, in order, which is the stream one whole-batch
+    draw would take, so blocking leaves every row's bits; the block is then
+    normed, divided and scaled where it lies, and its finished rows' norms
+    go into ``norms``.  A helper thread that fills rows the caller allocated
+    leaves only block temporaries in its own heap, whose freed memory glibc
+    does not give back to the caller's allocations.
     """
-    def block(rows):
-        dirs = rng.standard_normal((rows.stop - rows.start, space.dim))
-        norms = norm_eval(space, dirs)
-        if not np.all(np.isfinite(norms)):
+    n = radii.shape[0]
+    if rows is None:
+        rows = np.empty((n, space.dim))
+    for block in row_blocks(n, space.dim):
+        dirs = rows[block]
+        rng.standard_normal(out=dirs)
+        lengths = norm_eval(space, dirs)
+        if not np.all(np.isfinite(lengths)):
             raise InfeasibleDomainError("norms of sampled directions overflow float64 in this space")
-        degenerate = norms == 0.0
+        degenerate = lengths == 0.0
         if np.any(degenerate):
             # Probability-zero fallback: replace with the first basis direction.
             dirs[degenerate] = 0.0
             dirs[degenerate, 0] = 1.0
-            norms = norm_eval(space, dirs)
-        dirs /= norms[:, None]
-        dirs *= radii[rows, None]
-        return dirs
+            lengths = norm_eval(space, dirs)
+        dirs /= lengths[:, None]
+        dirs *= radii[block, None]
+        if norms is not None:
+            norms[block] = norm_eval(space, dirs)
+    return rows
 
-    return blockwise(block, radii.shape[0], space.dim)
 
-
-def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float):
+def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float, norms=None):
     """``rows`` checked on their own norms, with offenders pulled inside, and
     the norms of the returned rows (a list of arrays, one per entry of
     ``rows``).
 
-    ``inside(*norms)`` marks the rows on the domain (never a NaN norm); the
-    radius ``center`` clears every bound by ``room``.  A row that rounding left
-    a few ulp off moves toward ``center`` until it clears every bound by
-    ``_REPAIR_SLACK`` (relative) or ``room / 2``; the norms returned are then
-    the ones its re-check took.
+    ``norms``, when given, holds the norms of ``rows`` as they are, so that
+    they are not taken again.  ``inside(*norms)`` marks the rows on the
+    domain (never a NaN norm); the radius ``center`` clears every bound by
+    ``room``.  A row that rounding left a few ulp off moves toward
+    ``center`` until it clears every bound by ``_REPAIR_SLACK`` (relative)
+    or ``room / 2``; the norms returned are then the ones its re-check took.
     """
-    norms = [norm_eval(space, r) for r in rows]
+    if norms is None:
+        norms = [norm_eval(space, r) for r in rows]
     bad = ~inside(*norms)
     if not np.any(bad):
         return rows, norms
@@ -394,6 +415,31 @@ def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float):
     if not np.all(inside(*norms)):
         raise InfeasibleDomainError("rounding or overflow leaves float64 rows off the domain")
     return rows, norms
+
+
+@contextmanager
+def _helper_thread():
+    """One helper thread for the body of a ``with`` block, which receives
+    ``submit(fn, *args)``: it runs ``fn(*args)`` on the helper, in the order
+    submitted, and returns its future.
+
+    A new thread starts from numpy's default error state, so ``fn`` runs
+    under the state (``np.geterr()`` and ``np.geterrcall()``) of the thread
+    that entered the block.  Leaving the block, by any path, waits for the
+    submitted calls and joins the helper; the caller reads each future.
+    """
+    # Imported here: the import costs memory, and most commands never start
+    # a helper.
+    from concurrent.futures import ThreadPoolExecutor
+
+    errstate = dict(np.geterr(), call=np.geterrcall())
+
+    def under_errstate(fn, *args):
+        with np.errstate(**errstate):
+            return fn(*args)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield lambda fn, *args: helper.submit(under_errstate, fn, *args)
 
 
 class PairSample(tuple):
@@ -420,7 +466,17 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     law of independent uniform radii conditioned on the constraint: ``a``
     from the inverse CDF of its density ``min(R, R - d + a)`` on
     ``[max(0, d - R), R]``, ``b`` uniform on ``[max(0, d - a), R]``; the
-    directions are independent and norm-uniform.  Raises
+    directions are independent and norm-uniform.
+
+    The x half (``a``, then its directions) comes from the ``STREAM_PAIR_X``
+    generator and the y half (``b``, then its directions) from the
+    ``STREAM_PAIR_Y`` one, so the halves can be drawn at once without moving
+    a bit.  This function allocates both halves' rows and norms; when a half
+    is larger than one row block (``count * dim > _BLOCK_VALUES``), one
+    helper thread fills the y half in place while the calling thread fills
+    the x half, and a smaller sample, for which starting a thread costs more
+    than it saves, is drawn serially.  Errors surface as in the serial
+    order: the x half's first.  Raises
     :class:`ParameterError` for a negative or non-finite ``d``, and
     :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
     measure-zero domain) or when rounding or overflow leaves rows off the
@@ -443,8 +499,22 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
     a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
     b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
-    rows = [_rows_at_radii(space, rng_x, R * a), _rows_at_radii(space, rng_y, R * b)]
+    del u
+    a *= R
+    b *= R
+    # Taken after the radii, so that the radii's temporaries are freed
+    # below the rows (see blockwise).
+    shape = (sampler.count, space.dim)
+    rows, norms = [np.empty(shape), np.empty(shape)], [np.empty(shape[0]), np.empty(shape[0])]
+    if sampler.count * space.dim > _BLOCK_VALUES:
+        with _helper_thread() as submit:
+            y_done = submit(_rows_at_radii, space, rng_y, b, rows[1], norms[1])
+            _rows_at_radii(space, rng_x, a, rows[0], norms[0])
+        y_done.result()
+    else:
+        _rows_at_radii(space, rng_x, a, rows[0], norms[0])
+        _rows_at_radii(space, rng_y, b, rows[1], norms[1])
     inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
     room = (2.0 * R - d) / 4.0
-    (xs, ys), norms = _settled(space, rows, inside, R - room, room)
+    (xs, ys), norms = _settled(space, rows, inside, R - room, room, norms)
     return PairSample(xs, ys, norms)

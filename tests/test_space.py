@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import threading
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -598,3 +600,243 @@ class TestDirectionNormOverflow:
             sample_pairs_restricted(
                 p_norm(2, p), 0.0, Sampler.restricted_pairs(seed=1, count=1000, radius_max=2.0)
             )
+
+    def test_threaded_pairs_refuse_with_the_serial_message(self, p):
+        count = 2 * _block_rows(2)
+        before = threading.active_count()
+        message = "^norms of sampled directions overflow float64 in this space$"
+        with pytest.raises(InfeasibleDomainError, match=message), np.errstate(over="ignore"):
+            sample_pairs_restricted(
+                p_norm(2, p), 0.0, Sampler.restricted_pairs(seed=1, count=count, radius_max=2.0)
+            )
+        assert threading.active_count() == before
+
+
+def _serial_radii(d, sampler):
+    """The reference's radii ``(R a, R b)``, and the two generators
+    positioned after them."""
+    R, count = sampler.radius_max, sampler.count
+    rng_x = space_module.generator(sampler.seed, space_module.STREAM_PAIR_X)
+    rng_y = space_module.generator(sampler.seed, space_module.STREAM_PAIR_Y)
+    t = d / R
+    s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
+    ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
+    u = rng_x.uniform(0.0, ramp + s_lo, count)
+    a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
+    b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
+    return (R * a, R * b), (rng_x, rng_y)
+
+
+def _serial_pairs(space, d, sampler):
+    """The restricted-pair sampler as one serial pass, kept as the reference
+    for the sampler that fills its two halves on two threads: the radii, one
+    whole-batch draw of directions per half (x first), then the settle step.
+    Returns the rows and norms, or the InfeasibleDomainError it raised."""
+    R, count = sampler.radius_max, sampler.count
+    radii, rngs = _serial_radii(d, sampler)
+    rows = []
+    try:
+        for rng, half in zip(rngs, radii):
+            dirs = rng.standard_normal((count, space.dim))
+            lengths = norm_eval(space, dirs)
+            if not np.all(np.isfinite(lengths)):
+                raise InfeasibleDomainError(
+                    "norms of sampled directions overflow float64 in this space"
+                )
+            dirs /= lengths[:, None]
+            dirs *= half[:, None]
+            rows.append(dirs)
+        inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
+        room = (2.0 * R - d) / 4.0
+        (xs, ys), norms = space_module._settled(space, rows, inside, R - room, room)
+    except InfeasibleDomainError as exc:
+        return exc
+    return xs, ys, *norms
+
+
+def _bits(arrays):
+    return [a.view(np.uint64) for a in arrays]
+
+
+class _Rewritten:
+    """A generator whose normal draws ``edit`` rewrites after each block."""
+
+    def __init__(self, rng, edit):
+        self.rng, self.edit = rng, edit
+
+    def uniform(self, *args):
+        return self.rng.uniform(*args)
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        self.edit(out)
+        return out
+
+
+def _rewrite_stream(monkeypatch, stream, edit):
+    """Make the sampler's ``stream`` generator a :class:`_Rewritten` one."""
+    make = space_module.generator
+
+    def patched(seed, tag):
+        rng = make(seed, tag)
+        return _Rewritten(rng, edit) if tag == stream else rng
+
+    monkeypatch.setattr(space_module, "generator", patched)
+
+
+def _block_rows(dim):
+    return next(row_blocks(10**9, dim)).stop
+
+
+# Not a power of two, so that scaling rows by radii rounds.
+_R = 1.1
+_SPACES = {
+    "euclidean": euclidean(3),
+    "p:3": p_norm(3, 3.0),
+    "p:0.5": p_norm(3, 0.5),
+    "weighted": weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+    "sup": sup_norm(3),
+}
+# Rows of dim 3 that take the helper thread at the default block size.
+_TWO_BLOCKS = 2 * _block_rows(3)
+
+
+class TestPairHalvesOnTwoThreads:
+    """sample_pairs_restricted fills the y half on a helper thread when a
+    half is larger than one row block, and must give the serial bits."""
+
+    @pytest.mark.parametrize("small_blocks", [False, True], ids=["blocks", "small-blocks"])
+    @pytest.mark.parametrize("count", ["1", "block", "block+1", "20000"])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 1.475, 1.95, "nextafter(2R, 0)"])
+    @pytest.mark.parametrize("name", list(_SPACES))
+    def test_restricted_pairs_match_the_serial_reference(
+        self, monkeypatch, name, frac, count, small_blocks
+    ):
+        space = _SPACES[name]
+        if small_blocks:
+            # A whole number of rows, so that one full block fills it exactly.
+            monkeypatch.setattr(space_module, "_BLOCK_VALUES", 256 * space.dim)
+        block = _block_rows(space.dim)
+        count = {"1": 1, "block": block, "block+1": block + 1, "20000": 20000}[count]
+        d = float(np.nextafter(2.0 * _R, 0.0)) if frac == "nextafter(2R, 0)" else frac * _R
+        sampler = Sampler.restricted_pairs(seed=8, count=count, radius_max=_R)
+        entered = []
+        helper = space_module._helper_thread
+
+        def counted():
+            entered.append(True)
+            return helper()
+
+        monkeypatch.setattr(space_module, "_helper_thread", counted)
+        want = _serial_pairs(space, d, sampler)
+        try:
+            sample = sample_pairs_restricted(space, d, sampler)
+        except InfeasibleDomainError as exc:
+            assert isinstance(want, InfeasibleDomainError) and str(exc) == str(want)
+        else:
+            assert not isinstance(want, InfeasibleDomainError), want
+            got = (*sample, *sample.norms)
+            assert all(np.array_equal(g, w) for g, w in zip(_bits(got), _bits(want)))
+        # The helper runs only past one row block.
+        assert entered == ([True] if count * space.dim > space_module._BLOCK_VALUES else [])
+
+    @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("name", list(_SPACES))
+    def test_nextafter_takes_the_repair_path(self, monkeypatch, name, count):
+        # So the bit-for-bit case at d = nextafter(2R, 0) covers the settle
+        # step's repair, serial and threaded, whether or not it succeeds.
+        settled, off = space_module._settled, []
+
+        def spy(space, rows, inside, center, room, norms=None):
+            off.append(not np.all(inside(*norms)))
+            return settled(space, rows, inside, center, room, norms)
+
+        monkeypatch.setattr(space_module, "_settled", spy)
+        d = float(np.nextafter(2.0 * _R, 0.0))
+        try:
+            sample_pairs_restricted(_SPACES[name], d, Sampler.restricted_pairs(8, count, _R))
+        except InfeasibleDomainError:
+            pass
+        assert off == [True]
+
+    @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("half", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("name", ["euclidean", "p:0.5", "weighted"])
+    def test_a_zero_direction_becomes_the_first_basis_vector(self, monkeypatch, name, half, count):
+        space = _SPACES[name]
+        sampler = Sampler.restricted_pairs(seed=3, count=count, radius_max=_R)
+        (radii, _), want = _serial_radii(0.5, sampler), _serial_pairs(space, 0.5, sampler)
+        drawn = []
+
+        def zero_first_row(out):
+            if not drawn:
+                out[0] = 0.0
+            drawn.append(len(out))
+
+        stream = (space_module.STREAM_PAIR_X, space_module.STREAM_PAIR_Y)[half]
+        _rewrite_stream(monkeypatch, stream, zero_first_row)
+        sample = sample_pairs_restricted(space, 0.5, sampler)
+        e1 = np.eye(1, space.dim)
+        fallback = e1 * (1.0 / norm_eval(space, e1)) * radii[half][0]
+        assert np.array_equal(sample[half][:1].view(np.uint64), fallback.view(np.uint64))
+        assert np.array_equal(sample[half][1:].view(np.uint64), want[half][1:].view(np.uint64))
+        assert np.array_equal(sample[1 - half].view(np.uint64), want[1 - half].view(np.uint64))
+        for rows, norms in zip(sample, sample.norms):
+            assert np.array_equal(norms, norm_eval(space, rows))
+
+    @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
+    def test_a_y_only_failure_surfaces_as_itself(self, monkeypatch, count):
+        def refuse(out):
+            raise ValueError("the y half refused")
+
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_Y, refuse)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^the y half refused$"):
+            sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(8, count, _R))
+        assert threading.active_count() == before
+
+    def test_the_x_halfs_error_wins(self, monkeypatch):
+        # The y half fails first; the x half's later error is the serial
+        # order's first, and the helper is joined before it surfaces.
+        y_failed = threading.Event()
+
+        def refuse_y(out):
+            y_failed.set()
+            raise ValueError("the y half refused")
+
+        def refuse_x(out):
+            assert y_failed.wait(10.0)
+            raise ParameterError("the x half refused")
+
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_Y, refuse_y)
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_X, refuse_x)
+        before = threading.active_count()
+        with pytest.raises(ParameterError, match="^the x half refused$"):
+            sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(8, _TWO_BLOCKS, _R))
+        assert threading.active_count() == before
+
+    def test_threads_are_joined_after_a_threaded_sample(self):
+        before = threading.active_count()
+        sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(8, _TWO_BLOCKS, _R))
+        assert threading.active_count() == before
+
+    def _scale_first_row(self, monkeypatch, scale):
+        def scaled(out):
+            out[0] *= scale
+
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_Y, scaled)
+        return Sampler.restricted_pairs(8, _TWO_BLOCKS, _R)
+
+    def test_raising_error_state_reaches_the_y_half(self, monkeypatch):
+        # Squaring 1e-200 underflows: ignored by default, raised here.
+        sampler = self._scale_first_row(monkeypatch, 1e-200)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            sample_pairs_restricted(euclidean(3), 1.0, sampler)
+
+    def test_ignoring_error_state_reaches_the_y_half(self, monkeypatch):
+        # Squaring 1e200 overflows: a warning by default, silent here.
+        sampler = self._scale_first_row(monkeypatch, 1e200)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleDomainError, match="^norms of sampled directions overflow"):
+                sample_pairs_restricted(euclidean(3), 1.0, sampler)
