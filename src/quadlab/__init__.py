@@ -7,7 +7,7 @@ much does a small equation defect on part of the domain cost globally?
 Modules:
 
 * :mod:`quadlab.space` -- normed spaces and the restricted-pair sampler;
-* :mod:`quadlab.quadratic` -- forms, residuals, parity, polarization;
+* :mod:`quadlab.quadratic` -- forms, map handles, residuals, parity;
 * :mod:`quadlab.perturb` -- test maps with known perturbation envelopes;
 * :mod:`quadlab.stability` -- constants, limit extraction, certificates;
 * :mod:`quadlab.geometry` -- parallelogram law and exponent scans;
@@ -58,9 +58,7 @@ from .quadratic import (
     QuadraticForm,
     derivation_chain_check,
     equation_params,
-    map_from_callable,
     parity_decompose,
-    polarize,
     residual_gq,
     residual_q,
 )
@@ -133,13 +131,11 @@ __all__ = [
     "make_odd_witness",
     "make_perturbed",
     "make_quadratic",
-    "map_from_callable",
     "noise_values",
     "norm_eval",
     "p_norm",
     "parallelogram_defect",
     "parity_decompose",
-    "polarize",
     "random_symmetric_form",
     "recover_gram",
     "residual_gq",

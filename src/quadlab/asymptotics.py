@@ -98,11 +98,11 @@ def shell_delta_profile(
     the boundary), splits it as ``norm(x) = a t``, ``norm(y) = (1-a) t``
     with ``a`` uniform, and draws independent directions.
 
-    Every draw is taken on the calling thread, in stream order; one helper
-    thread evaluates each shell's residuals while the next shell is drawn,
-    and calls ``f`` one batch at a time under the caller's numpy error
-    state.  At most two shells' rows are alive at once, and the deltas are
-    bit for bit those of a serial loop over the shells.
+    One helper thread draws the next shell, in stream order, while the
+    calling thread evaluates this shell's residuals, so ``f`` runs only on
+    the calling thread.  Errors surface in the order of a serial loop over
+    the shells, at most two shells' rows are alive at once, and the deltas
+    are bit for bit the serial loop's.
     """
     handle = as_map_on(f, space)
     if not isinstance(n_min, (int, np.integer)) or not isinstance(n_max, (int, np.integer)):
@@ -123,27 +123,23 @@ def shell_delta_profile(
         raise ParameterError(
             f"per_shell_count must be a positive integer, got {per_shell_count!r}"
         )
-    def worst(xs, ys):
-        return row_norms(residual_gq(handle, params, xs, ys), codomain).max()
-
     rng = generator(seed, STREAM_SHELL)
+
+    def draw(n):
+        t = rng.uniform(*_shell_interval(n), per_shell_count)
+        split = rng.uniform(0.0, 1.0, per_shell_count)
+        rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
+        inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
+        return _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)[0]
+
     deltas = np.empty(shell_count)
-    pending = None
     with _helper_thread() as submit:
+        drawn = submit(draw, int(n_min))
         for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
-            try:
-                t = rng.uniform(*_shell_interval(n), per_shell_count)
-                split = rng.uniform(0.0, 1.0, per_shell_count)
-                rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
-                inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
-                (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
-            finally:
-                # Shell k-1 is collected even when drawing shell k raised, so
-                # errors surface in shell order.
-                if pending is not None:
-                    deltas[k - 1] = pending.result()
-            pending = submit(worst, xs, ys)
-        deltas[-1] = pending.result()
+            xs, ys = drawn.result()
+            if n < n_max:
+                drawn = submit(draw, n + 1)
+            deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
     return ShellProfile(
         n_min=int(n_min),
         n_max=int(n_max),
@@ -169,10 +165,6 @@ class AsymptoticVerdict:
     tail_window: int
     decay_tol: float
     nondecreasing_last_half: bool
-
-    @property
-    def decayed(self) -> bool:
-        return self.verdict == VERDICT_DECAYING
 
     def to_dict(self) -> dict:
         return {

@@ -48,7 +48,6 @@ from .quadratic import (
     QuadraticForm,
     derivation_chain_defects,
     equation_params,
-    map_from_callable,
     residual_gq,
     residual_q,
 )
@@ -304,7 +303,7 @@ def _map_from(effective: dict) -> MapHandle:
         def cube(rows):
             return np.repeat(row_sums(rows**3)[:, None], codim, axis=1)
 
-        return map_from_callable(cube, dim, codim, label="cube")
+        return MapHandle(cube, dim, codim)
     if spec.startswith("odd:"):
         matrix = _parse_matrix(spec[4:], "odd witness matrix")
         if matrix.shape != (codim, dim):

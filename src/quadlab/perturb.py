@@ -181,12 +181,7 @@ def make_perturbed(form: QuadraticForm, noise: NoiseModel) -> MapHandle:
     def evaluator(rows):
         return form(rows) + noise_values(noise, rows, codim)
 
-    return MapHandle(
-        evaluator=evaluator,
-        domain_dim=form.domain_dim,
-        codomain_dim=codim,
-        label=f"quadratic+{noise.kind}",
-    )
+    return MapHandle(evaluator=evaluator, domain_dim=form.domain_dim, codomain_dim=codim)
 
 
 def make_odd_witness(matrix) -> MapHandle:
@@ -212,12 +207,7 @@ def make_odd_witness(matrix) -> MapHandle:
         # on its batch nor on the BLAS core type, where ``rows @ mat.T`` does.
         return np.einsum("ni,im->nm", rows, cols)
 
-    return MapHandle(
-        evaluator=evaluator,
-        domain_dim=mat.shape[1],
-        codomain_dim=mat.shape[0],
-        label="linear_odd",
-    )
+    return MapHandle(evaluator=evaluator, domain_dim=mat.shape[1], codomain_dim=mat.shape[0])
 
 
 def random_symmetric_form(

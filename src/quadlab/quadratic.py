@@ -1,6 +1,6 @@
 """Quadratic forms, residuals of the two functional equations, parity
-decomposition, polarization, and pointwise checks of the scaling identities
-that the even and odd parts of a weighted-equation solution must satisfy.
+decomposition, and pointwise checks of the scaling identities that the even
+and odd parts of a weighted-equation solution must satisfy.
 
 Two equations appear throughout:
 
@@ -162,14 +162,6 @@ class QuadraticForm:
         out = form_rows(xs, self.flat, ys)
         return out[0] if single else out
 
-    def as_map(self, label: str = "quadratic_form") -> "MapHandle":
-        return MapHandle(
-            evaluator=self.__call__,
-            domain_dim=self.domain_dim,
-            codomain_dim=self.codomain_dim,
-            label=label,
-        )
-
 
 @dataclass(frozen=True)
 class MapHandle:
@@ -179,19 +171,15 @@ class MapHandle:
     (N,) result is accepted when m = 1); whatever the input's memory layout,
     it receives those rows, so layout never changes a row's bits.  One
     vector is a one-row batch, and the handle returns its output row.
-    Whole-batch passes (residuals, polarization) may hand an evaluator any
-    block of their rows (:func:`~quadlab.space.row_blocks`), so an
-    evaluator must give each row the same value in any block; every
-    built-in map does, bit for bit.
-    :func:`~quadlab.asymptotics.shell_delta_profile` calls the evaluator
-    from one helper thread, one call at a time, under the caller's numpy
-    error state.
+    Whole-batch passes (residuals) may hand an evaluator any block of their
+    rows (:func:`~quadlab.space.row_blocks`), so an evaluator must give each
+    row the same value in any block; every built-in map does, bit for bit.
+    Every entry point calls the evaluator on the calling thread.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     domain_dim: int
     codomain_dim: int
-    label: str = ""
 
     def __post_init__(self):
         if self.domain_dim < 1 or self.codomain_dim < 1:
@@ -212,25 +200,15 @@ class MapHandle:
         return out[0] if single else out
 
 
-def map_from_callable(
-    fn: Callable, domain_dim: int, codomain_dim: int, label: str = ""
-) -> MapHandle:
-    """Wrap a function of C-ordered (N, n) float64 rows as a MapHandle; it
-    returns (N, m) values (or (N,) when m = 1), as :class:`MapHandle` says."""
-    return MapHandle(
-        evaluator=fn, domain_dim=domain_dim, codomain_dim=codomain_dim, label=label
-    )
-
-
 def as_map(f) -> MapHandle:
     """Coerce a MapHandle or QuadraticForm to a MapHandle."""
     if isinstance(f, MapHandle):
         return f
     if isinstance(f, QuadraticForm):
-        return f.as_map()
+        return MapHandle(f, f.domain_dim, f.codomain_dim)
     raise ParameterError(
         f"expected a MapHandle or QuadraticForm, got {type(f).__name__}; "
-        "wrap plain callables with map_from_callable"
+        "wrap plain callables with MapHandle(fn, domain_dim, codomain_dim)"
     )
 
 
@@ -290,29 +268,8 @@ def parity_decompose(f) -> tuple[MapHandle, MapHandle]:
     def odd_eval(rows):
         return (handle(rows) - handle(-rows)) / 2.0
 
-    base = handle.label or "map"
-    even = MapHandle(
-        evaluator=even_eval,
-        domain_dim=handle.domain_dim,
-        codomain_dim=handle.codomain_dim,
-        label=f"{base}:even",
-    )
-    odd = MapHandle(
-        evaluator=odd_eval,
-        domain_dim=handle.domain_dim,
-        codomain_dim=handle.codomain_dim,
-        label=f"{base}:odd",
-    )
-    return even, odd
-
-
-def polarize(f, x, y):
-    """Polarization ``(f(x+y) - f(x-y)) / 4``.
-
-    For a quadratic form this recovers the underlying symmetric bilinear
-    map; for arbitrary maps it is just the defining difference quotient.
-    """
-    return _pair_pass(f, x, y, lambda h, x, y: (h(x + y) - h(x - y)) / 4.0)
+    dims = handle.domain_dim, handle.codomain_dim
+    return MapHandle(even_eval, *dims), MapHandle(odd_eval, *dims)
 
 
 @dataclass

@@ -126,10 +126,6 @@ class SpaceSpec:
         """True when the triangle inequality may fail (p-norm with p < 1)."""
         return self.norm_kind == "p" and self.p < 1.0
 
-    def norm(self, x):
-        """Norm of a vector or of each row of a batch."""
-        return norm_eval(self, x)
-
     def describe(self) -> dict:
         """Plain-type summary for reports."""
         out = {"dim": self.dim, "norm": self.norm_kind}
@@ -427,6 +423,7 @@ def _helper_thread():
     under the state (``np.geterr()`` and ``np.geterrcall()``) of the thread
     that entered the block.  Leaving the block, by any path, waits for the
     submitted calls and joins the helper; the caller reads each future.
+    Its users submit only sampling work; maps run on the calling thread.
     """
     # Imported here: the import costs memory, and most commands never start
     # a helper.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quadlab import (
+    MapHandle,
     NoiseModel,
     ParameterError,
     ShellProfile,
@@ -17,7 +18,6 @@ from quadlab import (
     equation_params,
     euclidean,
     make_perturbed,
-    map_from_callable,
     p_norm,
     random_symmetric_form,
     residual_gq,
@@ -172,6 +172,17 @@ class TestShellProfile:
                 form, equation_params("1/2"), euclidean(2), 0, 4, 10, seed=0
             )
 
+    def test_evaluator_runs_on_the_calling_thread(self):
+        threads = set()
+
+        def evaluator(rows):
+            threads.add(threading.get_ident())
+            return np.sum(rows * rows, axis=1)
+
+        f = MapHandle(evaluator, 2, 1)
+        shell_delta_profile(f, equation_params("1/2"), euclidean(2), 1, 6, 20, seed=1)
+        assert threads == {threading.get_ident()}
+
 
 class TestPipelinedShells:
     """The profile overlaps each shell's residuals with the next shell's
@@ -219,7 +230,7 @@ class TestPipelinedShells:
                 raise ValueError(f"shell {len(calls) // 4} refused")
             return np.sum(rows * rows, axis=1)
 
-        f = map_from_callable(evaluator, 2, 1)
+        f = MapHandle(evaluator, 2, 1)
         before = threading.active_count()
         with pytest.raises(ValueError, match=rf"^shell {bad_shell} refused$"):
             shell_delta_profile(f, equation_params("1/2"), euclidean(2), 1, 6, 20, seed=1)
@@ -243,7 +254,7 @@ class TestPipelinedShells:
             return _settled(space, rows, inside, center, room)
 
         monkeypatch.setattr(asymptotics, "_settled", settled)
-        f = map_from_callable(evaluator, 2, 1)
+        f = MapHandle(evaluator, 2, 1)
         before = threading.active_count()
         with pytest.raises(ValueError, match="^shell 2 refused$"):
             shell_delta_profile(f, equation_params("1/2"), euclidean(2), 2, 5, 10, seed=1)
@@ -289,7 +300,6 @@ class TestVerdict:
             decay_tol=0.01,
         )
         assert v.verdict == VERDICT_DECAYING
-        assert v.decayed
         assert v.tail_window == 2
         assert v.tail_max == 0.001
 

@@ -10,7 +10,7 @@ import pytest
 import quadlab
 
 ROOT = Path(__file__).resolve().parent.parent
-REMOVED = ("sample_vectors", "map_from_table", "quad_eval")
+REMOVED = ("sample_vectors", "map_from_table", "quad_eval", "polarize", "map_from_callable")
 
 
 def _tracer():
@@ -46,3 +46,6 @@ def test_removed_names_are_gone():
     assert not hasattr(quadlab.Sampler, "ball") and not hasattr(quadlab.Sampler, "annulus")
     assert not hasattr(quadlab.NoiseModel, "describe")
     assert "tabulated" not in quadlab.MapHandle.__dataclass_fields__
+    assert "label" not in quadlab.MapHandle.__dataclass_fields__
+    assert not hasattr(quadlab.SpaceSpec, "norm")
+    assert not hasattr(quadlab.AsymptoticVerdict, "decayed")

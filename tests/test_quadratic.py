@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quadlab import (
     EquationParams,
+    MapHandle,
     ParameterError,
     QuadraticForm,
     Sampler,
@@ -17,10 +18,8 @@ from quadlab import (
     euclidean,
     make_odd_witness,
     make_perturbed,
-    map_from_callable,
     NoiseModel,
     parity_decompose,
-    polarize,
     residual_gq,
     residual_q,
 )
@@ -132,7 +131,7 @@ class TestQuadraticForm:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        assert polarize(form, x, y) == pytest.approx(
+        assert (form(x + y) - form(x - y)) / 4 == pytest.approx(
             form.bilinear(x, y), rel=1e-12, abs=1e-13
         )
 
@@ -322,24 +321,6 @@ class TestParity:
         assert odd(xs) == pytest.approx(f(xs), rel=1e-15)
 
 
-class TestPolarization:
-    def test_symmetric_in_arguments_for_forms(self):
-        form = _random_form(20)
-        rng = np.random.default_rng(21)
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(3)
-        assert np.array_equal(polarize(form, x, y), polarize(form, y, x))
-
-    def test_additive_in_first_slot(self):
-        form = _random_form(22)
-        rng = np.random.default_rng(23)
-        x1, x2, y = rng.standard_normal((3, 3))
-        lhs = polarize(form, x1 + x2, y)
-        rhs = polarize(form, x1, y) + polarize(form, x2, y)
-        scale = 1.0 + np.abs(lhs).max()
-        assert np.abs(lhs - rhs).max() <= 1e-10 * scale
-
-
 class TestDerivationChain:
     def test_exact_solution_drives_all_identities_to_rounding(self):
         form = _random_form(24, dim=3, codim=1)
@@ -387,6 +368,6 @@ class TestDerivationChain:
 
 class TestMapHandles:
     def test_wrong_evaluator_shape_is_caught(self):
-        f = map_from_callable(lambda rows: np.ones((rows.shape[0], 3)), 2, 2)
+        f = MapHandle(lambda rows: np.ones((rows.shape[0], 3)), 2, 2)
         with pytest.raises(DimensionMismatchError):
             f(np.zeros(2))

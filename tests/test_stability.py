@@ -11,6 +11,7 @@ from quadlab import (
     ExtractionDiagnostics,
     ExtractionError,
     InfeasibleDomainError,
+    MapHandle,
     NoiseModel,
     ParameterError,
     Sampler,
@@ -21,7 +22,6 @@ from quadlab import (
     extract_quadratic,
     extract_quadratic_batch,
     make_perturbed,
-    map_from_callable,
     p_norm,
     random_symmetric_form,
     sample_pairs_restricted,
@@ -87,7 +87,7 @@ def _blowup_map(threshold=0.2, rate=5.0):
         blowup = np.where(lead > threshold, np.exp(rate * lead * sq), 0.0)
         return sq + np.sin(3.0 * rows[:, 1:]) + blowup
 
-    return map_from_callable(evaluator, 2, 1)
+    return MapHandle(evaluator, 2, 1)
 
 
 class TestConstants:
@@ -181,7 +181,7 @@ class TestExtraction:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_overflowing_map_raises_with_diagnostics(self):
-        quartic = map_from_callable(
+        quartic = MapHandle(
             lambda rows: 1e300 * np.sum(rows * rows, axis=-1, keepdims=True) ** 2,
             2,
             1,
@@ -192,7 +192,7 @@ class TestExtraction:
         assert diag is not None and diag.iterations >= 1
 
     def test_non_finite_base_point(self):
-        bad = map_from_callable(lambda rows: np.full((rows.shape[0], 1), np.nan), 2, 1)
+        bad = MapHandle(lambda rows: np.full((rows.shape[0], 1), np.nan), 2, 1)
         with pytest.raises(ExtractionError):
             extract_quadratic(bad, np.ones(2))
 
@@ -280,7 +280,7 @@ class TestBatchExtraction:
             calls.append(rows.shape[0])
             return np.sum(rows * rows, axis=1) + 1.0
 
-        f = map_from_callable(evaluator, 2, 1)
+        f = MapHandle(evaluator, 2, 1)
         points = np.random.default_rng(44).standard_normal((50, 2))
         batch = extract_quadratic_batch(f, points, max_iters=8)
         assert calls[0] == 50
@@ -309,7 +309,7 @@ class TestBatchExtraction:
         assert np.array_equal(batch.limits, reference.limits)
 
     def test_does_not_write_to_its_input(self):
-        identity = map_from_callable(lambda rows: rows, 2, 2)
+        identity = MapHandle(lambda rows: rows, 2, 2)
         points = np.array([[1.0, 2.0], [3.0, -4.0]])
         kept = points.copy()
         extract_quadratic_batch(identity, points)
@@ -322,7 +322,7 @@ class TestBatchExtraction:
             sq = np.sum(rows * rows, axis=1, keepdims=True)
             return sq * (1.5 + np.sin(np.sqrt(sq)))
 
-        wobble = map_from_callable(evaluator, 2, 1)
+        wobble = MapHandle(evaluator, 2, 1)
         point = np.array([1e-3, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             batch = extract_quadratic_batch(wobble, point[None, :], max_iters=600)
@@ -478,7 +478,7 @@ class TestCertify:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_is_inconclusive_not_failed(self):
-        exploding = map_from_callable(
+        exploding = MapHandle(
             lambda rows: np.exp(np.sum(rows * rows, axis=-1, keepdims=True)), 2, 1
         )
         cert = certify(
