@@ -35,6 +35,11 @@ def _random_form(seed, dim=3, codim=2):
     return QuadraticForm((raw + raw.transpose(0, 2, 1)) / 2.0)
 
 
+def _polarize(f, x, y):
+    """Polarization ``(f(x+y) - f(x-y)) / 4`` of a map, from its values."""
+    return (f(x + y) - f(x - y)) / 4.0
+
+
 class TestEquationParams:
     def test_fraction_string_is_exact(self):
         params = equation_params("1/3")
@@ -131,7 +136,7 @@ class TestQuadraticForm:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(3)
         y = rng.standard_normal(3)
-        assert (form(x + y) - form(x - y)) / 4 == pytest.approx(
+        assert _polarize(form, x, y) == pytest.approx(
             form.bilinear(x, y), rel=1e-12, abs=1e-13
         )
 
@@ -319,6 +324,24 @@ class TestParity:
         xs = rng.standard_normal((50, 3))
         assert np.abs(even(xs)).max() <= 1e-15
         assert odd(xs) == pytest.approx(f(xs), rel=1e-15)
+
+
+class TestPolarization:
+    def test_symmetric_in_arguments_for_forms(self):
+        form = _random_form(20)
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(3)
+        y = rng.standard_normal(3)
+        assert np.array_equal(_polarize(form, x, y), _polarize(form, y, x))
+
+    def test_additive_in_first_slot(self):
+        form = _random_form(22)
+        rng = np.random.default_rng(23)
+        x1, x2, y = rng.standard_normal((3, 3))
+        lhs = _polarize(form, x1 + x2, y)
+        rhs = _polarize(form, x1, y) + _polarize(form, x2, y)
+        scale = 1.0 + np.abs(lhs).max()
+        assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
 
 class TestDerivationChain:
