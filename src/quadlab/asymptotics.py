@@ -27,7 +27,7 @@ from .space import (
     _rows_at_radii,
     _settled,
     generator,
-    row_norms,
+    norm_eval,
 )
 
 VERDICT_DECAYING = "asymptotically_quadratic"
@@ -89,9 +89,8 @@ def shell_delta_profile(
     n_max: int,
     per_shell_count: int,
     seed: int,
-    codomain: SpaceSpec | None = None,
 ) -> ShellProfile:
-    """Sample each shell and record its worst residual norm.
+    """Sample each shell and record the worst Euclidean norm of its residuals.
 
     Each sampled pair takes a joint radius ``t`` uniform in its shell
     (with a tiny interior margin so rounding cannot push a pair across
@@ -139,7 +138,7 @@ def shell_delta_profile(
             xs, ys = drawn.result()
             if n < n_max:
                 drawn = submit(draw, n + 1)
-            deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+            deltas[k] = norm_eval(None, residual_gq(handle, params, xs, ys)).max()
     return ShellProfile(
         n_min=int(n_min),
         n_max=int(n_max),

@@ -55,9 +55,9 @@ from .space import (
     Sampler,
     SpaceSpec,
     euclidean,
+    norm_eval,
     p_norm,
     row_blocks,
-    row_norms,
     row_sums,
     sup_norm,
     weighted_quadratic,
@@ -152,8 +152,8 @@ def _coerce(key: str, value: str):
 
 def _read_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path!r}: {exc}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -421,9 +421,9 @@ def run_residual(effective: dict):
         "y": y.tolist(),
         "params": params.to_dict(),
         "q_residual": rq.tolist(),
-        "q_residual_norm": float(row_norms(rq, None)[0]),
+        "q_residual_norm": norm_eval(None, rq),
         "gq_residual": rgq.tolist(),
-        "gq_residual_norm": float(row_norms(rgq, None)[0]),
+        "gq_residual_norm": norm_eval(None, rgq),
         "derivation_chain": derivation_chain_defects(f, params, x, y),
     }
     return results, True, None
@@ -494,6 +494,9 @@ def main(argv=None) -> int:
             results, passed, csv = _COMMANDS[ns.command][0](effective)
     except (ParameterError, UndefinedValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print(f"error: {ns.command} ran out of memory; no report written", file=sys.stderr)
         return EXIT_INVALID
     runtime_ms = (time.perf_counter() - started) * 1000.0
     code, status = _VERDICTS[passed]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, row_dots, row_norms
+from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, norm_eval, row_dots
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -136,7 +136,7 @@ def noise_values(model: NoiseModel, x, codim: int = 1):
     elif model.kind == "uniform_bounded":
         out = model.delta * (2.0 * _hash_unit(rows, model.seed, codim) - 1.0)
     elif model.kind == "decay":
-        radii = row_norms(rows, None)
+        radii = norm_eval(None, rows)
         out = np.repeat(
             (model.c / (1.0 + radii**model.alpha))[:, None], codim, axis=1
         )

@@ -27,8 +27,8 @@ from .space import (
     as_rows,
     blockwise,
     form_rows,
+    norm_eval,
     pair_rows,
-    row_norms,
     sample_pairs_restricted,
 )
 
@@ -333,7 +333,7 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
             - 2.0 * f_even(x + y)
             - f_even(2.0 * x),
         )
-        return np.stack([row_norms(v, None) for v in defects], axis=1)
+        return np.stack([norm_eval(None, v) for v in defects], axis=1)
 
     norms = _pair_pass(f, x, y, chain)
     if norms.ndim == 1:

@@ -187,18 +187,13 @@ def pair_rows(x, y, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
     return xs, ys, single
 
 
-def norm_eval(space: SpaceSpec, x):
-    """Evaluate the space's norm on one vector (-> float) or rows (-> array)."""
-    rows, single = as_rows(x, space.dim)
-    out = _norms(space, rows)
+def norm_eval(space: SpaceSpec | None, x):
+    """The norm in ``space`` of one vector (-> float) or of each row (->
+    array), block by block; ``space=None`` means Euclidean in whatever
+    length the rows have."""
+    rows, single = as_rows(x, None if space is None else space.dim)
+    out = blockwise(lambda block: _block_norms(space, rows[block]), *rows.shape)
     return float(out[0]) if single else out
-
-
-def row_norms(values, space: SpaceSpec | None) -> np.ndarray:
-    """Norm in ``space`` of each row of ``values`` (one vector is one row);
-    ``space=None`` means Euclidean in whatever length the rows have."""
-    rows, _ = as_rows(values, None if space is None else space.dim)
-    return _norms(space, rows)
 
 
 def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -296,12 +291,6 @@ def row_sums(v: np.ndarray) -> np.ndarray:
     out += right
     out += 0.0
     return out
-
-
-def _norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
-    """Norm of each of the C-ordered ``rows``, block by block; ``None``
-    stands for the Euclidean norm."""
-    return blockwise(lambda block: _block_norms(space, rows[block]), *rows.shape)
 
 
 def _block_norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:

@@ -24,14 +24,17 @@ from .space import (
     SpaceSpec,
     _rows_at_radii,
     generator,
+    norm_eval,
     row_dots,
-    row_norms,
     sample_pairs_restricted,
 )
 
 # Slack applied to pass/fail comparisons so a bound met exactly in real
 # arithmetic is not rejected over the last float of either side.
 _PASS_SLACK = 1e-9
+
+# verify_czerwik compares the limit at t * probe with t^2 times the probe's.
+_HOMOGENEITY_SCALES = (0.5, 2.0, 3.0)
 
 # How many of the restricted sample points join the unit-sphere probes.
 _RESTRICTED_PROBES = 32
@@ -269,10 +272,16 @@ def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int
     return np.vstack([unit, xs[:_RESTRICTED_PROBES]])
 
 
-def _restricted_residuals(handle, params, d, space, sampler, codomain):
-    """Sampled restricted pairs and the norm of each pair's weighted residual."""
+def _within(value: float, bound: float) -> bool:
+    """The pass comparison: ``value <= bound`` up to ``_PASS_SLACK``."""
+    return bool(value <= bound + _PASS_SLACK * (1.0 + bound))
+
+
+def _restricted_residuals(handle, params, d, space, sampler):
+    """Sampled restricted pairs and the Euclidean norm of each pair's
+    weighted residual."""
     xs, ys = sample_pairs_restricted(space, d, sampler)
-    return xs, ys, row_norms(residual_gq(handle, params, xs, ys), codomain)
+    return xs, ys, norm_eval(None, residual_gq(handle, params, xs, ys))
 
 
 def estimate_delta_restricted(
@@ -281,16 +290,16 @@ def estimate_delta_restricted(
     d: float,
     space: SpaceSpec,
     sampler: Sampler,
-    codomain: SpaceSpec | None = None,
 ) -> float:
-    """Empirical sup of the weighted residual norm over sampled restricted pairs.
+    """Empirical sup of the weighted residual's Euclidean norm over sampled
+    restricted pairs.
 
     This is a lower estimate of the true restricted sup: it sees only pairs
     inside the sampler's ball.  For noise with a known sup it lands within
     the triangle-inequality ceiling ``(1 + |rs| + |r| + |s|) * sup``.
     """
     handle = as_map_on(f, space)
-    _, _, norms = _restricted_residuals(handle, params, d, space, sampler, codomain)
+    _, _, norms = _restricted_residuals(handle, params, d, space, sampler)
     return float(norms.max())
 
 
@@ -359,7 +368,6 @@ def certify(
     tol: float = 1e-10,
     delta_override: float | None = None,
     probe_count: int = 32,
-    codomain: SpaceSpec | None = None,
 ) -> StabilityCertificate:
     """End-to-end stability certification.
 
@@ -385,7 +393,7 @@ def certify(
             "assume a genuine norm"
         )
 
-    xs, ys, norms = _restricted_residuals(handle, params, d, space, sampler, codomain)
+    xs, ys, norms = _restricted_residuals(handle, params, d, space, sampler)
     delta_hat = float(norms.max())
     if delta_override is not None:
         if not np.isfinite(delta_override) or delta_override < 0:
@@ -401,8 +409,8 @@ def certify(
 
     probes = _probes(space, sampler, xs, probe_count)
     f_probes = handle(probes)
-    evenness = float(row_norms(f_probes - handle(-probes), codomain).max())
-    probe_scale = float(row_norms(f_probes, codomain).max())
+    evenness = float(norm_eval(None, f_probes - handle(-probes)).max())
+    probe_scale = float(norm_eval(None, f_probes).max())
     if evenness > 1e-9 * (1.0 + probe_scale):
         warnings_.append(
             f"map is visibly uneven at the probes (defect {evenness:.3e}); "
@@ -424,10 +432,8 @@ def certify(
         max_deviation = None
         passed = None
     else:
-        max_deviation = float(row_norms(f_probes - batch.limits, codomain).max())
-        passed = bool(
-            max_deviation <= constants.c_approx + _PASS_SLACK * (1.0 + constants.c_approx)
-        )
+        max_deviation = float(norm_eval(None, f_probes - batch.limits).max())
+        passed = _within(max_deviation, constants.c_approx)
 
     return StabilityCertificate(
         params=params,
@@ -496,9 +502,7 @@ def verify_czerwik(
     *,
     max_iters: int = 26,
     tol: float = 1e-9,
-    scales: tuple[float, ...] = (0.5, 2.0, 3.0),
     probe_count: int = 32,
-    codomain: SpaceSpec | None = None,
 ) -> CzerwikReport:
     """Check the classical half-defect bound and limit homogeneity.
 
@@ -506,7 +510,7 @@ def verify_czerwik(
     the dyadic limit is extracted at unit-sphere probes plus sampled
     points and compared against ``delta_hat / 2``; then the limit is
     re-extracted at ``t * probe`` and compared with ``t^2`` times the base
-    limit for each scale ``t``.
+    limit for each ``t`` in ``_HOMOGENEITY_SCALES``.
     """
     handle = as_map_on(f, space)
     warnings_: list[str] = []
@@ -514,29 +518,28 @@ def verify_czerwik(
         warnings_.append(f"domain norm p={space.p} is a quasi-norm (p < 1)")
 
     xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    delta_hat = float(row_norms(residual_q(handle, xs, ys), codomain).max())
+    delta_hat = float(norm_eval(None, residual_q(handle, xs, ys)).max())
 
     probes = _probes(space, sampler, xs, probe_count)
     f_probes = handle(probes)
     # The base probes, then t * probes for each scale, in one batch; its
     # first failed row raises, as extracting the blocks in turn would.
     batch = extract_quadratic_batch(
-        handle, np.vstack([probes] + [t * probes for t in scales]), max_iters, tol
+        handle, np.vstack([probes] + [t * probes for t in _HOMOGENEITY_SCALES]), max_iters, tol
     )
     failed = batch.first_failure
     if failed is not None:
         raise ExtractionError(batch.failure(failed), batch.diagnostics(failed))
-    blocks = np.split(batch.limits, len(scales) + 1)
+    blocks = np.split(batch.limits, len(_HOMOGENEITY_SCALES) + 1)
     base = blocks[0]
-    max_deviation = float(row_norms(f_probes - base, codomain).max())
+    max_deviation = float(norm_eval(None, f_probes - base).max())
     bound = delta_hat / 2.0
-    within = bool(max_deviation <= bound + _PASS_SLACK * (1.0 + bound))
 
-    base_scale = float(row_norms(base, codomain).max())
+    base_scale = float(norm_eval(None, base).max())
     hom_defects: dict[float, float] = {}
     hom_ok = True
-    for t, scaled in zip(scales, blocks[1:]):
-        defect = float(row_norms(scaled - t * t * base, codomain).max())
+    for t, scaled in zip(_HOMOGENEITY_SCALES, blocks[1:]):
+        defect = float(norm_eval(None, scaled - t * t * base).max())
         hom_defects[float(t)] = defect
         hom_ok = hom_ok and defect <= 1e-8 * (1.0 + t * t * base_scale)
 
@@ -544,7 +547,7 @@ def verify_czerwik(
         delta_hat=delta_hat,
         bound=bound,
         max_deviation=max_deviation,
-        within_bound=within,
+        within_bound=_within(max_deviation, bound),
         homogeneity_defects=hom_defects,
         homogeneity_ok=hom_ok,
         probe_count=probes.shape[0],

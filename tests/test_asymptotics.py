@@ -30,10 +30,10 @@ from quadlab import space as space_module
 from quadlab.asymptotics import _shell_interval
 from quadlab.errors import DimensionMismatchError
 from quadlab.quadratic import as_map_on
-from quadlab.space import STREAM_SHELL, _rows_at_radii, _settled, generator, row_norms
+from quadlab.space import STREAM_SHELL, _rows_at_radii, _settled, generator, norm_eval
 
 
-def _reference_deltas(f, params, space, n_min, n_max, count, seed, codomain=None):
+def _reference_deltas(f, params, space, n_min, n_max, count, seed):
     """The serial shell loop that the pipelined profile replaced, kept as
     the reference for its deltas: draw a shell, then take its residuals."""
     handle = as_map_on(f, space)
@@ -45,7 +45,7 @@ def _reference_deltas(f, params, space, n_min, n_max, count, seed, codomain=None
         rows = [_rows_at_radii(space, rng, split * t), _rows_at_radii(space, rng, (1 - split) * t)]
         inside = lambda nx, ny: (nx + ny >= n) & (nx + ny < n + 1)  # noqa: E731
         (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
-        deltas[k] = row_norms(residual_gq(handle, params, xs, ys), codomain).max()
+        deltas[k] = norm_eval(None, residual_gq(handle, params, xs, ys)).max()
     return deltas
 
 
@@ -190,12 +190,11 @@ class TestPipelinedShells:
 
     def _check(self, norm, noise, dim, n_min, n_max, count, seed):
         space = _norm(norm, dim)
-        codomain = _norm(norm, 2)
         form = random_symmetric_form(space, euclidean(2), seed=seed)
         f = make_perturbed(form, _shell_noise(noise, dim))
         params = equation_params("1/3")
-        got = shell_delta_profile(f, params, space, n_min, n_max, count, seed, codomain)
-        want = _reference_deltas(f, params, space, n_min, n_max, count, seed, codomain)
+        got = shell_delta_profile(f, params, space, n_min, n_max, count, seed)
+        want = _reference_deltas(f, params, space, n_min, n_max, count, seed)
         assert np.array_equal(got.deltas.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("noise", ["none", "constant", "decay", "sine", "uniform"])

@@ -438,6 +438,19 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read config file" in captured.err
 
+    def test_non_utf8_file_is_an_error(self, capsys, tmp_path):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"\xff\xfe = 1")
+        out = tmp_path / "r.json"
+        code, report, captured = run_cli(
+            capsys, "certify", "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 2
+        assert report is None
+        assert captured.err.startswith("error: cannot read config file ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_fail_is_one(self, capsys):
@@ -469,6 +482,20 @@ class TestExitCodes:
         assert code == 3
         assert report["summary"] == {"pass": None, "exit_code": 3}
         assert report["results"]["verdict"]["verdict"] == "inconclusive"
+
+    def test_out_of_memory_is_two_with_no_report(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "certify", exhausted)
+        code, report, captured = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(tmp_path / "r.json"),
+            "--emit-samples",
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: certify ran out of memory; no report written\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_two(self, capsys):
         code, _, _ = run_cli(capsys, "certify", "--frobnicate", "1")

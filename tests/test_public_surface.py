@@ -3,6 +3,7 @@ all resolve; removed entry points stay removed."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,3 +50,12 @@ def test_removed_names_are_gone():
     assert "label" not in quadlab.MapHandle.__dataclass_fields__
     assert not hasattr(quadlab.SpaceSpec, "norm")
     assert not hasattr(quadlab.AsymptoticVerdict, "decayed")
+    assert not hasattr(quadlab.space, "row_norms") and not hasattr(quadlab.space, "_norms")
+    for entry in (
+        quadlab.certify,
+        quadlab.verify_czerwik,
+        quadlab.estimate_delta_restricted,
+        quadlab.shell_delta_profile,
+    ):
+        assert "codomain" not in inspect.signature(entry).parameters, entry.__name__
+    assert "scales" not in inspect.signature(quadlab.verify_czerwik).parameters
