@@ -13,7 +13,6 @@ not decayed at all.
 
 from quadlab import (
     NoiseModel,
-    Sampler,  # noqa: F401  (re-exported sampling lives behind shell_delta_profile)
     asymptotic_verdict,
     equation_params,
     euclidean,

@@ -97,11 +97,11 @@ def shell_delta_profile(
     the boundary), splits it as ``norm(x) = a t``, ``norm(y) = (1-a) t``
     with ``a`` uniform, and draws independent directions.
 
-    One helper thread draws the next shell, in stream order, while the
-    calling thread evaluates this shell's residuals, so ``f`` runs only on
-    the calling thread.  Errors surface in the order of a serial loop over
-    the shells, at most two shells' rows are alive at once, and the deltas
-    are bit for bit the serial loop's.
+    Each shell's draw (``2 * per_shell_count * dim`` values) goes through
+    :func:`_helper_thread`, which may run it while the calling thread takes
+    the previous shell's residuals; ``f`` runs only on the calling thread.
+    Errors surface in a serial loop's order, at most two shells' rows are
+    alive at once, and the deltas are bit for bit the serial loop's.
     """
     handle = as_map_on(f, space)
     if not isinstance(n_min, (int, np.integer)) or not isinstance(n_max, (int, np.integer)):
@@ -132,10 +132,10 @@ def shell_delta_profile(
         return _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)[0]
 
     deltas = np.empty(shell_count)
-    with _helper_thread() as submit:
+    with _helper_thread(2 * per_shell_count * space.dim) as submit:
         drawn = submit(draw, int(n_min))
         for k, n in enumerate(range(int(n_min), int(n_max) + 1)):
-            xs, ys = drawn.result()
+            xs, ys = drawn()
             if n < n_max:
                 drawn = submit(draw, n + 1)
             deltas[k] = norm_eval(None, residual_gq(handle, params, xs, ys)).max()

@@ -441,6 +441,27 @@ _COMMANDS = {
 }
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _attach_values(argv: list) -> list:
+    """``argv`` with each value-taking option joined to the token after it
+    (``--y -3,0.5`` becomes ``--y=-3,0.5``) unless that token is one of the
+    parser's option strings, so that a value may start with ``-``."""
+    takes_value = {_flag(key) for key, (kind, *_) in _OPTIONS.items() if kind is not bool}
+    takes_value.add("--config")
+    options = {_flag(key) for key in _OPTIONS} | {"--config", "-h", "--help"}
+    out, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        if token in takes_value and i + 1 < len(argv) and argv[i + 1] not in options:
+            token, i = f"{token}={argv[i + 1]}", i + 1
+        out.append(token)
+        i += 1
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadlab",
@@ -452,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (kind, _, option_help, scope) in _OPTIONS.items():
             if scope not in (None, command):
                 continue
-            flag = "--" + key.replace("_", "-")
+            flag = _flag(key)
             if kind is bool:
                 # default=None: an absent flag must not override the config file.
                 command_parser.add_argument(
@@ -482,7 +503,7 @@ def _write_samples_csv(path: Path, header: list, columns: tuple) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
         return 0 if code == 0 else EXIT_INVALID

@@ -21,6 +21,7 @@ import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -403,29 +404,34 @@ def _settled(space: SpaceSpec, rows: list, inside, center: float, room: float, n
 
 
 @contextmanager
-def _helper_thread():
-    """One helper thread for the body of a ``with`` block, which receives
-    ``submit(fn, *args)``: it runs ``fn(*args)`` on the helper, in the order
-    submitted, and returns its future.
+def _helper_thread(values: int):
+    """A ``with`` block whose body receives ``submit(fn, *args)``, which
+    returns ``result()``, a function giving ``fn(*args)``, a call that fills
+    ``values`` float64 values.
 
-    A new thread starts from numpy's default error state, so ``fn`` runs
-    under the state (``np.geterr()`` and ``np.geterrcall()``) of the thread
-    that entered the block.  Leaving the block, by any path, waits for the
-    submitted calls and joins the helper; the caller reads each future.
-    Its users submit only sampling work; maps run on the calling thread.
+    The one hand-off rule: a call that fills more than one row block
+    (``values > _BLOCK_VALUES``) runs on one helper thread, in the order
+    submitted; leaving the block, by any path, waits for it and joins the
+    helper.  A smaller call starts no thread, which would cost more than it
+    saves: it runs on the calling thread when ``result()`` is called (once),
+    the serial order, or never if it is not called.  Either way ``fn`` runs
+    under the numpy error state (``np.geterr()``, ``np.geterrcall()``) of
+    the thread that entered the block.  Users submit only sampling work.
     """
-    # Imported here: the import costs memory, and most commands never start
-    # a helper.
-    from concurrent.futures import ThreadPoolExecutor
-
     errstate = dict(np.geterr(), call=np.geterrcall())
 
     def under_errstate(fn, *args):
         with np.errstate(**errstate):
             return fn(*args)
 
+    if values <= _BLOCK_VALUES:
+        yield lambda fn, *args: partial(under_errstate, fn, *args)
+        return
+    # Imported here: the import costs memory, and most calls start no helper.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as helper:
-        yield lambda fn, *args: helper.submit(under_errstate, fn, *args)
+        yield lambda fn, *args: helper.submit(under_errstate, fn, *args).result
 
 
 class PairSample(tuple):
@@ -457,12 +463,10 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     The x half (``a``, then its directions) comes from the ``STREAM_PAIR_X``
     generator and the y half (``b``, then its directions) from the
     ``STREAM_PAIR_Y`` one, so the halves can be drawn at once without moving
-    a bit.  This function allocates both halves' rows and norms; when a half
-    is larger than one row block (``count * dim > _BLOCK_VALUES``), one
-    helper thread fills the y half in place while the calling thread fills
-    the x half, and a smaller sample, for which starting a thread costs more
-    than it saves, is drawn serially.  Errors surface as in the serial
-    order: the x half's first.  Raises
+    a bit.  This function allocates both halves' rows and norms, submits
+    the y half to :func:`_helper_thread` (``count * dim`` values), fills the
+    x half, then reads the y half.  Errors surface as in the serial order:
+    the x half's first.  Raises
     :class:`ParameterError` for a negative or non-finite ``d``, and
     :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
     measure-zero domain) or when rounding or overflow leaves rows off the
@@ -492,14 +496,10 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     # below the rows (see blockwise).
     shape = (sampler.count, space.dim)
     rows, norms = [np.empty(shape), np.empty(shape)], [np.empty(shape[0]), np.empty(shape[0])]
-    if sampler.count * space.dim > _BLOCK_VALUES:
-        with _helper_thread() as submit:
-            y_done = submit(_rows_at_radii, space, rng_y, b, rows[1], norms[1])
-            _rows_at_radii(space, rng_x, a, rows[0], norms[0])
-        y_done.result()
-    else:
+    with _helper_thread(sampler.count * space.dim) as submit:
+        y_done = submit(_rows_at_radii, space, rng_y, b, rows[1], norms[1])
         _rows_at_radii(space, rng_x, a, rows[0], norms[0])
-        _rows_at_radii(space, rng_y, b, rows[1], norms[1])
+    y_done()
     inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
     room = (2.0 * R - d) / 4.0
     (xs, ys), norms = _settled(space, rows, inside, R - room, room, norms)

@@ -254,6 +254,7 @@ CLI_EXAMPLES = [
     (["residual", "--dim", "1", "--r", "1/3", "--noise", "constant:5",
       "--x", "3", "--y", "0"], 0),
     (["residual", "--dim", "1", "--map", "cube", "--x", "1", "--y", "1"], 0),
+    (["certify", "--r", "-1/7"], 0),
 ]
 
 _RUNTIME_LINE = re.compile(r'^\s*"runtime_ms": [^,\n]+,?$', re.MULTILINE)

@@ -34,8 +34,10 @@ from quadlab.space import STREAM_SHELL, _rows_at_radii, _settled, generator, nor
 
 
 def _reference_deltas(f, params, space, n_min, n_max, count, seed):
-    """The serial shell loop that the pipelined profile replaced, kept as
-    the reference for its deltas: draw a shell, then take its residuals."""
+    """The serial shell loop, the reference for the profile's deltas: draw a
+    shell, then take its residuals.  Profiles whose shells fill at most one
+    row block run in this order; larger ones draw the next shell on the
+    helper thread."""
     handle = as_map_on(f, space)
     rng = generator(seed, STREAM_SHELL)
     deltas = np.empty(n_max - n_min + 1)
@@ -47,6 +49,16 @@ def _reference_deltas(f, params, space, n_min, n_max, count, seed):
         (xs, ys), _ = _settled(space, rows, inside, (n + 0.5) / 2.0, 0.5)
         deltas[k] = norm_eval(None, residual_gq(handle, params, xs, ys)).max()
     return deltas
+
+
+@pytest.fixture(params=["calling-thread", "helper"])
+def hand_off(request, monkeypatch):
+    """Each side of the hand-off rule: at the default block size the small
+    profiles below draw every shell on the calling thread, and with row
+    blocks of 8 values each shell's draw goes to the helper thread."""
+    if request.param == "helper":
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 8)
+    return request.param
 
 
 def _norm(kind, dim):
@@ -172,7 +184,7 @@ class TestShellProfile:
                 form, equation_params("1/2"), euclidean(2), 0, 4, 10, seed=0
             )
 
-    def test_evaluator_runs_on_the_calling_thread(self):
+    def test_evaluator_runs_on_the_calling_thread(self, hand_off):
         threads = set()
 
         def evaluator(rows):
@@ -185,8 +197,9 @@ class TestShellProfile:
 
 
 class TestPipelinedShells:
-    """The profile overlaps each shell's residuals with the next shell's
-    draws; its deltas, errors and numpy error state are a serial loop's."""
+    """A profile whose shells fill more than one row block overlaps each
+    shell's residuals with the next shell's draws; its deltas, errors and
+    numpy error state are a serial loop's on either side of that rule."""
 
     def _check(self, norm, noise, dim, n_min, n_max, count, seed):
         space = _norm(norm, dim)
@@ -217,7 +230,7 @@ class TestPipelinedShells:
         self._check(norm, noise, 4, 1, 6, 45, seed=9)
 
     @pytest.mark.parametrize("bad_shell", [0, 1, 4])
-    def test_evaluator_error_surfaces_from_its_shell(self, bad_shell):
+    def test_evaluator_error_surfaces_from_its_shell(self, hand_off, bad_shell):
         calls = []
         threads = set()
 
@@ -237,9 +250,10 @@ class TestPipelinedShells:
         assert len(calls) == 4 * bad_shell + 1
         assert len(threads) == 1
 
-    def test_draw_error_waits_for_the_pending_shell(self, monkeypatch):
+    def test_draw_error_waits_for_the_pending_shell(self, hand_off, monkeypatch):
         # Settling shell 3 fails while shell 2's residuals are still running,
-        # and shell 2's own error must win.
+        # and shell 2's own error must win.  The race is the helper's; on the
+        # calling thread shell 3 is never drawn.
         started = threading.Event()
 
         def evaluator(rows):
@@ -259,7 +273,7 @@ class TestPipelinedShells:
             shell_delta_profile(f, equation_params("1/2"), euclidean(2), 2, 5, 10, seed=1)
         assert threading.active_count() == before
 
-    def test_draw_error_after_good_shells_surfaces(self, monkeypatch):
+    def test_draw_error_after_good_shells_surfaces(self, hand_off, monkeypatch):
         def settled(space, rows, inside, center, room):
             if center == (4 + 0.5) / 2.0:
                 raise ParameterError("shell 4 cannot settle")
@@ -272,18 +286,34 @@ class TestPipelinedShells:
             shell_delta_profile(form, equation_params("1/2"), euclidean(2), 1, 6, 10, seed=1)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("count, helpers", [(200, 0), (4096, 0), (4097, 1)])
+    def test_only_a_shell_past_one_row_block_starts_a_helper(self, count, helpers):
+        # Both halves of 4096 pairs of dim 8 fill exactly one row block.
+        assert 2 * 4096 * 8 == space_module._BLOCK_VALUES
+        before = threading.active_count()
+        started = []
+
+        def evaluator(rows):
+            started.append(threading.active_count() - before)
+            return np.sum(rows * rows, axis=1)
+
+        f = MapHandle(evaluator, 8, 1)
+        shell_delta_profile(f, equation_params("1/2"), euclidean(8), 1, 4, count, seed=1)
+        assert set(started) == {helpers}
+        assert threading.active_count() == before
+
     def _overflowing(self):
         # Squaring residuals near 1e308 in the codomain norm overflows.
         form = random_symmetric_form(euclidean(2), euclidean(1), seed=2)
         return make_perturbed(form, NoiseModel.constant(1e308))
 
-    def test_raising_error_state_reaches_the_residuals(self):
+    def test_raising_error_state_reaches_the_residuals(self, hand_off):
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             shell_delta_profile(
                 self._overflowing(), equation_params("1/2"), euclidean(2), 1, 4, 10, seed=1
             )
 
-    def test_ignoring_error_state_reaches_the_residuals(self):
+    def test_ignoring_error_state_reaches_the_residuals(self, hand_off):
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             profile = shell_delta_profile(

@@ -510,6 +510,27 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    def test_a_value_may_start_with_a_dash(self, capsys):
+        # The paper's weights and points may be negative.
+        for argv, key, value in [
+            (["certify", "--r", "-1/7", "--samples", "50"], "r", "-1/7"),
+            (["residual", "--x", "1,2", "--y", "-3,0.5"], "y", "-3,0.5"),
+            (["residual", "--dim", "1", "--x", "-1e3", "--y", "1"], "x", "-1e3"),
+            (["residual", "--dim", "2", "--form", "-1,0;0,1", "--x", "1,2", "--y", "3,4"],
+             "form", "-1,0;0,1"),
+            (["exponents", "--dim", "2", "--grid", "-1,2,2,2"], "grid", "-1,2,2,2"),
+        ]:
+            code, report, captured = run_cli(capsys, *argv)
+            assert code == 0, (argv, captured.err)
+            assert report["config"][key] == value
+
+    def test_an_option_is_not_a_value(self, capsys):
+        code, report, captured = run_cli(capsys, "residual", "--x", "--y", "1")
+        assert code == 2 and report is None
+        assert "argument --x: expected one argument" in captured.err
+        code, _, captured = run_cli(capsys, "residual", "-h")
+        assert code == 0 and captured.out.startswith("usage: quadlab residual")
+
 
 class TestDetectIp:
     def test_euclidean_accepts(self, capsys):

@@ -697,6 +697,29 @@ _SPACES = {
     "weighted": weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]),
     "sup": sup_norm(3),
 }
+
+
+@pytest.mark.parametrize("above", [0, 1], ids=["one-block", "one-block+1"])
+def test_hand_off_rule_at_one_row_block(above):
+    """A call that fills one row block runs on the calling thread when its
+    result is read; one value more and it runs on one helper thread."""
+    before = threading.active_count()
+    ran = []
+
+    def where():
+        ran.append(threading.get_ident())
+        return threading.active_count() - before
+
+    with space_module._helper_thread(space_module._BLOCK_VALUES + above) as submit:
+        result = submit(where)
+        if not above:
+            assert ran == []
+        helpers = result()
+    assert helpers == above
+    assert len(ran) == 1 and (ran[0] != threading.get_ident()) == bool(above)
+    assert threading.active_count() == before
+
+
 # Rows of dim 3 that take the helper thread at the default block size.
 _TWO_BLOCKS = 2 * _block_rows(3)
 
@@ -720,15 +743,15 @@ class TestPairHalvesOnTwoThreads:
         count = {"1": 1, "block": block, "block+1": block + 1, "20000": 20000}[count]
         d = float(np.nextafter(2.0 * _R, 0.0)) if frac == "nextafter(2R, 0)" else frac * _R
         sampler = Sampler.restricted_pairs(seed=8, count=count, radius_max=_R)
-        entered = []
-        helper = space_module._helper_thread
-
-        def counted():
-            entered.append(True)
-            return helper()
-
-        monkeypatch.setattr(space_module, "_helper_thread", counted)
         want = _serial_pairs(space, d, sampler)
+        drawn_on = []
+        rows_at_radii = space_module._rows_at_radii
+
+        def traced(*args):
+            drawn_on.append(threading.get_ident())
+            return rows_at_radii(*args)
+
+        monkeypatch.setattr(space_module, "_rows_at_radii", traced)
         try:
             sample = sample_pairs_restricted(space, d, sampler)
         except InfeasibleDomainError as exc:
@@ -737,8 +760,11 @@ class TestPairHalvesOnTwoThreads:
             assert not isinstance(want, InfeasibleDomainError), want
             got = (*sample, *sample.norms)
             assert all(np.array_equal(g, w) for g, w in zip(_bits(got), _bits(want)))
-        # The helper runs only past one row block.
-        assert entered == ([True] if count * space.dim > space_module._BLOCK_VALUES else [])
+        # The helper runs only past one row block: it draws the y half, and
+        # the calling thread draws the x half.
+        helper = [ident for ident in drawn_on if ident != threading.get_ident()]
+        assert len(drawn_on) == 2
+        assert len(helper) == (count * space.dim > space_module._BLOCK_VALUES)
 
     @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
     @pytest.mark.parametrize("name", list(_SPACES))
