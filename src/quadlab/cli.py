@@ -462,14 +462,20 @@ def _attach_values(argv: list) -> list:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command gets its subparser, so ``-h``
+    and an unknown command's error list them all, but only the command that
+    ``argv``'s first token names gets its options, the only ones parsed."""
     parser = argparse.ArgumentParser(
         prog="quadlab",
         description="Numerical laboratory for quadratic functional equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    invoked = argv[0] if argv else None
     for command, (_, _, command_help) in _COMMANDS.items():
         command_parser = sub.add_parser(command, help=command_help)
+        if command != invoked:
+            continue
         for key, (kind, _, option_help, scope) in _OPTIONS.items():
             if scope not in (None, command):
                 continue
@@ -501,9 +507,9 @@ def _write_samples_csv(path: Path, header: list, columns: tuple) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
-        ns = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        ns = build_parser(args).parse_args(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
         return 0 if code == 0 else EXIT_INVALID

@@ -24,19 +24,26 @@ from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, norm
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MANTISSA_SHIFT = np.uint64(11)
 
 _NOISE_KINDS = ("none", "constant", "uniform_bounded", "decay", "sine")
 
 
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, vectorized over a uint64 array it overwrites."""
+    z += _GAMMA
+    z ^= z >> _SHIFT_1
+    z *= _MIX_1
+    z ^= z >> _SHIFT_2
+    z *= _MIX_2
+    z ^= z >> _SHIFT_3
+    return z
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, vectorized over uint64 arrays; ``z`` is left as is."""
-    z = z + _GAMMA
-    z ^= z >> np.uint64(30)
-    z *= _MIX_1
-    z ^= z >> np.uint64(27)
-    z *= _MIX_2
-    z ^= z >> np.uint64(31)
-    return z
+    return _mix64_in_place(z.copy())
 
 
 @dataclass(frozen=True)
@@ -108,18 +115,19 @@ class NoiseModel:
 def _hash_unit(rows: np.ndarray, seed: int, codim: int) -> np.ndarray:
     """Per-row hash values in [0, 1) of C-ordered float64 rows, shape (N, codim).
 
-    Folds the seed and each coordinate's raw float64 bits through the
-    splitmix64 finalizer, then derives one lane per output coordinate.
+    The seed goes through the splitmix64 finalizer once, as one value
+    shared by every row; then each coordinate's raw float64 bits are folded
+    in and mixed, in place on one running (N,) array.  The output lanes
+    ``1..codim`` are XORed into that hash and mixed together as one
+    (N, codim) array, and each lane's top 53 bits become its value.
     """
     bits = rows.view(np.uint64)
-    h = _mix64(np.full(rows.shape[0], seed, dtype=np.uint64))
+    h = np.full(rows.shape[0], _mix64(np.array([seed], dtype=np.uint64))[0])
     for j in range(bits.shape[1]):
-        h = _mix64(h ^ bits[:, j])
-    out = np.empty((rows.shape[0], codim), dtype=np.float64)
-    for k in range(codim):
-        lane = _mix64(h ^ np.uint64(k + 1))
-        out[:, k] = (lane >> np.uint64(11)) * 2.0**-53
-    return out
+        h ^= bits[:, j]
+        _mix64_in_place(h)
+    lanes = _mix64_in_place(h[:, None] ^ np.arange(1, codim + 1, dtype=np.uint64))
+    return (lanes >> _MANTISSA_SHIFT) * 2.0**-53
 
 
 def noise_values(model: NoiseModel, x, codim: int = 1):

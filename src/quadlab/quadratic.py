@@ -154,7 +154,9 @@ class QuadraticForm:
         return self.coeffs.shape[0]
 
     def __call__(self, x):
-        return self.bilinear(x, x)
+        rows, single = as_rows(x, self.domain_dim)
+        out = form_rows(rows, self.flat, rows)
+        return out[0] if single else out
 
     def bilinear(self, x, y):
         """The symmetric bilinear map (x, y) -> (x^T B_k y)_k."""

@@ -130,12 +130,14 @@ class BatchExtraction:
     its own: ``limits[i]``, ``iterations[i]``, ``converged[i]``, its
     deviations ``deviations[i, :k]`` (NaN past the last one; one column per
     doubling the batch took, at most ``max_iters``) and
-    ``tail_estimate[i]``.  ``failed_at[i]`` is -1 while the row's map values
+    ``tail_estimate[i]``; ``base[i]`` is the map's value at the row itself
+    (iterate 0), kept as the map gave it, also when the row failed.  ``failed_at[i]`` is -1 while the row's map values
     stay finite, 0 when its base value is not finite, and ``n`` when the
     value at ``2**n`` times the row is not; a failed row's limit and tail
     estimate are NaN.
     """
 
+    base: np.ndarray
     limits: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -199,8 +201,9 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
             f"got shape {rows.shape}"
         )
     count = rows.shape[0]
+    base = handle(rows)
     # A copy: the iterates overwrite it, and a map may hand back its input.
-    limits = handle(rows).copy()
+    limits = base.copy()
     iterations = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     # Per doubling, the rows it moved and their deviations; the (count, n)
@@ -239,7 +242,9 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
     limits[failed] = np.nan
     # Quarter-ratio geometric tail: sum_{k>=1} dev * 4^-k = dev / 3.
     tail = np.where(failed, np.nan, last / 3.0)
-    return BatchExtraction(limits, iterations, converged, deviations, tail, failed_at, float(tol))
+    return BatchExtraction(
+        base, limits, iterations, converged, deviations, tail, failed_at, float(tol)
+    )
 
 
 def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
@@ -408,7 +413,8 @@ def certify(
     constants = stability_constants(params, d, delta_used)
 
     probes = _probes(space, sampler, xs, probe_count)
-    f_probes = handle(probes)
+    batch = extract_quadratic_batch(handle, probes, max_iters, tol)
+    f_probes = batch.base
     evenness = float(norm_eval(None, f_probes - handle(-probes)).max())
     probe_scale = float(norm_eval(None, f_probes).max())
     if evenness > 1e-9 * (1.0 + probe_scale):
@@ -417,7 +423,6 @@ def certify(
             "only its even part is certified against the quadratic limit"
         )
 
-    batch = extract_quadratic_batch(handle, probes, max_iters, tol)
     failed = batch.first_failure
     inconclusive = failed is not None
     if inconclusive:
@@ -521,7 +526,6 @@ def verify_czerwik(
     delta_hat = float(norm_eval(None, residual_q(handle, xs, ys)).max())
 
     probes = _probes(space, sampler, xs, probe_count)
-    f_probes = handle(probes)
     # The base probes, then t * probes for each scale, in one batch; its
     # first failed row raises, as extracting the blocks in turn would.
     batch = extract_quadratic_batch(
@@ -532,6 +536,9 @@ def verify_czerwik(
         raise ExtractionError(batch.failure(failed), batch.diagnostics(failed))
     blocks = np.split(batch.limits, len(_HOMOGENEITY_SCALES) + 1)
     base = blocks[0]
+    # Rows keep their bits in any batch, so the first block's base values
+    # are the map at the probes.
+    f_probes = batch.base[: probes.shape[0]]
     max_deviation = float(norm_eval(None, f_probes - base).max())
     bound = delta_hat / 2.0
 

@@ -532,6 +532,30 @@ class TestExitCodes:
         assert code == 0 and captured.out.startswith("usage: quadlab residual")
 
 
+class TestHelp:
+    def test_top_level_help_lists_every_command(self, capsys):
+        code, _, captured = run_cli(capsys, "-h")
+        assert code == 0
+        for command, (_, _, command_help) in cli._COMMANDS.items():
+            assert re.search(rf"^\s+{command}\s+{re.escape(command_help)}$", captured.out, re.M)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_lists_its_flags_only(self, capsys, command):
+        code, _, captured = run_cli(capsys, command, "-h")
+        assert code == 0
+        assert captured.out.startswith(f"usage: quadlab {command} ")
+        in_scope = {
+            cli._flag(key) for key, (*_, scope) in cli._OPTIONS.items() if scope in (None, command)
+        }
+        assert set(re.findall(r"--[a-z][a-z-]*", captured.out)) == in_scope | {"--config", "--help"}
+
+    def test_unknown_command_is_an_invalid_choice(self, capsys):
+        code, report, captured = run_cli(capsys, "flatten", "--dim", "2")
+        assert code == 2 and report is None
+        assert "argument command: invalid choice: 'flatten'" in captured.err
+        assert all(command in captured.err for command in cli._COMMANDS)
+
+
 class TestDetectIp:
     def test_euclidean_accepts(self, capsys):
         code, report, _ = run_cli(

@@ -16,7 +16,10 @@ from quadlab import (
     noise_values,
     random_symmetric_form,
 )
-from quadlab.perturb import _GAMMA, _MIX_1, _MIX_2, _mix64
+from quadlab.perturb import _GAMMA, _MIX_1, _MIX_2, _hash_unit, _mix64
+
+_HASH_SEEDS = (0, 1, 2**63, 2**64 - 1)
+_WORD = 2**64 - 1
 
 
 def _mix64_reference(z):
@@ -25,6 +28,43 @@ def _mix64_reference(z):
     z = ((z ^ (z >> np.uint64(30))) * _MIX_1).astype(np.uint64)
     z = ((z ^ (z >> np.uint64(27))) * _MIX_2).astype(np.uint64)
     return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_int(z):
+    """The splitmix64 finalizer on one Python int, masked to 64 bits."""
+    z = (z + 0x9E3779B97F4A7C15) & _WORD
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
+    return z ^ (z >> 31)
+
+
+def _hash_unit_reference(rows, seed, codim):
+    """The whole noise hash, one row and one lane at a time in Python ints:
+    mix the seed, fold in each coordinate's float64 bits and mix, then mix
+    the hash with lane k + 1 and keep the top 53 bits."""
+    out = []
+    for words in rows.view(np.uint64).tolist():
+        h = _splitmix64_int(seed)
+        for word in words:
+            h = _splitmix64_int(h ^ word)
+        out.append([(_splitmix64_int(h ^ (k + 1)) >> 11) * 2.0**-53 for k in range(codim)])
+    return np.array(out)
+
+
+def _hash_rows(n, dim, rng):
+    """Standard-normal rows with signed zeros, infinities, NaNs (a negative
+    and a signalling one), subnormals and huge values written over their
+    first entries."""
+    specials = np.concatenate(
+        [
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-320, 1e300, -1e300],
+            np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64),
+        ]
+    )
+    rows = rng.standard_normal((n, dim))
+    head = min(rows.size, specials.size)
+    rows.reshape(-1)[:head] = specials[:head]
+    return rows
 
 
 class TestHashNoise:
@@ -80,6 +120,28 @@ class TestHashNoise:
         assert vals.shape == (100, 3)
         assert not np.array_equal(vals[:, 0], vals[:, 1])
 
+    @pytest.mark.parametrize("seed", _HASH_SEEDS)
+    def test_hash_unit_matches_python_int_reference(self, seed):
+        rng = np.random.default_rng(seed % 1000)
+        for dim in range(1, 10):
+            for n in (1, 7, 544):
+                rows = _hash_rows(n, dim, rng)
+                want = _hash_unit_reference(rows, seed, 4)
+                for codim in range(1, 5):
+                    got = _hash_unit(rows, seed, codim)
+                    assert got.shape == (n, codim)
+                    assert np.array_equal(got.view(np.uint64), want[:, :codim].view(np.uint64))
+
+    @pytest.mark.parametrize("seed", _HASH_SEEDS)
+    def test_hash_emits_no_warning(self, seed):
+        # numpy warns on wraparound in uint64 scalar arithmetic, not in
+        # array arithmetic; the hash's modulo-2**64 steps must stay silent.
+        model = NoiseModel.uniform_bounded(1.0, seed=seed)
+        rows = _hash_rows(7, 3, np.random.default_rng(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise_values(model, rows, codim=3)
+            noise_values(model, rows[0])
 
     def test_mix64_matches_reference_and_keeps_input(self):
         rng = np.random.default_rng(8)

@@ -253,6 +253,8 @@ class TestBatchExtraction:
         points[5] = np.nan
         batch = extract_quadratic_batch(f, points)
         assert batch.failed_at[5] == 0
+        # The base values stay as the map gave them, failed rows included.
+        assert np.array_equal(batch.base, f(points), equal_nan=True)
         assert np.any(batch.failed_at > 0) and np.any(batch.failed_at < 0)
         for i, point in enumerate(points):
             try:
@@ -521,6 +523,26 @@ class TestCertify:
         assert cert.inconclusive and cert.passed is None
         assert cert.warnings[-1] == message
         assert cert.extraction_iterations_max == max(iterations)
+
+    def test_map_runs_once_at_the_probes(self):
+        # The extraction's base values are the map at the probes; the
+        # deviation from the limit reads them instead of a second call.
+        calls = []
+
+        def evaluator(rows):
+            calls.append(rows.copy())
+            return np.sum(rows * rows, axis=1) + 0.25
+
+        params, sp = equation_params("1/2"), euclidean(2)
+        sampler = Sampler.restricted_pairs(61, 100, 2.0)
+        cert = certify(MapHandle(evaluator, 2, 1), params, 1.0, sp, sampler)
+        xs, _ = sample_pairs_restricted(sp, 1.0, sampler)
+        probes = _probes(sp, sampler, xs, 32)
+        assert sum(np.array_equal(rows, probes) for rows in calls) == 1
+        residual_calls = sum(rows.shape[0] == 100 for rows in calls)
+        # The residual pass, the probes, their negatives, one per doubling.
+        assert len(calls) == residual_calls + 2 + cert.extraction_iterations_max
+        assert cert.max_deviation == pytest.approx(0.25, rel=1e-9)
 
     def test_report_dict_uses_pass_key(self):
         d = self._bounded_case().to_dict()
