@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,17 +113,23 @@ class NoiseModel:
         return cls(kind="sine", c=float(c), freq=np.asarray(freq, dtype=np.float64))
 
 
+@lru_cache(maxsize=64)
+def _mixed_seed(seed: int) -> np.uint64:
+    """``seed`` through the splitmix64 finalizer, mixed once per seed."""
+    return _mix64(np.array([seed], dtype=np.uint64))[0]
+
+
 def _hash_unit(rows: np.ndarray, seed: int, codim: int) -> np.ndarray:
     """Per-row hash values in [0, 1) of C-ordered float64 rows, shape (N, codim).
 
-    The seed goes through the splitmix64 finalizer once, as one value
-    shared by every row; then each coordinate's raw float64 bits are folded
-    in and mixed, in place on one running (N,) array.  The output lanes
-    ``1..codim`` are XORed into that hash and mixed together as one
-    (N, codim) array, and each lane's top 53 bits become its value.
+    The seed's own mix (:func:`_mixed_seed`) is one value shared by every
+    row; each coordinate's raw float64 bits are folded into it and mixed, in
+    place on one running (N,) array.  The output lanes ``1..codim`` are
+    XORed into that hash and mixed together as one (N, codim) array, and
+    each lane's top 53 bits become its value.
     """
     bits = rows.view(np.uint64)
-    h = np.full(rows.shape[0], _mix64(np.array([seed], dtype=np.uint64))[0])
+    h = np.full(rows.shape[0], _mixed_seed(seed))
     for j in range(bits.shape[1]):
         h ^= bits[:, j]
         _mix64_in_place(h)

@@ -176,7 +176,10 @@ class MapHandle:
     Whole-batch passes (residuals) may hand an evaluator any block of their
     rows (:func:`~quadlab.space.row_blocks`), so an evaluator must give each
     row the same value in any block; every built-in map does, bit for bit.
-    Every entry point calls the evaluator on the calling thread.
+    A pass larger than one row block may also call the evaluator from one
+    helper thread, on other blocks, while the calling thread runs it
+    (:func:`~quadlab.space.blockwise`), so an evaluator must be safe to call
+    from two threads at once; a pure function of its rows is.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -224,14 +227,18 @@ def as_map_on(f, space: SpaceSpec) -> MapHandle:
     return handle
 
 
-def _pair_pass(f, x, y, combine):
+def _pair_pass(f, x, y, combine, widen: int = 1):
     """``combine(handle, xs, ys)`` over the pair rows of ``x`` and ``y``, one
     row block at a time (:func:`~quadlab.space.blockwise`), so that every map
-    argument of a block is evaluated while the block is in cache.  One pair
-    gives its output row."""
+    argument of a block is evaluated while the block is in cache.  Blocks
+    are sized as if each row were ``widen`` times as wide, so a pass with
+    many temporaries per row runs in smaller blocks.  One pair gives its
+    output row."""
     handle = as_map(f)
     xs, ys, single = pair_rows(x, y, handle.domain_dim)
-    out = blockwise(lambda rows: combine(handle, xs[rows], ys[rows]), *xs.shape)
+    out = blockwise(
+        lambda rows: combine(handle, xs[rows], ys[rows]), xs.shape[0], widen * xs.shape[1]
+    )
     return out[0] if single else out
 
 
@@ -319,7 +326,9 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
 
     Returns one entry per key of :class:`DerivationChainReport` holding
     the Euclidean norm of each pair's defect: a float for a single pair,
-    an array for a batch.  Pairs go one row block at a time.
+    an array for a batch.  Pairs go in blocks of half a row block's rows:
+    a block makes 22 map calls, against a residual's 4, and the calling
+    thread and the helper each hold one block's temporaries.
     """
     f_even, f_odd = parity_decompose(f)
     r, s = params.r, params.s
@@ -337,7 +346,7 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
         )
         return np.stack([norm_eval(None, v) for v in defects], axis=1)
 
-    norms = _pair_pass(f, x, y, chain)
+    norms = _pair_pass(f, x, y, chain, widen=2)
     if norms.ndim == 1:
         return {name: float(v) for name, v in zip(_CHAIN_IDENTITIES, norms)}
     return dict(zip(_CHAIN_IDENTITIES, norms.T))

@@ -6,7 +6,8 @@ through :func:`as_rows` or :func:`pair_rows`, so evaluators always receive
 C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
 A single vector's result is its row of the batch result.  Whole-batch
 pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
-evaluator gives a row the same bits in any block.
+evaluator gives a row the same bits in any block, so :func:`blockwise` can
+share a pass's blocks between the calling thread and one helper.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -43,6 +45,10 @@ _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 # Float64 values per row block (512 KiB): whole-batch pipelines run block by
 # block so that each block's temporaries stay in cache (see row_blocks).
 _BLOCK_VALUES = 2**16
+
+# Held while a helper thread runs: quadlab starts at most one at a time
+# (see _helper_thread).
+_HELPER_BUSY = threading.Lock()
 
 # Relative clearance from every bound of a sampled row pulled back inside:
 # far above the few-ulp rounding of a norm, far below any sampled scale.
@@ -225,23 +231,38 @@ def row_blocks(n: int, width: int):
 
 
 def blockwise(fn, n: int, width: int) -> np.ndarray:
-    """``fn(rows)`` for each slice ``rows`` of :func:`row_blocks`, in order,
-    gathered into one float64 array of n rows.
+    """``fn(rows)`` for each slice ``rows`` of :func:`row_blocks`, gathered
+    in order into one float64 array of n rows.
 
-    A batch of one block returns ``fn``'s own result, with no copy, and a
-    larger one allocates its output only after the first block: an output
-    allocated before the temporaries leaves them at the top of the heap,
-    where freeing them can hand pages back to the system, to be faulted in
-    again on the next call.
+    A batch of one block returns ``fn``'s own result, with no copy.  In a
+    larger one the calling thread runs the first block, which sizes the
+    output, and only then allocates it: an output allocated before the
+    temporaries leaves them at the top of the heap, where freeing them can
+    hand pages back to the system, to be faulted in again on the next call.
+    The other blocks split into two runs in order, through
+    :func:`_helper_thread` (``n * width`` values): the helper writes the
+    later run into the output while the calling thread writes the earlier
+    one, so ``fn`` must be safe to call from two threads at once on
+    different blocks.  Each block's rows are ``fn``'s, so the output is the
+    serial loop's bit for bit, and errors surface in its order: the earlier
+    run's first.
     """
-    blocks = row_blocks(n, width)
-    first = fn(next(blocks, slice(0, 0)))
+    blocks = list(row_blocks(n, width)) or [slice(0, 0)]
+    first = fn(blocks[0])
     if first.shape[0] == n:
         return first
     out = np.empty((n, *first.shape[1:]))
     out[: first.shape[0]] = first
-    for rows in blocks:
-        out[rows] = fn(rows)
+
+    def fill(run):
+        for rows in run:
+            out[rows] = fn(rows)
+
+    split = (len(blocks) + 1) // 2
+    with _helper_thread(n * width) as submit:
+        later = submit(fill, blocks[split:])
+        fill(blocks[1:split])
+    later()
     return out
 
 
@@ -412,11 +433,14 @@ def _helper_thread(values: int):
     The one hand-off rule: a call that fills more than one row block
     (``values > _BLOCK_VALUES``) runs on one helper thread, in the order
     submitted; leaving the block, by any path, waits for it and joins the
-    helper.  A smaller call starts no thread, which would cost more than it
-    saves: it runs on the calling thread when ``result()`` is called (once),
-    the serial order, or never if it is not called.  Either way ``fn`` runs
-    under the numpy error state (``np.geterr()``, ``np.geterrcall()``) of
-    the thread that entered the block.  Users submit only sampling work.
+    helper.  One helper runs at a time in the process: while one is busy,
+    in this block or another thread's, a new block starts none.  A call
+    that starts no thread runs on the calling thread when ``result()`` is
+    called (once), the serial order, or never if it is not called.  Either
+    way ``fn`` runs under the numpy error state (``np.geterr()``,
+    ``np.geterrcall()``) of the thread that entered the block.  Users
+    submit draws (the profile's shells, a sample's y half) and the later
+    blocks of a :func:`blockwise` pass.
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -424,14 +448,17 @@ def _helper_thread(values: int):
         with np.errstate(**errstate):
             return fn(*args)
 
-    if values <= _BLOCK_VALUES:
+    if values <= _BLOCK_VALUES or not _HELPER_BUSY.acquire(blocking=False):
         yield lambda fn, *args: partial(under_errstate, fn, *args)
         return
-    # Imported here: the import costs memory, and most calls start no helper.
-    from concurrent.futures import ThreadPoolExecutor
+    try:
+        # Imported here: the import costs memory, and most calls start no helper.
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        yield lambda fn, *args: helper.submit(under_errstate, fn, *args).result
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            yield lambda fn, *args: helper.submit(under_errstate, fn, *args).result
+    finally:
+        _HELPER_BUSY.release()
 
 
 class PairSample(tuple):
