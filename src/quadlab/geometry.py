@@ -22,7 +22,6 @@ from .space import (
     form_rows,
     norm_eval,
     pair_rows,
-    row_blocks,
     sample_pairs_restricted,
 )
 
@@ -114,23 +113,21 @@ def detect_inner_product(
     sample = sample_pairs_restricted(space, 0.0, sampler)
     xs, ys = sample
     n_xs, n_ys = sample.norms
-    bi, bj = np.triu_indices(space.dim, k=1)
-    eye = np.eye(space.dim)
-    # Basis pairs first, then the sampled pairs block by block, on the norms
-    # the sampler took; each pass keeps only its largest defects.
-    passes = [(xs[b], ys[b], n_xs[b], n_ys[b]) for b in row_blocks(*xs.shape)]
-    if bi.size:
-        basis = (eye[bi], eye[bj])
-        passes.insert(0, (*basis, *(norm_eval(space, v) for v in basis)))
-    worst = np.empty((len(passes), 2))
-    for k, (x, y, nx, ny) in enumerate(passes):
-        defects = np.abs(
-            _parallelogram(norm_eval(space, x + y), norm_eval(space, x - y), nx, ny)
-        )
-        worst[k] = defects.max(), (defects / (1.0 + nx**2 + ny**2)).max()
 
-    basis_witness_max = float(worst[0, 0]) if bi.size else 0.0
-    max_defect, max_normalized_defect = (float(v) for v in worst.max(axis=0))
+    def defects(x, y, nx, ny):
+        """The raw and normalized defects of each pair, shape (rows, 2)."""
+        raw = np.abs(_parallelogram(norm_eval(space, x + y), norm_eval(space, x - y), nx, ny))
+        return np.column_stack((raw, raw / (1.0 + nx**2 + ny**2)))
+
+    # The largest defects over the basis pairs (none in one dimension), then
+    # over the sampled pairs on the norms the sampler took; a NaN propagates.
+    eye = np.eye(space.dim)
+    basis = [eye[i] for i in np.triu_indices(space.dim, k=1)]
+    on_basis = defects(*basis, *(norm_eval(space, v) for v in basis)).max(axis=0, initial=0.0)
+    sampled = blockwise(lambda b: defects(xs[b], ys[b], n_xs[b], n_ys[b]), *xs.shape)
+    basis_witness_max = float(on_basis[0])
+    worst = np.maximum(on_basis, sampled.max(axis=0))
+    max_defect, max_normalized_defect = (float(v) for v in worst)
     accepted = bool(max_normalized_defect <= tol)
 
     gram = None

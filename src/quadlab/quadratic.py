@@ -176,10 +176,10 @@ class MapHandle:
     Whole-batch passes (residuals) may hand an evaluator any block of their
     rows (:func:`~quadlab.space.row_blocks`), so an evaluator must give each
     row the same value in any block; every built-in map does, bit for bit.
-    A pass larger than one row block may also call the evaluator from one
-    helper thread, on other blocks, while the calling thread runs it
-    (:func:`~quadlab.space.blockwise`), so an evaluator must be safe to call
-    from two threads at once; a pure function of its rows is.
+    A pass whose later half fills more than one row block may also call the
+    evaluator from one helper thread, on other blocks, while the calling
+    thread runs it (:func:`~quadlab.space.blockwise`), so an evaluator must
+    be safe to call from two threads at once; a pure function of its rows is.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]

@@ -7,7 +7,8 @@ C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
 A single vector's result is its row of the batch result.  Whole-batch
 pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
 evaluator gives a row the same bits in any block, so :func:`blockwise` can
-share a pass's blocks between the calling thread and one helper.
+share a pass's blocks between the calling thread and one helper, which takes
+only a call that fills more than one row block (:func:`_helper_thread`).
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -239,13 +240,13 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
     output, and only then allocates it: an output allocated before the
     temporaries leaves them at the top of the heap, where freeing them can
     hand pages back to the system, to be faulted in again on the next call.
-    The other blocks split into two runs in order, through
-    :func:`_helper_thread` (``n * width`` values): the helper writes the
-    later run into the output while the calling thread writes the earlier
-    one, so ``fn`` must be safe to call from two threads at once on
-    different blocks.  Each block's rows are ``fn``'s, so the output is the
-    serial loop's bit for bit, and errors surface in its order: the earlier
-    run's first.
+    The other blocks split into two runs in order, and the later run goes
+    through :func:`_helper_thread` with its rows' values: past one block's
+    worth (in any pass of four blocks or more), the helper writes it into
+    the output while the calling thread writes the earlier run, so ``fn``
+    must be safe to call from two threads at once on different blocks.
+    Each block's rows are ``fn``'s, so the output is the serial loop's bit
+    for bit, and errors surface in its order: the earlier run's first.
     """
     blocks = list(row_blocks(n, width)) or [slice(0, 0)]
     first = fn(blocks[0])
@@ -259,7 +260,7 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
             out[rows] = fn(rows)
 
     split = (len(blocks) + 1) // 2
-    with _helper_thread(n * width) as submit:
+    with _helper_thread((n - blocks[split].start) * width) as submit:
         later = submit(fill, blocks[split:])
         fill(blocks[1:split])
     later()
@@ -438,9 +439,9 @@ def _helper_thread(values: int):
     that starts no thread runs on the calling thread when ``result()`` is
     called (once), the serial order, or never if it is not called.  Either
     way ``fn`` runs under the numpy error state (``np.geterr()``,
-    ``np.geterrcall()``) of the thread that entered the block.  Users
-    submit draws (the profile's shells, a sample's y half) and the later
-    blocks of a :func:`blockwise` pass.
+    ``np.geterrcall()``) of the thread that entered the block.  Each user
+    passes the values its call fills: a profile's shell draw (both halves),
+    a sample's y half, or the later run of a :func:`blockwise` pass.
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 

@@ -131,10 +131,10 @@ class BatchExtraction:
     deviations ``deviations[i, :k]`` (NaN past the last one; one column per
     doubling the batch took, at most ``max_iters``) and
     ``tail_estimate[i]``; ``base[i]`` is the map's value at the row itself
-    (iterate 0), kept as the map gave it, also when the row failed.  ``failed_at[i]`` is -1 while the row's map values
-    stay finite, 0 when its base value is not finite, and ``n`` when the
-    value at ``2**n`` times the row is not; a failed row's limit and tail
-    estimate are NaN.
+    (iterate 0), kept as the map gave it, also when the row failed.
+    ``failed_at[i]`` is -1 while the row's map values stay finite, 0 when
+    its base value is not finite, and ``n`` when the value at ``2**n``
+    times the row is not; a failed row's limit and tail estimate are NaN.
     """
 
     base: np.ndarray

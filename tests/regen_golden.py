@@ -115,12 +115,12 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def entries() -> dict:
-    """``{group: {name: thunk}}``; a thunk returns the entry's digests."""
+def compute() -> dict:
+    """``{group: {name: digests}}`` for every entry."""
     groups = {"portable": {}, "libm": {}}
 
     def add(argv):
-        groups["libm" if _libm(argv) else "portable"][" ".join(argv)] = lambda: _run(argv)
+        groups["libm" if _libm(argv) else "portable"][" ".join(argv)] = _run(argv)
 
     for argv, _ in CLI_EXAMPLES:
         add(argv)
@@ -128,15 +128,8 @@ def entries() -> dict:
         for line in _BENCH_LINES:
             add([*line.split(), "--seed", str(seed)])
         add([*_EMIT_LINE.split(), "--seed", str(seed), "--emit-samples", "--out", "bulk.json"])
-        groups["portable"][f"verify_czerwik seed {seed}"] = lambda seed=seed: _czerwik(seed)
+        groups["portable"][f"verify_czerwik seed {seed}"] = _czerwik(seed)
     return groups
-
-
-def compute() -> dict:
-    return {
-        group: {name: thunk() for name, thunk in named.items()}
-        for group, named in entries().items()
-    }
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Whole-batch passes on two threads: past one row block, ``space.blockwise``
-runs the later half of a pass's blocks on one helper thread while the
-calling thread runs the earlier half, with a serial loop's bits, errors and
-numpy error state, and at most one helper in the process."""
+"""Whole-batch passes on two threads: when the later half of a pass's blocks
+fills more than one row block, ``space.blockwise`` runs it on one helper
+thread while the calling thread runs the earlier half, with a serial loop's
+bits, errors and numpy error state, and at most one helper in the process."""
 
 import threading
 import warnings
@@ -12,6 +12,8 @@ import pytest
 from quadlab import (
     MapHandle,
     NoiseModel,
+    Sampler,
+    detect_inner_product,
     equation_params,
     euclidean,
     make_odd_witness,
@@ -65,8 +67,10 @@ def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# 1 block (inline), 2 and 3 blocks (one block each side past the first), 50.
-_COUNTS = [20, 21, 41, 1000]
+# 1 block (inline); 2 and 3 blocks, whose later run fits in one block, on
+# the caller alone; 4 and 5 blocks, whose later run does not, and 50, on the
+# caller and the helper.
+_COUNTS = [20, 21, 41, 61, 81, 1000]
 
 
 @pytest.mark.usefixtures("small_blocks")
@@ -119,7 +123,19 @@ def _recording_map(threads):
 
 
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("n", [21, 41, 1000])
+@pytest.mark.parametrize("n", [21, 41])
+def test_a_two_or_three_block_pass_runs_on_the_caller_alone(n):
+    """The later run of its blocks fills at most one block: too little for a thread."""
+    before = threading.active_count()
+    threads = []
+    residual_gq(_recording_map(threads), _PARAMS, *_pairs(n))
+    assert threading.active_count() == before
+    assert set(threads) == {threading.get_ident()}
+    assert len(threads) == 4 * len(list(row_blocks(n, _DIM)))
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("n", [61, 81, 1000])
 def test_a_multi_block_pass_runs_on_the_caller_and_one_helper(n):
     before = threading.active_count()
     threads = []
@@ -129,6 +145,25 @@ def test_a_multi_block_pass_runs_on_the_caller_and_one_helper(n):
     # Four map calls per block; the first block is the caller's.
     assert len(threads) == 4 * len(list(row_blocks(n, _DIM)))
     assert set(threads[:4]) == {threading.get_ident()}
+
+
+_SPACES = [
+    euclidean(_DIM),
+    p_norm(_DIM, 3.0),
+    weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]),
+    sup_norm(_DIM),
+]
+
+
+@pytest.mark.parametrize("space", _SPACES, ids=lambda s: s.norm_kind)
+def test_inner_product_detection_in_small_blocks(space, monkeypatch):
+    sampler = Sampler.restricted_pairs(2, 1000, 2.0)
+    want = detect_inner_product(space, sampler).to_dict()
+    monkeypatch.setattr(space_module, "_BLOCK_VALUES", _SMALL_BLOCK)
+    before = threading.active_count()
+    got = detect_inner_product(space, sampler).to_dict()
+    assert threading.active_count() == before
+    assert got == want
 
 
 @pytest.mark.usefixtures("small_blocks")
