@@ -54,6 +54,7 @@ from .quadratic import (
 from .space import (
     Sampler,
     SpaceSpec,
+    _helper_thread,
     euclidean,
     norm_eval,
     p_norm,
@@ -493,17 +494,40 @@ def build_parser(argv: list) -> argparse.ArgumentParser:
 
 def _write_samples_csv(path: Path, header: list, columns: tuple) -> None:
     """Write the header, then the columns' rows (one value per header
-    name), every value as its ``repr``, one block of rows at a time; on a
-    failed write, remove the partial file and re-raise."""
+    name), every value as its ``repr``; on a failed write, remove the
+    partial file and re-raise.
+
+    Rows go in blocks of half a row block's values, two at a time: the
+    helper (:func:`_helper_thread`, given the values of every second block)
+    formats the later block of a pair while the calling thread formats and
+    writes the earlier one, and then the caller writes the later one.  At
+    most two blocks are in flight, the writes stay in order, and errors
+    surface in the serial order: the earlier block's first.
+    """
+    width = len(header)
+    blocks = list(row_blocks(columns[0].shape[0], 2 * width))
+
+    def text(rows):
+        return format_rows(np.column_stack([column[rows] for column in columns]))
+
+    helper_values = sum(rows.stop - rows.start for rows in blocks[1::2]) * width
     out = path.open("wb")
     try:
-        with out:
+        with out, _helper_thread(helper_values) as submit:
             out.write((",".join(header) + "\n").encode("ascii"))
-            for rows in row_blocks(columns[0].shape[0], len(header)):
-                out.write(format_rows(np.column_stack([column[rows] for column in columns])))
-    except OSError:
+            for i in range(0, len(blocks), 2):
+                # An odd last block has no partner; bytes() is b"".
+                later = submit(text, blocks[i + 1]) if i + 1 < len(blocks) else bytes
+                out.write(text(blocks[i]))
+                out.write(later())
+    except BaseException:
         path.unlink()
         raise
+
+
+def _out_of_memory(command: str) -> int:
+    print(f"error: {command} ran out of memory; no report written", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def main(argv=None) -> int:
@@ -523,8 +547,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:
-        print(f"error: {ns.command} ran out of memory; no report written", file=sys.stderr)
-        return EXIT_INVALID
+        return _out_of_memory(ns.command)
     runtime_ms = (time.perf_counter() - started) * 1000.0
     code, status = _VERDICTS[passed]
     report = {
@@ -549,13 +572,15 @@ def main(argv=None) -> int:
             if csv is not None:
                 try:
                     _write_samples_csv(report_path.with_suffix(".samples.csv"), *csv)
-                except OSError:
+                except BaseException:
                     # A report without its samples would pass for a finished run.
                     report_path.unlink()
                     raise
         except OSError as exc:
             print(f"error: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
             return EXIT_INVALID
+        except MemoryError:
+            return _out_of_memory(ns.command)
     print(f"{ns.command}: {status}", file=sys.stderr)
     return code
 

@@ -441,7 +441,8 @@ def _helper_thread(values: int):
     way ``fn`` runs under the numpy error state (``np.geterr()``,
     ``np.geterrcall()``) of the thread that entered the block.  Each user
     passes the values its call fills: a profile's shell draw (both halves),
-    a sample's y half, or the later run of a :func:`blockwise` pass.
+    a sample's y half, the later run of a :func:`blockwise` pass, or every
+    second block of a samples CSV (``cli._write_samples_csv``).
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 

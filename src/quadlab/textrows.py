@@ -21,8 +21,9 @@ digits with integer arithmetic:
   17th digit.  The shortest digits are the nearest multiple of ``10**q`` to
   ``S`` for the largest ``q`` whose nearest multiple lies inside that gap.
   A multiple of ``10**(q + 1)`` is one of ``10**q`` too, so the levels that
-  qualify are exactly ``q = 0 .. q*``; the search climbs from ``q = 0`` on
-  the rows that qualified at every level so far.
+  qualify are exactly ``q = 0 .. q*``.  Levels 1 and 2 run on every value,
+  since most stop there (at 17 or 16 digits), and the search climbs on
+  from ``q = 3`` on the rows that qualified at every level so far.
 * **Layout.**  Digits come from a 4-digit lookup table into a matrix led by
   ``'0'`` bytes.  Each class of decimal-point position is laid out by
   whole-column copies, and one mask over the block cuts every value's text
@@ -36,8 +37,9 @@ round-half-even rules of the reader decide.  Shortest round-trip printing
 by integer arithmetic with an exact fallback follows Loitsch, "Printing
 Floating-Point Numbers Quickly and Accurately with Integers" (PLDI 2010).
 
-The kernel's integer work uses int64 throughout, and ``//`` rather than
-the slower ``%``;
+The kernel works in place where it can and drops each temporary after its
+last use, so a call peaks near 100 bytes a value.  Its digit arithmetic
+uses int64 throughout, and ``//`` rather than the slower ``%``;
 mixing a uint64 array with int64 (or, under numpy 1.x, with a negative
 Python int) silently gives float64.
 """
@@ -45,6 +47,7 @@ Python int) silently gives float64.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -59,9 +62,10 @@ _SPLIT = 134217729.0  # 2**27 + 1
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split: ``a == hi + lo`` exactly, each half 26 bits wide."""
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = _SPLIT * a
+    lo = hi - a
+    np.subtract(hi, lo, out=hi)
+    return hi, np.subtract(a, hi, out=lo)
 
 
 def _powers_of_ten(k_min: int, k_max: int):
@@ -94,6 +98,9 @@ _DOT, _MINUS, _PLUS, _E, _COMMA, _NEWLINE = b".-+e,\n"
 # Text columns of one value: a sign column, then at most 24 bytes (the
 # longest repr, '-2.2250738585072014e-308'), then the separator.
 _WIDTH = 26
+
+# Held while format_rows makes sure the tables are built.
+_FIRST_BUILD = threading.Lock()
 
 
 class _Tables(NamedTuple):
@@ -137,57 +144,117 @@ def _scaled(x: np.ndarray, k: np.ndarray):
     row = k - _K_MIN
     shift = tables.shift.take(row)
     xs = np.ldexp(x, shift)
-    hi = xs * tables.ten_hi.take(row)
+    hi = tables.ten_hi.take(row)
+    hi *= xs
     x_hi, x_lo = _split(xs)
-    p_hi, p_lo = tables.ten_hi_hi.take(row), tables.ten_hi_lo.take(row)
-    lo = ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
-    return hi, lo + xs * tables.ten_lo.take(row), shift
+    # ((x_hi p_hi - hi) + x_hi p_lo + x_lo p_hi) + x_lo p_lo + xs t_lo, in
+    # that order, one product at a time.
+    lo = tables.ten_hi_hi.take(row)
+    lo *= x_hi
+    lo -= hi
+    for part, factor in (
+        (tables.ten_hi_lo, x_hi),
+        (tables.ten_hi_hi, x_lo),
+        (tables.ten_hi_lo, x_lo),
+        (tables.ten_lo, xs),
+    ):
+        term = part.take(row)
+        term *= factor
+        lo += term
+        del term
+    return hi, lo, shift
 
 
-def _shortest(x: np.ndarray):
-    """Shortest round-trip digits of each positive normal ``x``.
+def _level(n: np.ndarray, rem: np.ndarray, half_gap: np.ndarray, m: int):
+    """At the multiples of ``m``: how far inside the gap the one nearest
+    ``S = n + rem`` lies, that multiple, and whether ``S`` ties between two."""
+    above = n // m
+    below = above * m
+    np.subtract(n, below, out=below)
+    # S lies |below + rem| from the multiple of m under N and
+    # m - below - rem from the one over it; each is summed from an exact
+    # integer, so it is accurate whenever it is small enough to matter.
+    dist = below + rem
+    np.abs(dist, out=dist)
+    np.subtract(m, below, out=below)
+    to_upper = below - rem
+    del below
+    above += to_upper < dist
+    above *= m
+    np.minimum(to_upper, dist, out=dist)
+    inside = np.subtract(half_gap, dist, out=to_upper)
+    dist -= 0.5 * m
+    np.abs(dist, out=dist)
+    return inside, above, dist <= _MARGIN
+
+
+def _shortest(values: np.ndarray, fast: np.ndarray):
+    """Shortest round-trip digits of ``|values[fast]|``, positive normals.
 
     Returns ``(digits, count, decpt, unsure)``: ``digits`` is the 17-digit
     int64 whose leading ``count`` digits are the shortest ones (trailing
-    zeros after them), ``x`` reads ``0.<digits> * 10**decpt``, and
-    ``unsure`` marks the values to leave to ``repr``.
+    zeros after them), the value reads ``0.<digits> * 10**decpt``, and
+    ``unsure`` marks the values to leave to ``repr``.  Each temporary is
+    written in place and dropped after its last use.
     """
-    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    x = values[fast]
+    np.abs(x, out=x)
+    k = np.log10(x)
+    np.floor(k, out=k)
+    k = 16 - k.astype(np.int64)
     hi, lo, shift = _scaled(x, k)
-    step = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int64)
+    step = ((hi < 1e16) | ((hi == 1e16) & (lo < 0))).astype(np.int8)
     step -= (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
     moved = np.flatnonzero(step)
     if moved.size:
         k[moved] += step[moved]
         hi[moved], lo[moved], shift[moved] = _scaled(x[moved], k[moved])
     whole = np.rint(lo)
-    n = hi.astype(np.int64) + whole.astype(np.int64)
-    rem = lo - whole
+    n = hi.astype(np.int64)
+    del hi
+    n += whole.astype(np.int64)
+    rem = np.subtract(lo, whole, out=lo)
+    del whole
     # spacing(x) / 2 * 2**shift, from x's exponent bits, times t_hi.
-    ten_hi = _tables().ten_hi.take(k - _K_MIN)
-    half_gap = np.ldexp(ten_hi, (x.view(np.int64) >> 52) - 1076 + shift)
+    exponent = x.view(np.int64) >> 52
+    del x
+    exponent -= 1076
+    exponent += shift
+    del shift
+    half_gap = _tables().ten_hi.take(k - _K_MIN)
+    np.ldexp(half_gap, exponent, out=half_gap)
+    del exponent
 
-    digits = np.empty_like(n)
-    count = np.empty_like(n)
-    unsure = np.empty(x.shape, dtype=bool)
     # Level q = 0: N itself lies within 1/2 < h of S; a tie is |rem| = 1/2.
-    rows = np.arange(x.shape[0])
-    candidate = n
-    tie = np.abs(rem) >= 0.5 - _MARGIN
-    for q in range(1, 17):
+    # Rows that stop at a level keep the previous level's candidate; a
+    # level too close to call leaves the count unknown.  Most values stop
+    # at level 1 or 2, so those two levels run on every value, and only the
+    # rest climb on.
+    unsure = np.abs(rem) >= 0.5 - _MARGIN
+    inside, candidate_1, tie_1 = _level(n, rem, half_gap, 10)
+    stop_1 = inside <= _MARGIN
+    unsure |= inside >= -_MARGIN
+    count = np.where(stop_1, 17, 16).astype(np.int8)
+    del inside
+    inside, candidate_2, tie_2 = _level(n, rem, half_gap, 100)
+    stop_2 = inside <= _MARGIN
+    stop_2 &= ~stop_1
+    tie_1 |= inside >= -_MARGIN
+    np.copyto(unsure, tie_1, where=stop_2)
+    del inside, tie_1
+    rows = np.flatnonzero(~(stop_1 | stop_2))
+    n_live, rem, half_gap = n[rows], rem[rows], half_gap[rows]
+    candidate, tie = candidate_2[rows], tie_2[rows]
+    del candidate_2, tie_2
+    # digits is n, the level 0 candidate, but the level 1 candidate on the
+    # rows that stop at level 2; the loop settles the other rows.
+    digits = n
+    np.copyto(digits, candidate_1, where=count == 16)
+    del candidate_1
+    n = n_live
+    for q in range(3, 17):
         m = 10**q
-        above = n // m
-        below = n - above * m
-        # S lies |below + rem| from the multiple of m under N and
-        # m - below - rem from the one over it; each is summed from an exact
-        # integer, so it is accurate whenever it is small enough to matter.
-        to_lower = np.abs(below + rem)
-        to_upper = (m - below) - rem
-        up = to_upper < to_lower
-        dist = np.minimum(to_upper, to_lower)
-        inside = half_gap - dist
-        # Rows that stop here keep the previous level's candidate; a level
-        # too close to call leaves the count unknown.
+        inside, above, next_tie = _level(n, rem, half_gap, m)
         done = np.flatnonzero(inside <= _MARGIN)
         if done.size:
             settled = rows[done]
@@ -196,14 +263,13 @@ def _shortest(x: np.ndarray):
             unsure[settled] = tie[done] | (inside[done] >= -_MARGIN)
             live = np.flatnonzero(inside > _MARGIN)
             rows, n, rem, half_gap = rows[live], n[live], rem[live], half_gap[live]
-            above, up, dist = above[live], up[live], dist[live]
-        candidate = (above + up) * m
-        tie = np.abs(dist - 0.5 * m) <= _MARGIN
+            above, next_tie = above[live], next_tie[live]
+        candidate, tie = above, next_tie
     # One digit is as short as digits get.
     digits[rows] = candidate
     count[rows] = 1
     unsure[rows] = tie
-    decpt = 17 - k
+    decpt = np.subtract(17, k, out=k)
     # 10**17 is a one-digit '1' one place further left.
     carry = digits == 10**17
     digits[carry] = 10**16
@@ -213,64 +279,66 @@ def _shortest(x: np.ndarray):
 
 def _digit_bytes(digits: np.ndarray) -> np.ndarray:
     """(n, 24) ASCII bytes: seven ``'0'`` then the 17 digits of each int64."""
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    high = rest // 10**8
-    low = rest - high * 10**8
-    high_quad = high // 10**4
-    low_quad = low // 10**4
-    quads = np.stack(
-        [
-            np.zeros_like(lead),
-            lead,
-            high_quad,
-            high - high_quad * 10**4,
-            low_quad,
-            low - low_quad * 10**4,
-        ],
-        axis=1,
-    )
-    return _tables().quads[quads].view(np.uint8)
+    quads = _tables().quads
+    out = np.empty((digits.shape[0], 6), dtype=quads.dtype)
+    out[:, 0] = quads[0]
+    # Nine digits and eight, then four at a time from the right.
+    head = digits // 10**8
+    tail = digits - head * 10**8
+    quad = tail // 10**4
+    tail -= quad * 10**4
+    out[:, 5] = quads.take(tail)
+    out[:, 4] = quads.take(quad)
+    np.floor_divide(head, 10**4, out=quad)
+    head -= quad * 10**4
+    out[:, 3] = quads.take(head)
+    np.floor_divide(quad, 10**4, out=head)
+    out[:, 1] = quads.take(head)
+    quad -= head * 10**4
+    out[:, 2] = quads.take(quad)
+    return out.view(np.uint8)
 
 
-def _fixed(digit_bytes: np.ndarray, count: np.ndarray, point: int):
-    """Text rows (from column 1) and lengths for values that all read
-    ``0.<digits> * 10**point`` with ``-4 < point <= 16``."""
-    text = np.empty((count.shape[0], _WIDTH), dtype=np.uint8)
+def _fixed(text: np.ndarray, at: np.ndarray, digit_bytes: np.ndarray, count, point: int):
+    """Lay out text rows ``at`` (from column 1) of values that all read
+    ``0.<digits> * 10**point`` with ``-4 < point <= 16``; their lengths."""
     # Integer digits, '.', fraction digits, all one window of the '0'-led
     # digit matrix: a lone '0' before the point when point <= 0, and a lone
     # '0' after it when no digit is left for the fraction.
     whole = max(point, 1)
-    text[:, 1 : 1 + whole] = digit_bytes[:, 7 + point - whole : 7 + point]
-    text[:, 1 + whole] = _DOT
-    text[:, 2 + whole : 19 + whole - point] = digit_bytes[:, 7 + point :]
-    return text, whole + 1 + np.maximum(count - point, 1)
+    text[at, 1 : 1 + whole] = digit_bytes[:, 7 + point - whole : 7 + point]
+    text[at, 1 + whole] = _DOT
+    text[at, 2 + whole : 19 + whole - point] = digit_bytes[:, 7 + point :]
+    return whole + 1 + np.maximum(count - point, 1)
 
 
-def _scientific(digit_bytes: np.ndarray, count: np.ndarray, decpt: np.ndarray):
-    """Text rows (from column 1) and lengths in repr's scientific notation:
-    ``d`` or ``d.ddd``, then ``e``, the exponent's sign and at least two of
-    its digits."""
-    text = np.empty((count.shape[0], _WIDTH), dtype=np.uint8)
-    text[:, 1] = digit_bytes[:, 7]
-    text[:, 2] = _DOT
-    text[:, 3:19] = digit_bytes[:, 8:]
+def _scientific(text: np.ndarray, at: np.ndarray, digit_bytes: np.ndarray, count, decpt):
+    """Lay out text rows ``at`` (from column 1) in repr's scientific
+    notation: ``d`` or ``d.ddd``, then ``e``, the exponent's sign and at
+    least two of its digits; their lengths."""
+    text[at, 1] = digit_bytes[:, 7]
+    text[at, 2] = _DOT
+    text[at, 3:19] = digit_bytes[:, 8:]
     mark = np.where(count > 1, count + 2, 2)
     exponent = decpt - 1
     wide = np.abs(exponent) >= 100
     # Three exponent digits, then 'e' and the sign over the first of them
     # when two are enough.
-    rows = np.arange(count.shape[0])
     exponent_digits = _tables().quads[np.abs(exponent)].view(np.uint8).reshape(-1, 4)[:, 1:]
-    text[rows[:, None], (mark + 1 + wide)[:, None] + np.arange(3)] = exponent_digits
-    text[rows, mark] = _E
-    text[rows, mark + 1] = np.where(exponent < 0, _MINUS, _PLUS)
-    return text, mark + 3 + wide
+    text[at[:, None], (mark + 1 + wide)[:, None] + np.arange(3)] = exponent_digits
+    text[at, mark] = _E
+    text[at, mark + 1] = np.where(exponent < 0, _MINUS, _PLUS)
+    return mark + 3 + wide
 
 
 def format_rows(block: np.ndarray) -> bytes:
     """CSV bytes of a C-ordered (n, w) float64 block, one line per row,
-    equal to ``",".join(map(repr, row)) + "\\n"`` for each row."""
+    equal to ``",".join(map(repr, row)) + "\\n"`` for each row.  Safe to
+    call from two threads at once."""
+    # functools.cache does not lock: two threads' first calls at once would
+    # each build the tables.
+    with _FIRST_BUILD:
+        _tables()
     width = block.shape[1]
     values = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
     size = values.shape[0]
@@ -280,40 +348,49 @@ def format_rows(block: np.ndarray) -> bytes:
     fast = np.flatnonzero(
         (exponent_bits > 0) & (exponent_bits < 0x7FF) & ((bits & (2**52 - 1)) != 0)
     )
-    digits, count, decpt, unsure = _shortest(np.abs(values[fast]))
+    del exponent_bits
+    zero = (bits & (2**63 - 1)) == 0
+    digits, count, decpt, unsure = _shortest(values, fast)
+    # Zeros and the kernel's sure values are laid out here, the rest by repr.
+    slow = ~zero
+    slow[fast] = unsure
     digit_bytes = _digit_bytes(digits)
+    del digits
 
     text = np.empty((size, _WIDTH), dtype=np.uint8)
-    length = np.empty(size, dtype=np.int64)
+    length = np.empty(size, dtype=np.int8)
     # Classes -4 and 17 hold every value in scientific notation.
-    point = np.clip(decpt, -4, 17)
+    point = np.clip(decpt, -4, 17).astype(np.int8)
     for cls in (np.flatnonzero(np.bincount(point + 4)) - 4).tolist():
         members = np.flatnonzero(point == cls)
+        at = fast[members]
         if -4 < cls <= 16:
-            laid = _fixed(digit_bytes[members], count[members], cls)
+            length[at] = _fixed(text, at, digit_bytes[members], count[members], cls)
         else:
-            laid = _scientific(digit_bytes[members], count[members], decpt[members])
-        text[fast[members]], length[fast[members]] = laid
-    zero = np.flatnonzero((bits & (2**63 - 1)) == 0)
+            length[at] = _scientific(
+                text, at, digit_bytes[members], count[members], decpt[members]
+            )
+        del members, at
+    del fast, count, decpt, digit_bytes, point
     text[zero, 1:4] = np.frombuffer(b"0.0", dtype=np.uint8)
     length[zero] = 3
     text[:, 0] = _MINUS
     # Text starts at column 1, or at the '-' in column 0.
-    start = (bits >= 0).astype(np.int64)
+    start = bits >= 0
 
-    slow = np.ones(size, dtype=bool)
-    slow[fast[~unsure]] = False
-    slow[zero] = False
     slow = np.flatnonzero(slow)
     if slow.size:
         spelled = [repr(value) for value in values[slow].tolist()]
         padded = "".join(word.ljust(24) for word in spelled).encode("ascii")
         text[slow, 1:25] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, 24)
         length[slow] = [len(word) for word in spelled]
-        start[slow] = 1
+        start[slow] = True
 
     stop = 1 + length
     separator = np.full(size, _COMMA, dtype=np.uint8)
     separator[width - 1 :: width] = _NEWLINE
     text.reshape(-1)[np.arange(0, size * _WIDTH, _WIDTH) + stop] = separator
-    return text[np.take(_tables().keep, start * _WIDTH + stop, axis=0)].tobytes()
+    keep = np.take(_tables().keep, start * _WIDTH + stop, axis=0)
+    kept = text[keep]
+    del text, keep
+    return kept.tobytes()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +212,7 @@ class TestOutputFiles:
             "--emit-samples",
         )
         assert code == 2
-        assert blocks == [5, 5]
+        assert blocks == [2, 2]
         assert captured.out == ""
         assert captured.err == (
             f"error: cannot write {str(csv_path)!r}: {os.strerror(errno.ENOSPC)}\n"
@@ -318,6 +319,160 @@ class TestSamplesCsvBytes:
             main(argv)
             assert (tmp_path / "run.samples.csv").read_bytes() == whole
         capsys.readouterr()
+
+
+def _recording_format_rows(monkeypatch, fail=None):
+    """Patch ``cli.format_rows`` to record the thread of each call, and to
+    raise ``fail(thread, calls)``'s exception when it returns one."""
+    threads = []
+
+    def recording(block):
+        threads.append(threading.get_ident())
+        error = fail and fail(threads[-1], threads)
+        if error is not None:
+            raise error
+        return format_rows(block)
+
+    monkeypatch.setattr(cli, "format_rows", recording)
+    return threads
+
+
+def _columns(n, width=5, seed=1):
+    rng = np.random.default_rng(seed)
+    return [f"c{i}" for i in range(width)], (
+        rng.standard_normal((n, width - 1)),
+        rng.standard_normal(n),
+    )
+
+
+def _enospc(path):
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+class TestSamplesCsvOnTwoThreads:
+    """The writer formats blocks of half a row block in pairs: the helper
+    takes the later block of each pair while the calling thread formats and
+    writes the earlier one.  The bytes, the write order and the error order
+    are the serial loop's."""
+
+    @pytest.mark.parametrize(
+        "line, block_values, blocks",
+        [
+            ("certify --dim 2 --samples 40 --seed 5", 50, 8),
+            ("certify --dim 2 --samples 45 --seed 5", 50, 9),
+            ("profile --dim 2 --n-min 1 --n-max 8 --per-shell 30 --seed 4", 6, 8),
+            ("profile --dim 2 --n-min 1 --n-max 9 --per-shell 30 --seed 4", 6, 9),
+        ],
+        ids=["certify-even", "certify-odd", "profile-even", "profile-odd"],
+    )
+    def test_csv_bytes_match_the_serial_reference(
+        self, capsys, tmp_path, monkeypatch, line, block_values, blocks
+    ):
+        monkeypatch.setattr(space, "_BLOCK_VALUES", block_values)
+        written = []
+        write = cli._write_samples_csv
+
+        def recording(path, header, columns):
+            written.append((header, columns))
+            write(path, header, columns)
+
+        monkeypatch.setattr(cli, "_write_samples_csv", recording)
+        threads = _recording_format_rows(monkeypatch)
+        before = threading.active_count()
+        assert main([*line.split(), "--emit-samples", "--out", str(tmp_path / "r.json")]) == 0
+        assert threading.active_count() == before
+        capsys.readouterr()
+        (header, columns), = written
+        csv = (tmp_path / "r.samples.csv").read_bytes()
+        if header[0] == "shell_lower":
+            assert csv == percent_r_profile_csv(1, columns[0].shape[0], columns[1])
+        else:
+            assert csv == percent_r_certify_csv(header, columns)
+        # The caller formats the earlier block of each pair, and an odd last one.
+        assert len(threads) == blocks and len(set(threads)) == 2
+        assert threads.count(threading.get_ident()) == (blocks + 1) // 2
+
+    def test_a_helper_csv_error_removes_the_partial_file(self, tmp_path, monkeypatch):
+        # 2 rows a block, 10 blocks: the helper's second block (block 3)
+        # fails after the caller has written blocks 0, 1 and 2.
+        monkeypatch.setattr(space, "_BLOCK_VALUES", 2 * 2 * 5)
+        path = tmp_path / "r.samples.csv"
+        caller = threading.get_ident()
+
+        def fail(thread, calls):
+            if thread != caller and calls.count(thread) == 2:
+                return _enospc(path)
+
+        threads = _recording_format_rows(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            cli._write_samples_csv(path, *_columns(20))
+        assert raised.value.errno == errno.ENOSPC
+        assert threading.active_count() == before
+        assert threads.count(caller) == 2 and len(threads) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_callers_csv_error_wins_over_the_helpers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(space, "_BLOCK_VALUES", 2 * 2 * 5)
+        path = tmp_path / "r.samples.csv"
+        caller = threading.get_ident()
+        helper_failed = threading.Event()
+
+        def fail(thread, calls):
+            if thread != caller:
+                helper_failed.set()
+                return ValueError("the helper's block refused")
+            assert helper_failed.wait(10.0)
+            return _enospc(path)
+
+        _recording_format_rows(monkeypatch, fail)
+        before = threading.active_count()
+        with pytest.raises(OSError) as raised:
+            cli._write_samples_csv(path, *_columns(20))
+        assert raised.value.errno == errno.ENOSPC
+        assert threading.active_count() == before
+        assert helper_failed.is_set()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [1, 100, 4096])
+    def test_a_csv_of_one_row_block_starts_no_thread(self, tmp_path, monkeypatch, n):
+        # 4096 rows of 16 values fill one row block exactly.
+        header, columns = _columns(n, width=16)
+        threads = _recording_format_rows(monkeypatch)
+        before = threading.active_count()
+        cli._write_samples_csv(tmp_path / "r.samples.csv", header, columns)
+        assert threading.active_count() == before
+        assert set(threads) == {threading.get_ident()}
+        assert (tmp_path / "r.samples.csv").read_bytes() == (
+            ",".join(header) + "\n"
+        ).encode("ascii") + format_rows(np.column_stack(columns))
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_csv_out_of_memory_is_two_with_no_file(self, capsys, tmp_path, monkeypatch, side):
+        monkeypatch.setattr(space, "_BLOCK_VALUES", 5 * 5)
+        caller = threading.get_ident()
+
+        def fail(thread, calls):
+            if (thread == caller) == (side == "caller") and calls.count(thread) == 2:
+                return MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        _recording_format_rows(monkeypatch, fail)
+        before = threading.active_count()
+        code, report, captured = run_cli(
+            capsys, "certify", "--samples", "20", "--out", str(tmp_path / "r.json"),
+            "--emit-samples",
+        )
+        assert threading.active_count() == before
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: certify ran out of memory; no report written\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_interrupted_csv_write_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        _recording_format_rows(monkeypatch, lambda thread, calls: KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            main(["certify", "--samples", "20", "--out", str(tmp_path / "r.json"), "--emit-samples"])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

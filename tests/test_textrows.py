@@ -1,13 +1,18 @@
 """The samples-CSV float kernel: every value byte for byte its ``repr``."""
 
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quadlab import textrows
+from quadlab import cli, textrows
 from quadlab.cli import main
+from quadlab.space import row_blocks
 from quadlab.textrows import format_rows
 
 
@@ -161,3 +166,59 @@ def test_repr_fallback_stays_rare(monkeypatch, tmp_path, capsys, command):
     values = (len(lines) - 1) * (lines[0].count(b",") + 1)
     assert values > 80_000
     assert len(calls) < 0.001 * values
+
+
+def test_two_threads_build_the_csv_tables_once(monkeypatch):
+    """The first calls from two threads at once build the lookup tables
+    once and print the serial bytes."""
+    block = np.random.default_rng(2).standard_normal((500, 5))
+    want = repr_rows(block)
+    builds = []
+    build = textrows._powers_of_ten
+
+    def slow_build(*args):
+        builds.append(threading.get_ident())
+        # Long enough for the other thread to ask for the tables meanwhile.
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(textrows, "_powers_of_ten", slow_build)
+    textrows._tables.cache_clear()
+    start = threading.Barrier(2, timeout=30.0)
+    got = []
+
+    def run():
+        start.wait()
+        got.append(format_rows(block))
+
+    threads = [threading.Thread(target=run) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+    assert got == [want, want]
+    assert len(builds) == 1
+
+
+def test_a_csv_block_formats_in_at_most_3_5_mib(monkeypatch, tmp_path, capsys):
+    """Each block that the samples-CSV writer hands to format_rows, at the
+    default block size, peaks at 3.5 MiB of traced memory, so that the
+    helper thread's heap stays small."""
+    written = []
+    monkeypatch.setattr(cli, "_write_samples_csv", lambda *args: written.append(args))
+    assert main([*WORKLOAD_EMIT.split(), "--emit-samples", "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    (_, header, columns), = written
+    format_rows(np.ones((1, 1)))  # builds the tables before tracing starts
+    blocks = list(row_blocks(columns[0].shape[0], 2 * len(header)))
+    assert len(blocks) > 2
+    for rows in blocks:
+        block = np.column_stack([column[rows] for column in columns])
+        tracemalloc.start()
+        try:
+            format_rows(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20, (rows, peak)
