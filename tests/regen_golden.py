@@ -7,7 +7,9 @@ Each entry is one ``quadlab`` command line or one library call:
 * the benchmark's command lines (``benchmark/workloads.py``) at seeds 1-3,
   shrunk to test size;
 * ``verify_czerwik(...).to_dict()`` as the benchmark calls it, shrunk the
-  same way.
+  same way;
+* a few sine-noise command lines at seed 1, whose extraction and noise
+  reduce rows of 2 to 12 elements.
 
 A report is digested without its ``runtime_ms`` line, an emitted CSV as
 written, and a library report as its sorted JSON.  ``portable`` entries go
@@ -70,6 +72,13 @@ _EMIT_LINE = (
 )
 _SEEDS = (1, 2, 3)
 
+_SINE_LINES = [
+    "certify --dim 3 --codim 2 --noise sine:0.1 --samples 2000 --probes 64",
+    "certify --dim 12 --codim 2 --r 1/3 --d 1 --noise sine:0.05 --samples 2000 --probes 64",
+    "profile --dim 8 --codim 2 --noise sine:0.3",
+    "residual --dim 3 --r 1/3 --noise sine:0.2 --x 1,2,3 --y -2,0.5,1",
+]
+
 
 def _libm(argv) -> bool:
     """Whether a command line's values go through ``pow`` or ``sin``."""
@@ -129,6 +138,8 @@ def compute() -> dict:
             add([*line.split(), "--seed", str(seed)])
         add([*_EMIT_LINE.split(), "--seed", str(seed), "--emit-samples", "--out", "bulk.json"])
         groups["portable"][f"verify_czerwik seed {seed}"] = _czerwik(seed)
+    for line in _SINE_LINES:
+        add([*line.split(), "--seed", "1"])
     return groups
 
 
