@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, norm_eval, row_dots
+from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, norm_eval, row_sums
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -161,7 +161,7 @@ def noise_values(model: NoiseModel, x, codim: int = 1):
                 f"sine frequency has length {model.freq.shape[0]}, "
                 f"inputs have length {rows.shape[1]}"
             )
-        out = np.repeat((model.c * np.sin(row_dots(rows, model.freq)))[:, None], codim, axis=1)
+        out = np.repeat((model.c * np.sin(row_sums(rows * model.freq)))[:, None], codim, axis=1)
     return out[0] if single else out
 
 

@@ -204,19 +204,6 @@ def norm_eval(space: SpaceSpec | None, x):
     return float(out[0]) if single else out
 
 
-def row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Dot product of each row of ``rows`` with the same row of ``other``, or
-    with ``other`` itself when it is one vector.
-
-    Each value equals ``np.dot`` of that row alone, bit for bit, whatever the
-    batch: matmul takes one BLAS dot product per stacked row, where
-    ``rows @ v`` switches to a matrix-vector product that rounds each row
-    differently by batch size, and a row-wise sum of products rounds
-    differently again.
-    """
-    return (rows[:, None, :] @ other[..., :, None])[:, 0, 0]
-
-
 def row_blocks(n: int, width: int):
     """Slices that cover ``range(n)`` in order, in blocks of
     ``_BLOCK_VALUES // width`` rows (at least one).

@@ -25,7 +25,6 @@ from .space import (
     _rows_at_radii,
     generator,
     norm_eval,
-    row_dots,
     sample_pairs_restricted,
 )
 
@@ -222,11 +221,8 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
         failed_at[active[~finite]] = n
         active = active[finite]
         current = np.ldexp(values[finite], -2 * n)
-        # Square roots of row dot products: equal bit for bit to
-        # np.linalg.norm of each row alone.
-        step = current - limits[active]
-        dev = np.sqrt(row_dots(step, step))
-        scale = np.sqrt(row_dots(current, current))
+        dev = norm_eval(None, current - limits[active])
+        scale = norm_eval(None, current)
         doublings.append((active, dev))
         last[active] = dev
         limits[active] = current

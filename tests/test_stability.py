@@ -1,8 +1,12 @@
 """Stability constants, limit extraction, certification, and the classical
 half-defect bound."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from quadlab import (
     extract_quadratic,
     extract_quadratic_batch,
     make_perturbed,
+    norm_eval,
     p_norm,
     random_symmetric_form,
     sample_pairs_restricted,
@@ -33,9 +38,37 @@ from quadlab.quadratic import as_map
 from quadlab.stability import _probes
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints one digest of sine-noise extraction records (deviations,
+# iterations, limits) at dims 2, 3, 8 and 12, and of sine noise values at
+# random frequencies.
+_SINE_DIGEST = """
+import hashlib
+import numpy as np
+from quadlab import (
+    NoiseModel, euclidean, extract_quadratic_batch, make_perturbed, noise_values,
+    random_symmetric_form,
+)
+digest = hashlib.sha256()
+for dim in (2, 3, 8, 12):
+    rng = np.random.default_rng(dim)
+    noise = NoiseModel.sine(0.3, rng.normal(size=dim))
+    f = make_perturbed(random_symmetric_form(euclidean(dim), euclidean(2), seed=dim), noise)
+    batch = extract_quadratic_batch(f, rng.normal(size=(64, dim)), max_iters=40, tol=1e-14)
+    for record in (batch.deviations, batch.iterations, batch.limits):
+        digest.update(np.ascontiguousarray(record).tobytes())
+    noise = NoiseModel.sine(1.0, 50.0 * rng.normal(size=dim))
+    digest.update(noise_values(noise, rng.normal(size=(64, dim)), 2).tobytes())
+print(digest.hexdigest())
+"""
+
+
 def _reference_extract(f, x, max_iters=26, tol=1e-10):
-    """The one-point extraction loop that the batch engine replaced, kept
-    verbatim as the reference for the engine's per-row records."""
+    """The one-point extraction loop that the batch engine replaced, kept as
+    the reference for the engine's per-row records; its deviations and
+    iterate scales are Euclidean norms from ``norm_eval(None, .)``, the norm
+    the engine and the reports use."""
     handle = as_map(f)
     point = np.asarray(x, dtype=np.float64)
     prev = handle(point)
@@ -50,10 +83,10 @@ def _reference_extract(f, x, max_iters=26, tol=1e-10):
         if not np.all(np.isfinite(value)):
             raise ExtractionError(f"map value became non-finite at scale 2**{n}", diag)
         current = value / 4.0**n
-        dev = float(np.linalg.norm(current - prev))
+        dev = norm_eval(None, current - prev)
         diag.deviations.append(dev)
         prev = current
-        scale = float(np.linalg.norm(current))
+        scale = norm_eval(None, current)
         if np.isfinite(dev) and np.isfinite(scale) and dev <= tol * (1.0 + scale):
             converged = True
             break
@@ -346,6 +379,22 @@ class TestBatchExtraction:
                 assert np.array_equal(up, values * 2.0**n, equal_nan=True)
                 assert np.array_equal(down, values / 4.0**n, equal_nan=True)
                 assert np.array_equal(np.signbit(down), np.signbit(values / 4.0**n))
+
+    def test_sine_records_do_not_depend_on_the_blas_core_type(self):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process.  These
+        # four run on any x86-64 CPU; forcing a newer type can crash.
+        digests = set()
+        for core in (None, "Prescott", "Nehalem", "Haswell"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = str(SRC)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            proc = subprocess.run(
+                [sys.executable, "-c", _SINE_DIGEST],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            digests.add(proc.stdout)
+        assert len(digests) == 1, digests
 
     @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": 2.5}, {"tol": 0.0}, {"tol": np.inf}])
     def test_bad_controls(self, kwargs):
