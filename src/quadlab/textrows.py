@@ -46,10 +46,6 @@ Python int) silently gives float64.
 
 from __future__ import annotations
 
-import functools
-import threading
-from typing import NamedTuple
-
 import numpy as np
 
 # Distance, in units of the 17th significant digit, within which a
@@ -99,64 +95,48 @@ _DOT, _MINUS, _PLUS, _E, _COMMA, _NEWLINE = b".-+e,\n"
 # longest repr, '-2.2250738585072014e-308'), then the separator.
 _WIDTH = 26
 
-# Held while format_rows makes sure the tables are built.
-_FIRST_BUILD = threading.Lock()
-
-
-class _Tables(NamedTuple):
-    shift: np.ndarray  # by k - _K_MIN: the a with 10**k / 2**a in [1, 2)
-    ten_hi: np.ndarray  # 10**k / 2**a as ten_hi + ten_lo
-    ten_lo: np.ndarray
-    ten_hi_hi: np.ndarray  # ten_hi split for TwoProduct
-    ten_hi_lo: np.ndarray
-    # Four ASCII digits of each integer 0 .. 9999, packed in one uint32 so
-    # that a row of them views as a row of bytes in reading order.
-    quads: np.ndarray
-    # keep[start * _WIDTH + stop]: the columns of a text row from start (0
-    # or 1) to its separator at stop.
-    keep: np.ndarray
-
-
-@functools.cache
-def _tables() -> _Tables:
-    """The kernel's lookup tables, built on first use, so that importing
-    the CLI costs a run that writes no CSV neither time nor memory.  The
-    arrays are shared; nothing writes to them."""
-    shift, ten_hi, ten_lo = _powers_of_ten(_K_MIN, _K_MAX)
-    quads = np.ascontiguousarray(
-        np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
-    )
-    column = np.arange(_WIDTH)
-    keep = (column >= np.arange(2)[:, None, None]) & (column <= column[:, None])
-    return _Tables(
-        shift,
-        ten_hi,
-        ten_lo,
-        *_split(ten_hi),
-        quads.view(np.uint32).reshape(-1),
-        keep.reshape(-1, _WIDTH),
-    )
+# The kernel's lookup tables, built once at import and shared by every
+# thread, so each is read-only.  By k - _K_MIN: the a with 10**k / 2**a in
+# [1, 2), and that quotient as _TEN_HI + _TEN_LO, _TEN_HI split for TwoProduct.
+_SHIFT, _TEN_HI, _TEN_LO = _powers_of_ten(_K_MIN, _K_MAX)
+_TEN_HI_HI, _TEN_HI_LO = _split(_TEN_HI)
+# Four ASCII digits of each integer 0 .. 9999, packed in one uint32 so that
+# a row of them views as a row of bytes in reading order.
+_QUADS = (
+    np.ascontiguousarray(np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0"))
+    .view(np.uint32)
+    .reshape(-1)
+)
+# _KEEP[start * _WIDTH + stop]: the columns of a text row from start (0 or
+# 1) to its separator at stop.
+_KEEP = np.fromfunction(
+    lambda start, stop, column: (column >= start) & (column <= stop),
+    (2, _WIDTH, _WIDTH),
+    dtype=int,
+).reshape(-1, _WIDTH)
+for _table in (_SHIFT, _TEN_HI, _TEN_LO, _TEN_HI_HI, _TEN_HI_LO, _QUADS, _KEEP):
+    _table.flags.writeable = False
+del _table
 
 
 def _scaled(x: np.ndarray, k: np.ndarray):
     """``hi + lo`` close to ``x * 10**k``, and the exponent ``a`` used."""
-    tables = _tables()
     row = k - _K_MIN
-    shift = tables.shift.take(row)
+    shift = _SHIFT.take(row)
     xs = np.ldexp(x, shift)
-    hi = tables.ten_hi.take(row)
+    hi = _TEN_HI.take(row)
     hi *= xs
     x_hi, x_lo = _split(xs)
     # ((x_hi p_hi - hi) + x_hi p_lo + x_lo p_hi) + x_lo p_lo + xs t_lo, in
     # that order, one product at a time.
-    lo = tables.ten_hi_hi.take(row)
+    lo = _TEN_HI_HI.take(row)
     lo *= x_hi
     lo -= hi
     for part, factor in (
-        (tables.ten_hi_lo, x_hi),
-        (tables.ten_hi_hi, x_lo),
-        (tables.ten_hi_lo, x_lo),
-        (tables.ten_lo, xs),
+        (_TEN_HI_LO, x_hi),
+        (_TEN_HI_HI, x_lo),
+        (_TEN_HI_LO, x_lo),
+        (_TEN_LO, xs),
     ):
         term = part.take(row)
         term *= factor
@@ -221,7 +201,7 @@ def _shortest(values: np.ndarray, fast: np.ndarray):
     exponent -= 1076
     exponent += shift
     del shift
-    half_gap = _tables().ten_hi.take(k - _K_MIN)
+    half_gap = _TEN_HI.take(k - _K_MIN)
     np.ldexp(half_gap, exponent, out=half_gap)
     del exponent
 
@@ -279,23 +259,22 @@ def _shortest(values: np.ndarray, fast: np.ndarray):
 
 def _digit_bytes(digits: np.ndarray) -> np.ndarray:
     """(n, 24) ASCII bytes: seven ``'0'`` then the 17 digits of each int64."""
-    quads = _tables().quads
-    out = np.empty((digits.shape[0], 6), dtype=quads.dtype)
-    out[:, 0] = quads[0]
+    out = np.empty((digits.shape[0], 6), dtype=_QUADS.dtype)
+    out[:, 0] = _QUADS[0]
     # Nine digits and eight, then four at a time from the right.
     head = digits // 10**8
     tail = digits - head * 10**8
     quad = tail // 10**4
     tail -= quad * 10**4
-    out[:, 5] = quads.take(tail)
-    out[:, 4] = quads.take(quad)
+    out[:, 5] = _QUADS.take(tail)
+    out[:, 4] = _QUADS.take(quad)
     np.floor_divide(head, 10**4, out=quad)
     head -= quad * 10**4
-    out[:, 3] = quads.take(head)
+    out[:, 3] = _QUADS.take(head)
     np.floor_divide(quad, 10**4, out=head)
-    out[:, 1] = quads.take(head)
+    out[:, 1] = _QUADS.take(head)
     quad -= head * 10**4
-    out[:, 2] = quads.take(quad)
+    out[:, 2] = _QUADS.take(quad)
     return out.view(np.uint8)
 
 
@@ -324,7 +303,7 @@ def _scientific(text: np.ndarray, at: np.ndarray, digit_bytes: np.ndarray, count
     wide = np.abs(exponent) >= 100
     # Three exponent digits, then 'e' and the sign over the first of them
     # when two are enough.
-    exponent_digits = _tables().quads[np.abs(exponent)].view(np.uint8).reshape(-1, 4)[:, 1:]
+    exponent_digits = _QUADS[np.abs(exponent)].view(np.uint8).reshape(-1, 4)[:, 1:]
     text[at[:, None], (mark + 1 + wide)[:, None] + np.arange(3)] = exponent_digits
     text[at, mark] = _E
     text[at, mark + 1] = np.where(exponent < 0, _MINUS, _PLUS)
@@ -335,10 +314,6 @@ def format_rows(block: np.ndarray) -> bytes:
     """CSV bytes of a C-ordered (n, w) float64 block, one line per row,
     equal to ``",".join(map(repr, row)) + "\\n"`` for each row.  Safe to
     call from two threads at once."""
-    # functools.cache does not lock: two threads' first calls at once would
-    # each build the tables.
-    with _FIRST_BUILD:
-        _tables()
     width = block.shape[1]
     values = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
     size = values.shape[0]
@@ -390,7 +365,7 @@ def format_rows(block: np.ndarray) -> bytes:
     separator = np.full(size, _COMMA, dtype=np.uint8)
     separator[width - 1 :: width] = _NEWLINE
     text.reshape(-1)[np.arange(0, size * _WIDTH, _WIDTH) + stop] = separator
-    keep = np.take(_tables().keep, start * _WIDTH + stop, axis=0)
+    keep = np.take(_KEEP, start * _WIDTH + stop, axis=0)
     kept = text[keep]
     del text, keep
     return kept.tobytes()

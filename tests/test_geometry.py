@@ -1,5 +1,10 @@
 """Parallelogram-law detection, Gram recovery, and exponent-pattern scans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,23 @@ from quadlab import space as space_module
 from quadlab.errors import DimensionMismatchError
 from quadlab.geometry import ScanEntry
 from quadlab.space import form_rows
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# One digest of an 8-dim detect-ip verdict's fields other than
+# gram_min_eigenvalue, the one LAPACK value (np.linalg.eigvalsh), printed
+# after it as a repr.
+_GRAM_DIGEST = """
+import hashlib, json
+import numpy as np
+from quadlab import Sampler, detect_inner_product, weighted_quadratic
+i = np.arange(8)
+gram = 1.0 / (1.0 + i[:, None] + i)
+np.fill_diagonal(gram, 9.0)
+record = detect_inner_product(weighted_quadratic(gram), Sampler.restricted_pairs(1, 1000, 2.0)).to_dict()
+eigenvalue = record.pop("gram_min_eigenvalue")
+print(hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest(), repr(eigenvalue))
+"""
 
 WEIGHTED3 = weighted_quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
 
@@ -188,6 +210,26 @@ class TestDetectInnerProduct:
         detect_inner_product(space, sampler)
         assert sum(normed) == 6 * sampler.count + 4 * (8 * 7 // 2)
 
+    def test_only_the_lapack_value_depends_on_the_blas_core_type(self):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process.  These
+        # four run on any x86-64 CPU; forcing a newer type can crash.
+        digests, eigenvalues = set(), []
+        for core in (None, "Prescott", "Nehalem", "Haswell"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = str(SRC)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            proc = subprocess.run(
+                [sys.executable, "-c", _GRAM_DIGEST],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            digest, eigenvalue = proc.stdout.split()
+            digests.add(digest)
+            eigenvalues.append(float(eigenvalue))
+        assert len(digests) == 1, digests
+        low = min(eigenvalues)
+        assert max(eigenvalues) - low <= 4 * np.spacing(low), eigenvalues
+
     def test_dict_round_trip(self):
         d = detect_inner_product(euclidean(2), self._sampler()).to_dict()
         assert d["accepted"] is True
@@ -261,10 +303,9 @@ class TestExponents:
         with pytest.raises(ParameterError):
             Exponents(2, 2, np.inf, 2)
 
-    def test_label_and_tuple(self):
+    def test_astuple(self):
         e = Exponents(1, 2, 3, 2)
         assert e.astuple() == (1.0, 2.0, 3.0, 2.0)
-        assert e.label() == "1,2,3,2"
 
     def test_default_grid_size(self):
         grid = default_exponent_grid()

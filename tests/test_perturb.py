@@ -1,6 +1,7 @@
 """Noise models: determinism, exact bounds, and generator validation."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,18 @@ from quadlab import (
     noise_values,
     random_symmetric_form,
 )
-from quadlab.perturb import _GAMMA, _MIX_1, _MIX_2, _hash_unit, _mix64
+from quadlab.perturb import (
+    _GAMMA,
+    _MIX_1,
+    _MIX_2,
+    _SHIFT_1,
+    _SHIFT_2,
+    _SHIFT_3,
+    _hash_unit,
+    _mix64,
+)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 _HASH_SEEDS = (0, 1, 2**63, 2**64 - 1)
 _WORD = 2**64 - 1
@@ -154,6 +166,15 @@ class TestHashNoise:
         kept = words.copy()
         assert np.array_equal(_mix64(words), _mix64_reference(words))
         assert np.array_equal(words, kept)
+
+    def test_readme_pins_the_mixing_constants(self):
+        """The README's Determinism section states the constants that fix
+        every uniform_bounded noise value."""
+        section = README.read_text().split("## Determinism\n", 1)[1].split("\n## ", 1)[0]
+        text = " ".join(section.split())
+        for constant in (_GAMMA, _MIX_1, _MIX_2):
+            assert f"`0x{int(constant):016X}`" in text, hex(constant)
+        assert f"shift distances {_SHIFT_1}, {_SHIFT_2} and {_SHIFT_3}" in text
 
 
 @pytest.mark.parametrize(

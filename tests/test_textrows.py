@@ -1,7 +1,6 @@
 """The samples-CSV float kernel: every value byte for byte its ``repr``."""
 
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -168,22 +167,21 @@ def test_repr_fallback_stays_rare(monkeypatch, tmp_path, capsys, command):
     assert len(calls) < 0.001 * values
 
 
-def test_two_threads_build_the_csv_tables_once(monkeypatch):
-    """The first calls from two threads at once build the lookup tables
-    once and print the serial bytes."""
+def test_two_threads_format_one_block_at_once_from_read_only_tables():
+    """Two threads formatting one block at once both print the serial
+    bytes, and the lookup tables they share are read-only."""
+    for table in (
+        textrows._SHIFT,
+        textrows._TEN_HI,
+        textrows._TEN_LO,
+        textrows._TEN_HI_HI,
+        textrows._TEN_HI_LO,
+        textrows._QUADS,
+        textrows._KEEP,
+    ):
+        assert table.flags.writeable is False
     block = np.random.default_rng(2).standard_normal((500, 5))
     want = repr_rows(block)
-    builds = []
-    build = textrows._powers_of_ten
-
-    def slow_build(*args):
-        builds.append(threading.get_ident())
-        # Long enough for the other thread to ask for the tables meanwhile.
-        time.sleep(0.05)
-        return build(*args)
-
-    monkeypatch.setattr(textrows, "_powers_of_ten", slow_build)
-    textrows._tables.cache_clear()
     start = threading.Barrier(2, timeout=30.0)
     got = []
 
@@ -198,7 +196,6 @@ def test_two_threads_build_the_csv_tables_once(monkeypatch):
         thread.join(timeout=30.0)
         assert not thread.is_alive()
     assert got == [want, want]
-    assert len(builds) == 1
 
 
 def test_a_csv_block_formats_in_at_most_3_5_mib(monkeypatch, tmp_path, capsys):
@@ -210,7 +207,6 @@ def test_a_csv_block_formats_in_at_most_3_5_mib(monkeypatch, tmp_path, capsys):
     assert main([*WORKLOAD_EMIT.split(), "--emit-samples", "--out", str(tmp_path / "r.json")]) == 0
     capsys.readouterr()
     (_, header, columns), = written
-    format_rows(np.ones((1, 1)))  # builds the tables before tracing starts
     blocks = list(row_blocks(columns[0].shape[0], 2 * len(header)))
     assert len(blocks) > 2
     for rows in blocks:
