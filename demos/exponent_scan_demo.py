@@ -22,10 +22,6 @@ from quadlab import (
 )
 
 
-def pattern(exponents):
-    return ",".join(f"{e:g}" for e in exponents.astuple())
-
-
 def main():
     params = equation_params("1/3")
     grid = default_exponent_grid()
@@ -36,12 +32,12 @@ def main():
         table = exponent_scan(space, params, grid,
                               Sampler.restricted_pairs(9, 300, 2.0),
                               tol=1e-9)
-        flagged = [pattern(e) for e in table.flagged()]
+        flagged = [e.label() for e in table.flagged()]
         print()
         print(f"== {label} ==")
         print("  flagged as defect-free:", flagged or "(none)")
 
-        scored = [(entry.sup_defect, pattern(entry.exponents))
+        scored = [(entry.sup_defect, entry.exponents.label())
                   for entry in table.entries
                   if entry.sup_defect is not None]
         scored.sort()

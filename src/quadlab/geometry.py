@@ -184,6 +184,9 @@ class Exponents:
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.p, self.q, self.u, self.v)
 
+    def label(self) -> str:
+        return ",".join(f"{e:g}" for e in self.astuple())
+
 
 _PATTERN_TERMS = ("norm(r x + s y)", "norm(x - y)", "norm(x)", "norm(y)")
 

@@ -303,9 +303,10 @@ class TestExponents:
         with pytest.raises(ParameterError):
             Exponents(2, 2, np.inf, 2)
 
-    def test_astuple(self):
+    def test_label_and_tuple(self):
         e = Exponents(1, 2, 3, 2)
         assert e.astuple() == (1.0, 2.0, 3.0, 2.0)
+        assert e.label() == "1,2,3,2"
 
     def test_default_grid_size(self):
         grid = default_exponent_grid()

@@ -46,7 +46,6 @@ def test_removed_names_are_gone():
         assert not hasattr(quadlab, name), name
     assert not hasattr(quadlab.Sampler, "ball") and not hasattr(quadlab.Sampler, "annulus")
     assert not hasattr(quadlab.NoiseModel, "describe")
-    assert not hasattr(quadlab.Exponents, "label")
     assert "tabulated" not in quadlab.MapHandle.__dataclass_fields__
     assert "label" not in quadlab.MapHandle.__dataclass_fields__
     assert not hasattr(quadlab.SpaceSpec, "norm")

@@ -167,7 +167,7 @@ def test_repr_fallback_stays_rare(monkeypatch, tmp_path, capsys, command):
     assert len(calls) < 0.001 * values
 
 
-def test_two_threads_format_one_block_at_once_from_read_only_tables():
+def test_two_threads_format_one_csv_block_from_read_only_tables():
     """Two threads formatting one block at once both print the serial
     bytes, and the lookup tables they share are read-only."""
     for table in (
