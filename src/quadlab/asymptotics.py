@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .quadratic import EquationParams, as_map_on, residual_gq
+from .quadratic import EquationParams, Report, as_map_on, residual_gq
 from .space import (
     STREAM_SHELL,
     SpaceSpec,
     _helper_thread,
     _rows_at_radii,
     _settled,
+    check_count,
     generator,
     norm_eval,
 )
@@ -45,7 +46,7 @@ _MIN_SHELLS = 4
 
 
 @dataclass
-class ShellProfile:
+class ShellProfile(Report):
     """Per-shell sup of the weighted residual norm.
 
     Shell ``k`` covers joint radii ``norm(x) + norm(y)`` in
@@ -65,15 +66,6 @@ class ShellProfile:
 
     def shells(self) -> list[tuple[float, float]]:
         return [(float(n), float(n + 1)) for n in range(self.n_min, self.n_max + 1)]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "deltas": self.deltas.tolist(),
-            "per_shell_count": self.per_shell_count,
-            "seed": self.seed,
-        }
 
 
 def _shell_interval(n: int) -> tuple[float, float]:
@@ -120,10 +112,7 @@ def shell_delta_profile(
             f"[{n_max}, {n_max + 1}) empty"
         )
     shell_count = n_max - n_min + 1
-    if not isinstance(per_shell_count, (int, np.integer)) or per_shell_count < 1:
-        raise ParameterError(
-            f"per_shell_count must be a positive integer, got {per_shell_count!r}"
-        )
+    per_shell_count = check_count("per_shell_count", per_shell_count)
     rng = generator(seed, STREAM_SHELL)
 
     def draw(n):
@@ -145,13 +134,13 @@ def shell_delta_profile(
         n_min=int(n_min),
         n_max=int(n_max),
         deltas=deltas,
-        per_shell_count=int(per_shell_count),
+        per_shell_count=per_shell_count,
         seed=int(seed),
     )
 
 
 @dataclass
-class AsymptoticVerdict:
+class AsymptoticVerdict(Report):
     """Classification of a shell profile.
 
     ``asymptotically_quadratic``: every shell in the tail window (the last
@@ -166,15 +155,6 @@ class AsymptoticVerdict:
     tail_window: int
     decay_tol: float
     nondecreasing_last_half: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tail_max": self.tail_max,
-            "tail_window": self.tail_window,
-            "decay_tol": self.decay_tol,
-            "nondecreasing_last_half": self.nondecreasing_last_half,
-        }
 
 
 def asymptotic_verdict(profile: ShellProfile, decay_tol: float) -> AsymptoticVerdict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UndefinedValueError
-from .quadratic import EquationParams
+from .quadratic import EquationParams, Report
 from .space import (
     Sampler,
     SpaceSpec,
@@ -43,7 +43,7 @@ def parallelogram_defect(space: SpaceSpec, x, y):
 
 
 @dataclass
-class InnerProductVerdict:
+class InnerProductVerdict(Report):
     """Outcome of inner-product detection on a space.
 
     ``accepted`` means the normalized parallelogram defect stayed within
@@ -66,23 +66,6 @@ class InnerProductVerdict:
     sample_count: int
     seed: int
     space: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "max_defect": self.max_defect,
-            "max_normalized_defect": self.max_normalized_defect,
-            "basis_witness_max": self.basis_witness_max,
-            "recovered_gram": None
-            if self.recovered_gram is None
-            else self.recovered_gram.tolist(),
-            "bilinearity_defect": self.bilinearity_defect,
-            "gram_min_eigenvalue": self.gram_min_eigenvalue,
-            "tol": self.tol,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "space": dict(self.space),
-        }
 
 
 def recover_gram(space: SpaceSpec) -> np.ndarray:
@@ -245,7 +228,7 @@ def gq_norm_defect(
 
 
 @dataclass
-class ScanEntry:
+class ScanEntry(Report):
     """One exponent pattern's scan result.
 
     ``sup_defect`` is None when every tested pair hit an undefined value;
@@ -257,17 +240,14 @@ class ScanEntry:
     excluded_witness_count: int
     error: str | None = None
 
+    _KEYS = {"excluded_witness_count": "excluded_witnesses"}
+
     def to_dict(self) -> dict:
-        return {
-            "exponents": list(self.exponents.astuple()),
-            "sup_defect": self.sup_defect,
-            "excluded_witnesses": self.excluded_witness_count,
-            "error": self.error,
-        }
+        return {**super().to_dict(), "exponents": list(self.exponents.astuple())}
 
 
 @dataclass
-class ExponentScanTable:
+class ExponentScanTable(Report):
     """Scan results over a grid of exponent patterns.
 
     ``flagged()`` lists the patterns whose sup defect stayed at or below
@@ -288,13 +268,9 @@ class ExponentScanTable:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "flagged": [list(e.astuple()) for e in self.flagged()],
-            "tol": self.tol,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        out = super().to_dict()
+        flagged = [list(e.astuple()) for e in self.flagged()]
+        return {"entries": out.pop("entries"), "flagged": flagged, **out}
 
 
 def default_exponent_grid() -> list[Exponents]:

@@ -14,9 +14,9 @@ residual functions below measure how far an arbitrary map is from doing so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .space import (
     SpaceSpec,
     as_rows,
     blockwise,
+    check_count,
     form_rows,
     norm_eval,
     pair_rows,
@@ -33,6 +34,39 @@ from .space import (
 )
 
 _RS_WARN_THRESHOLD = 1e-2
+
+
+def _plain(value):
+    """``value`` as report data: a result's own dict, an array's nested
+    lists, a dict with ``str`` keys, a list converted item by item, and
+    anything else as it is."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the dataclasses quadlab reports.
+
+    :meth:`to_dict` gives the dataclass fields in order, each under its own
+    name or the report key ``_KEYS`` maps it to, and each value through
+    :func:`_plain`; fields declared ``repr=False`` are left out.
+    """
+
+    _KEYS: ClassVar[dict[str, str]] = {}
+
+    def to_dict(self) -> dict:
+        return {
+            self._KEYS.get(f.name, f.name): _plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.repr
+        }
 
 
 @dataclass(frozen=True)
@@ -187,10 +221,8 @@ class MapHandle:
     codomain_dim: int
 
     def __post_init__(self):
-        if self.domain_dim < 1 or self.codomain_dim < 1:
-            raise ParameterError(
-                f"map dimensions must be positive, got {self.domain_dim} -> {self.codomain_dim}"
-            )
+        for name in ("domain_dim", "codomain_dim"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
     def __call__(self, x):
         rows, single = as_rows(x, self.domain_dim)
@@ -282,7 +314,7 @@ def parity_decompose(f) -> tuple[MapHandle, MapHandle]:
 
 
 @dataclass
-class DerivationChainReport:
+class DerivationChainReport(Report):
     """Worst-case defects of the four scaling identities used to pin down
     solutions of the weighted equation, measured over a sampled cloud.
 
@@ -308,13 +340,8 @@ class DerivationChainReport:
         return max(self.defects.values())
 
     def to_dict(self) -> dict:
-        return {
-            "defects": dict(self.defects),
-            "max_defect": self.max_defect,
-            "params": self.params.to_dict(),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        out = super().to_dict()
+        return {"defects": out.pop("defects"), "max_defect": self.max_defect, **out}
 
 
 # The keys of DerivationChainReport.defects, in the order they are computed.

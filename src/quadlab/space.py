@@ -64,6 +64,14 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def check_count(name: str, value) -> int:
+    """``value`` as a Python int; :class:`ParameterError` naming ``name``
+    unless it is an integer of at least 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def generator(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed on (seed, stream); independent across streams."""
     return np.random.Generator(
@@ -95,9 +103,7 @@ class SpaceSpec:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ParameterError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", check_count("dim", self.dim))
         if self.norm_kind not in _NORM_KINDS:
             raise ParameterError(
                 f"unknown norm kind {self.norm_kind!r}; expected one of {_NORM_KINDS}"
@@ -326,9 +332,7 @@ class Sampler:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ParameterError(f"count must be a positive integer, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", check_count("count", self.count))
         radius = self.radius_max
         # Comparing before converting keeps ints too large for a float out.
         real = isinstance(radius, numbers.Real) and not isinstance(radius, bool)

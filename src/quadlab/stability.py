@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, ExtractionError, ParameterError
-from .quadratic import EquationParams, as_map, as_map_on, residual_gq, residual_q
+from .quadratic import EquationParams, Report, as_map, as_map_on, residual_gq, residual_q
 from .space import (
     STREAM_PROBES,
     Sampler,
     SpaceSpec,
     _rows_at_radii,
+    check_count,
     generator,
     norm_eval,
     sample_pairs_restricted,
@@ -40,7 +41,7 @@ _RESTRICTED_PROBES = 32
 
 
 @dataclass(frozen=True)
-class StabilityConstants:
+class StabilityConstants(Report):
     """Closed-form constants attached to one (d, delta, weights) instance.
 
     ``near_origin_bound`` (M) bounds the defect of the classical equation
@@ -61,16 +62,13 @@ class StabilityConstants:
     c_global: float
     c_approx: float
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "delta": self.delta,
-            "M": self.near_origin_bound,
-            "K": self.global_q_bound,
-            "C_restricted": self.c_restricted,
-            "C_global": self.c_global,
-            "C_approx": self.c_approx,
-        }
+    _KEYS = {
+        "near_origin_bound": "M",
+        "global_q_bound": "K",
+        "c_restricted": "C_restricted",
+        "c_global": "C_global",
+        "c_approx": "C_approx",
+    }
 
 
 def stability_constants(params: EquationParams, d: float, delta: float) -> StabilityConstants:
@@ -175,8 +173,7 @@ class BatchExtraction:
 def _extraction_map(f, max_iters, tol):
     """``f`` as a map handle, with the extraction controls checked."""
     handle = as_map(f)
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 1:
-        raise ParameterError(f"max_iters must be a positive integer, got {max_iters!r}")
+    check_count("max_iters", max_iters)
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
     return handle
@@ -267,8 +264,6 @@ def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
 
 def _probes(space: SpaceSpec, sampler: Sampler, xs: np.ndarray, probe_count: int):
     """``probe_count`` unit-sphere probes followed by the first sampled points."""
-    if probe_count < 1:
-        raise ParameterError(f"probe_count must be >= 1, got {probe_count}")
     unit = _rows_at_radii(space, generator(sampler.seed, STREAM_PROBES), np.ones(probe_count))
     return np.vstack([unit, xs[:_RESTRICTED_PROBES]])
 
@@ -305,7 +300,7 @@ def estimate_delta_restricted(
 
 
 @dataclass
-class StabilityCertificate:
+class StabilityCertificate(Report):
     """Outcome of one certification run.
 
     ``passed`` is True/False for a completed comparison and None when the
@@ -336,26 +331,7 @@ class StabilityCertificate:
         default=None, repr=False, compare=False
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "d": self.d,
-            "constants": self.constants.to_dict(),
-            "delta_hat": self.delta_hat,
-            "delta_source": self.delta_source,
-            "probe_count": self.probe_count,
-            "evenness_defect": self.evenness_defect,
-            "max_deviation": self.max_deviation,
-            "bound_used": self.bound_used,
-            "pass": self.passed,
-            "inconclusive": self.inconclusive,
-            "warnings": list(self.warnings),
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "extraction_iterations_max": self.extraction_iterations_max,
-        }
+    _KEYS = {"passed": "pass"}
 
 
 def certify(
@@ -381,6 +357,7 @@ def certify(
     rather than failed; warnings flag small ``|r s|``, quasi-norm domains,
     visibly uneven maps, and non-converged extractions.
     """
+    probe_count = check_count("probe_count", probe_count)
     handle = as_map_on(f, space)
     warnings_: list[str] = []
     if params.small_rs:
@@ -460,7 +437,7 @@ def certify(
 
 
 @dataclass
-class CzerwikReport:
+class CzerwikReport(Report):
     """Half-defect check for the classical equation.
 
     For any map with classical residual bounded by ``delta_hat``, the
@@ -481,20 +458,6 @@ class CzerwikReport:
     seed: int
     warnings: list[str]
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "bound": self.bound,
-            "max_deviation": self.max_deviation,
-            "within_bound": self.within_bound,
-            "homogeneity_defects": {str(t): v for t, v in self.homogeneity_defects.items()},
-            "homogeneity_ok": self.homogeneity_ok,
-            "probe_count": self.probe_count,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "warnings": list(self.warnings),
-        }
-
 
 def verify_czerwik(
     f,
@@ -513,6 +476,7 @@ def verify_czerwik(
     re-extracted at ``t * probe`` and compared with ``t^2`` times the base
     limit for each ``t`` in ``_HOMOGENEITY_SCALES``.
     """
+    probe_count = check_count("probe_count", probe_count)
     handle = as_map_on(f, space)
     warnings_: list[str] = []
     if space.is_quasi_norm:

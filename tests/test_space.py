@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from quadlab import (
     Exponents,
     InfeasibleDomainError,
+    MapHandle,
     NoiseModel,
     PairSample,
     ParameterError,
     Sampler,
+    SpaceSpec,
+    certify,
     equation_params,
     euclidean,
+    extract_quadratic_batch,
     gq_norm_defect,
     make_perturbed,
     noise_values,
@@ -29,7 +33,9 @@ from quadlab import (
     random_symmetric_form,
     residual_gq,
     sample_pairs_restricted,
+    shell_delta_profile,
     sup_norm,
+    verify_czerwik,
     weighted_quadratic,
 )
 from quadlab import space as space_module
@@ -429,6 +435,52 @@ class TestSamplers:
         for radius in (0.0, -1.0, np.inf, np.nan, 10**400, "2", None, True, np.bool_(True), 1j):
             with pytest.raises(ParameterError):
                 Sampler.restricted_pairs(seed=0, count=4, radius_max=radius)
+
+
+def _never_called(rows):
+    raise AssertionError("the map ran before its count was checked")
+
+
+_UNUSED_MAP = MapHandle(_never_called, 2, 1)
+_PAIRS = Sampler.restricted_pairs(0, 10, 2.0)
+
+# Every count a caller passes, by entry point: the count's name and a call
+# that passes it.  Each is checked before any sampling or map call.
+COUNT_SITES = {
+    "SpaceSpec": ("dim", lambda n: SpaceSpec(dim=n)),
+    "Sampler": ("count", lambda n: Sampler.restricted_pairs(0, n, 2.0)),
+    "MapHandle-domain": ("domain_dim", lambda n: MapHandle(_never_called, n, 1)),
+    "MapHandle-codomain": ("codomain_dim", lambda n: MapHandle(_never_called, 2, n)),
+    "extract_quadratic_batch": (
+        "max_iters",
+        lambda n: extract_quadratic_batch(_UNUSED_MAP, np.ones((1, 2)), max_iters=n),
+    ),
+    "shell_delta_profile": (
+        "per_shell_count",
+        lambda n: shell_delta_profile(
+            _UNUSED_MAP, equation_params("1/2"), euclidean(2), 0, 4, n, seed=0
+        ),
+    ),
+    "certify": (
+        "probe_count",
+        lambda n: certify(
+            _UNUSED_MAP, equation_params("1/2"), 1.0, euclidean(2), _PAIRS, probe_count=n
+        ),
+    ),
+    "verify_czerwik": (
+        "probe_count",
+        lambda n: verify_czerwik(_UNUSED_MAP, euclidean(2), _PAIRS, probe_count=n),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, 0], ids=repr)
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_every_count_is_a_positive_int_and_not_a_bool(site, value):
+    name, call = COUNT_SITES[site]
+    with pytest.raises(ParameterError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be a positive integer, got {value!r}"
 
 
 class TestRestrictedPairs:
