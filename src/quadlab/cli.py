@@ -337,6 +337,7 @@ def run_certify(effective: dict):
         tol=effective["tol"],
         delta_override=effective["delta"],
         probe_count=effective["probes"],
+        keep_samples=effective["emit_samples"],
     )
     csv = None
     if effective["emit_samples"]:

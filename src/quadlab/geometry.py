@@ -191,6 +191,13 @@ def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys, own=None) -
     return (normed(lambda x, y: r * x + s * y), normed(lambda x, y: x - y), *own)
 
 
+def _power(n: np.ndarray, e: float) -> np.ndarray:
+    """``n ** e``, a cube as ``n * n * n``: IEEE-754 rounds a product alike on
+    every CPU, while numpy's ``pow`` follows its SIMD dispatch (its AVX512
+    kernel rounds some cubes differently)."""
+    return n * n * n if e == 3.0 else np.power(n, e)
+
+
 def _pattern_defect(params: EquationParams, exps: Exponents, norms, powers=None):
     """``a^p + rs b^q - r c^u - s d^v`` for ``(a, b, c, d) = norms``.
 
@@ -205,7 +212,7 @@ def _pattern_defect(params: EquationParams, exps: Exponents, norms, powers=None)
     powers = {} if powers is None else powers
     for term, (n, e) in enumerate(zip(norms, exps.astuple())):
         if (term, e) not in powers:
-            powers[term, e] = np.power(n, e)
+            powers[term, e] = _power(n, e)
     a, b, c, d = (powers[term, e] for term, e in enumerate(exps.astuple()))
     return a + params.rs * b - params.r * c - params.s * d
 

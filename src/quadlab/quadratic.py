@@ -27,10 +27,10 @@ from .space import (
     as_rows,
     blockwise,
     check_count,
+    fold_pairs_restricted,
     form_rows,
     norm_eval,
     pair_rows,
-    sample_pairs_restricted,
 )
 
 _RS_WARN_THRESHOLD = 1e-2
@@ -212,8 +212,12 @@ class MapHandle:
     row the same value in any block; every built-in map does, bit for bit.
     A pass whose later half fills more than one row block may also call the
     evaluator from one helper thread, on other blocks, while the calling
-    thread runs it (:func:`~quadlab.space.blockwise`), so an evaluator must
-    be safe to call from two threads at once; a pure function of its rows is.
+    thread runs it (:func:`~quadlab.space.blockwise`), and so may a streamed
+    restricted pass of more than one row block, on the later half of each
+    chunk (:func:`~quadlab.space.fold_pairs_restricted`, behind ``certify``,
+    ``verify_czerwik`` and ``derivation_chain_check``).  So an evaluator
+    must be safe to call from two threads at once; a pure function of its
+    rows is.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -353,10 +357,20 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
 
     Returns one entry per key of :class:`DerivationChainReport` holding
     the Euclidean norm of each pair's defect: a float for a single pair,
-    an array for a batch.  Pairs go in blocks of half a row block's rows:
-    a block makes 22 map calls, against a residual's 4, and the calling
-    thread and the helper each hold one block's temporaries.
+    an array for a batch.
     """
+    norms = _chain_norms(f, params, x, y)
+    if norms.ndim == 1:
+        return {name: float(v) for name, v in zip(_CHAIN_IDENTITIES, norms)}
+    return dict(zip(_CHAIN_IDENTITIES, norms.T))
+
+
+def _chain_norms(f, params: EquationParams, x, y) -> np.ndarray:
+    """The four derivation-chain defect norms of each pair, one column per
+    identity in ``_CHAIN_IDENTITIES`` order.  Pairs go in blocks of half a
+    row block's rows: a block makes 22 map calls, against a residual's 4,
+    and the calling thread and the helper each hold one block's
+    temporaries."""
     f_even, f_odd = parity_decompose(f)
     r, s = params.r, params.s
 
@@ -373,10 +387,7 @@ def derivation_chain_defects(f, params: EquationParams, x, y) -> dict:
         )
         return np.stack([norm_eval(None, v) for v in defects], axis=1)
 
-    norms = _pair_pass(f, x, y, chain, widen=2)
-    if norms.ndim == 1:
-        return {name: float(v) for name, v in zip(_CHAIN_IDENTITIES, norms)}
-    return dict(zip(_CHAIN_IDENTITIES, norms.T))
+    return _pair_pass(f, x, y, chain, widen=2)
 
 
 def derivation_chain_check(
@@ -385,13 +396,16 @@ def derivation_chain_check(
     """Evaluate the four derivation-chain identities on sampled pairs.
 
     Pairs are drawn unconstrained from the ball of radius
-    ``sampler.radius_max``; the report records the max defect per identity.
+    ``sampler.radius_max`` and stream through the identities chunk by chunk
+    (:func:`~quadlab.space.fold_pairs_restricted`); the report records the
+    max defect per identity.
     """
     handle = as_map_on(f, space)
-    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    defects = derivation_chain_defects(handle, params, xs, ys)
+    sup = fold_pairs_restricted(
+        space, 0.0, sampler, lambda xs, ys: _chain_norms(handle, params, xs, ys)
+    ).sup
     return DerivationChainReport(
-        defects={name: float(v.max()) for name, v in defects.items()},
+        defects={name: float(v) for name, v in zip(_CHAIN_IDENTITIES, sup)},
         params=params,
         sample_count=sampler.count,
         seed=sampler.seed,

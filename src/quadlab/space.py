@@ -8,7 +8,9 @@ A single vector's result is its row of the batch result.  Whole-batch
 pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
 evaluator gives a row the same bits in any block, so :func:`blockwise` can
 share a pass's blocks between the calling thread and one helper, which takes
-only a call that fills more than one row block (:func:`_helper_thread`).
+only a call that fills more than one row block (:func:`_helper_thread`), and
+:func:`fold_pairs_restricted` can stream restricted pairs into a running
+maximum chunk by chunk, holding two chunks of rows rather than the batch.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -25,6 +27,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +61,9 @@ _REPAIR_SLACK = 2.0**-30
 
 def check_seed(seed) -> int:
     """``seed`` as a Python int; :class:`ParameterError` unless it is an
-    integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < _SEED_LIMIT:
+    integer in [0, 2**64) (a bool is not)."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not integer or not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 
@@ -237,7 +241,9 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
     through :func:`_helper_thread` with its rows' values: past one block's
     worth (in any pass of four blocks or more), the helper writes it into
     the output while the calling thread writes the earlier run, so ``fn``
-    must be safe to call from two threads at once on different blocks.
+    must be safe to call from two threads at once on different blocks.  A
+    pass run while the helper is busy, such as one inside a streamed
+    restricted pass (:func:`fold_pairs_restricted`), stays on its thread.
     Each block's rows are ``fn``'s, so the output is the serial loop's bit
     for bit, and errors surface in its order: the earlier run's first.
     """
@@ -426,14 +432,18 @@ def _helper_thread(values: int):
     (``values > _BLOCK_VALUES``) runs on one helper thread, in the order
     submitted; leaving the block, by any path, waits for it and joins the
     helper.  One helper runs at a time in the process: while one is busy,
-    in this block or another thread's, a new block starts none.  A call
-    that starts no thread runs on the calling thread when ``result()`` is
-    called (once), the serial order, or never if it is not called.  Either
-    way ``fn`` runs under the numpy error state (``np.geterr()``,
-    ``np.geterrcall()``) of the thread that entered the block.  Each user
-    passes the values its call fills: a profile's shell draw (both halves),
-    a sample's y half, the later run of a :func:`blockwise` pass, or every
-    second block of a samples CSV (``cli._write_samples_csv``).
+    in this block or another thread's, a new block starts none, so a pass
+    nested in a call that holds the helper (on either thread) runs on its
+    own thread.  A call that starts no thread runs on the calling thread
+    when ``result()`` is called (once), the serial order, or never if it is
+    not called.  Either way ``fn`` runs under the numpy error state
+    (``np.geterr()``, ``np.geterrcall()``) of the thread that entered the
+    block.  Each user passes the values its call fills: a profile's shell
+    draw (both halves), a sample's y half, a streamed restricted pass
+    (:func:`fold_pairs_restricted`: every chunk's y half and the later half
+    of its evaluation, all on one helper), the later run of a
+    :func:`blockwise` pass, or every second block of a samples CSV
+    (``cli._write_samples_csv``).
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -469,6 +479,54 @@ class PairSample(tuple):
         return (*self, self.norms)
 
 
+class _PairDraw:
+    """The one restricted-pair primitive: a batch's radii, drawn whole on
+    construction (two floats a pair), and its two direction streams, which
+    fill the rows of any run of pairs into arrays the caller gives.
+
+    :meth:`fill` draws one half's rows; each half must be filled in row
+    order, which reads its generator in stream order, and the two halves
+    share nothing, so they may be filled at once on two threads.
+    :meth:`settle` then checks rows whose two halves are filled.  The law
+    and the checks are those of :func:`sample_pairs_restricted`.
+    """
+
+    def __init__(self, space: SpaceSpec, d: float, sampler: Sampler):
+        if not np.isfinite(d) or d < 0:
+            raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
+        R = sampler.radius_max
+        if d >= 2.0 * R:
+            raise InfeasibleDomainError(
+                f"norm(x) + norm(y) >= {d} in a ball of radius {R} has measure zero; need d < 2R"
+            )
+        rng_x = generator(sampler.seed, STREAM_PAIR_X)
+        rng_y = generator(sampler.seed, STREAM_PAIR_Y)
+        # In units of R, a's density is a ramp s = 1 - t + a over s in [s_lo, s_hi]
+        # (t = d / R), then (when t < 1) flat at height 1 over a in [t, 1].
+        t = d / R
+        s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
+        ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
+        u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
+        a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
+        b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
+        del u
+        a *= R
+        b *= R
+        self.space, self.radii, self.rngs = space, (a, b), (rng_x, rng_y)
+        self.inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)
+        self.room = (2.0 * R - d) / 4.0
+        self.center = R - self.room
+
+    def fill(self, half: int, pairs: slice, rows: np.ndarray, norms: np.ndarray) -> None:
+        """Fill ``rows`` and ``norms`` with the x (``half`` 0) or y (1) rows
+        of ``pairs``, the run of pairs after the last one this half filled."""
+        _rows_at_radii(self.space, self.rngs[half], self.radii[half][pairs], rows, norms)
+
+    def settle(self, rows: list, norms: list):
+        """:func:`_settled` for filled ``[xs, ys]`` rows and their norms."""
+        return _settled(self.space, rows, self.inside, self.center, self.room, norms)
+
+
 def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> PairSample:
     """Draw pairs (x, y) with ``norm(x), norm(y) <= R = radius_max`` and
     ``norm(x) + norm(y) >= d``, each pair once, with no rejection, as a
@@ -483,44 +541,151 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     The x half (``a``, then its directions) comes from the ``STREAM_PAIR_X``
     generator and the y half (``b``, then its directions) from the
     ``STREAM_PAIR_Y`` one, so the halves can be drawn at once without moving
-    a bit.  This function allocates both halves' rows and norms, submits
-    the y half to :func:`_helper_thread` (``count * dim`` values), fills the
-    x half, then reads the y half.  Errors surface as in the serial order:
-    the x half's first.  Raises
+    a bit.  This function fills whole-batch rows and norms through one
+    :class:`_PairDraw`: it submits the y half to :func:`_helper_thread`
+    (``count * dim`` values), fills the x half, then reads the y half.
+    Errors surface as in the serial order: the x half's first.  Raises
     :class:`ParameterError` for a negative or non-finite ``d``, and
     :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
     measure-zero domain) or when rounding or overflow leaves rows off the
-    domain.
+    domain.  :func:`fold_pairs_restricted` streams the same pairs.
     """
-    if not np.isfinite(d) or d < 0:
-        raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
-    R = sampler.radius_max
-    if d >= 2.0 * R:
-        raise InfeasibleDomainError(
-            f"norm(x) + norm(y) >= {d} in a ball of radius {R} has measure zero; need d < 2R"
-        )
-    rng_x = generator(sampler.seed, STREAM_PAIR_X)
-    rng_y = generator(sampler.seed, STREAM_PAIR_Y)
-    # In units of R, a's density is a ramp s = 1 - t + a over s in [s_lo, s_hi]
-    # (t = d / R), then (when t < 1) flat at height 1 over a in [t, 1].
-    t = d / R
-    s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
-    ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
-    u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
-    a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
-    b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
-    del u
-    a *= R
-    b *= R
+    draw = _PairDraw(space, d, sampler)
     # Taken after the radii, so that the radii's temporaries are freed
     # below the rows (see blockwise).
     shape = (sampler.count, space.dim)
     rows, norms = [np.empty(shape), np.empty(shape)], [np.empty(shape[0]), np.empty(shape[0])]
+    pairs = slice(0, shape[0])
     with _helper_thread(sampler.count * space.dim) as submit:
-        y_done = submit(_rows_at_radii, space, rng_y, b, rows[1], norms[1])
-        _rows_at_radii(space, rng_x, a, rows[0], norms[0])
+        y_done = submit(draw.fill, 1, pairs, rows[1], norms[1])
+        draw.fill(0, pairs, rows[0], norms[0])
     y_done()
-    inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)  # noqa: E731
-    room = (2.0 * R - d) / 4.0
-    (xs, ys), norms = _settled(space, rows, inside, R - room, room, norms)
+    (xs, ys), norms = draw.settle(rows, norms)
     return PairSample(xs, ys, norms)
+
+
+# Row blocks per chunk of a streamed pair pass (fold_pairs_restricted), about:
+# the pass holds two chunks of both halves' rows.
+_CHUNK_BLOCKS = 4
+
+
+class PairFold(NamedTuple):
+    """What :func:`fold_pairs_restricted` gives: ``sup``, the maximum over
+    the pairs of ``fn``'s value rows (one value, or one per column); ``head``,
+    the first x rows; ``samples``, ``(xs, ys, values)`` for the whole batch
+    when kept, else None."""
+
+    sup: np.ndarray
+    head: np.ndarray
+    samples: tuple | None
+
+
+def _now(fn, *args):
+    """``fn(*args)``, run now, as a ``result()`` like ``submit``'s: it returns
+    the value, or raises the error the call raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        error = exc
+
+        def result():
+            raise error
+
+        return result
+    return lambda: value
+
+
+def fold_pairs_restricted(
+    space: SpaceSpec, d: float, sampler: Sampler, fn, *, head: int = 0, keep: bool = False
+) -> PairFold:
+    """``fn(xs, ys)`` over the pairs :func:`sample_pairs_restricted` draws,
+    folded chunk by chunk, so that the rows held follow the chunk and not
+    the batch: two chunks of both halves' rows, and the batch's radii.
+
+    ``fn`` maps pair rows to one value row each ((N,) or (N, k)) and must
+    give a row the same bits in any run of rows.  The pairs are drawn
+    through one :class:`_PairDraw`, in chunks of about ``_CHUNK_BLOCKS``
+    whole row blocks of x rows, so each pair has the sampler's bits.  Each
+    chunk's values fold into ``sup`` with ``np.maximum``, so a NaN value
+    makes its column's sup NaN, as a whole-batch ``max`` would.  ``head``
+    asks for the first ``head`` x rows (fewer in a smaller batch), and
+    ``keep`` for the whole batch's rows and values, written into whole-batch
+    arrays as the chunks pass.
+
+    One :func:`_helper_thread` serves the whole pass (``count * dim``
+    values).  The helper draws chunk 0's y half while the calling thread
+    draws its x half; then, for each chunk, the helper draws the next
+    chunk's y half and then runs ``fn`` on the chunk's later half of row
+    blocks, while the calling thread runs ``fn`` on the earlier half and
+    then draws the next chunk's x half.  So ``fn`` must be safe to call from
+    two threads at once; a pass inside it (:func:`blockwise`) finds the
+    helper busy and stays on its thread.  Errors surface in the order of the
+    serial stream, chunk by chunk: a chunk's x half, y half, settle step,
+    and ``fn`` on its earlier and its later half, so an earlier chunk's
+    ``fn`` error comes before a later chunk's sampling error.
+    """
+    draw = _PairDraw(space, d, sampler)
+    n, dim = sampler.count, space.dim
+    blocks = list(row_blocks(n, dim))
+    k = -(-len(blocks) // _CHUNK_BLOCKS)
+    groups = [blocks[len(blocks) * i // k : len(blocks) * (i + 1) // k] for i in range(k)]
+    chunks = [slice(g[0].start, g[-1].stop) for g in groups]
+    if keep:
+        store = [np.empty((n, dim)), np.empty((n, dim)), np.empty(n), np.empty(n)]
+        views = [[a[c] for a in store] for c in chunks]
+    else:
+        size = max(c.stop - c.start for c in chunks)
+        sets = [
+            [np.empty((size, dim)), np.empty((size, dim)), np.empty(size), np.empty(size)]
+            for _ in range(min(k, 2))
+        ]
+        views = [[a[: c.stop - c.start] for a in sets[i % 2]] for i, c in enumerate(chunks)]
+    first = np.empty((min(head, n), dim))
+    sup, values = None, None
+
+    def fill(i, half):
+        draw.fill(half, chunks[i], views[i][half], views[i][2 + half])
+
+    def settle(i):
+        xs, ys, nx, ny = views[i]
+        draw.settle([xs, ys], [nx, ny])
+        lo, hi = chunks[i].start, min(first.shape[0], chunks[i].stop)
+        if lo < hi:
+            first[lo:hi] = xs[: hi - lo]
+
+    def evaluate(i, lo, hi):
+        return fn(views[i][0][lo:hi], views[i][1][lo:hi])
+
+    def fold(i, lo, part):
+        nonlocal sup, values
+        most = part.max(axis=0)
+        sup = most if sup is None else np.maximum(sup, most)
+        if keep:
+            if values is None:
+                values = np.empty((n, *part.shape[1:]))
+            start = chunks[i].start + lo
+            values[start : start + part.shape[0]] = part
+
+    # A pass too small for the helper evaluates each chunk in one call.
+    split = n * dim > _BLOCK_VALUES
+    with _helper_thread(n * dim) as submit:
+        y_done = submit(fill, 0, 1)
+        fill(0, 0)
+        y_done()
+        settle(0)
+        for i, chunk in enumerate(chunks):
+            end = chunk.stop - chunk.start
+            mid, more = (end + 1) // 2 if split else end, i + 1 < k
+            y_next = submit(fill, i + 1, 1) if more else None
+            later = submit(evaluate, i, mid, end) if mid < end else None
+            earlier = _now(evaluate, i, 0, mid)
+            x_next = _now(fill, i + 1, 0) if more else None
+            fold(i, 0, earlier())
+            if later is not None:
+                fold(i, mid, later())
+            if more:
+                x_next()
+                y_next()
+                settle(i + 1)
+    samples = (store[0], store[1], values) if keep else None
+    return PairFold(sup, first, samples)

@@ -24,9 +24,9 @@ from .space import (
     SpaceSpec,
     _rows_at_radii,
     check_count,
+    fold_pairs_restricted,
     generator,
     norm_eval,
-    sample_pairs_restricted,
 )
 
 # Slack applied to pass/fail comparisons so a bound met exactly in real
@@ -273,11 +273,18 @@ def _within(value: float, bound: float) -> bool:
     return bool(value <= bound + _PASS_SLACK * (1.0 + bound))
 
 
-def _restricted_residuals(handle, params, d, space, sampler):
-    """Sampled restricted pairs and the Euclidean norm of each pair's
-    weighted residual."""
-    xs, ys = sample_pairs_restricted(space, d, sampler)
-    return xs, ys, norm_eval(None, residual_gq(handle, params, xs, ys))
+def _restricted_residuals(handle, params, d, space, sampler, keep=False):
+    """The Euclidean norm of each sampled restricted pair's weighted
+    residual, folded chunk by chunk (:func:`fold_pairs_restricted`), with the
+    first ``_RESTRICTED_PROBES`` sampled x rows."""
+    return fold_pairs_restricted(
+        space,
+        d,
+        sampler,
+        lambda xs, ys: norm_eval(None, residual_gq(handle, params, xs, ys)),
+        head=_RESTRICTED_PROBES,
+        keep=keep,
+    )
 
 
 def estimate_delta_restricted(
@@ -295,8 +302,7 @@ def estimate_delta_restricted(
     the triangle-inequality ceiling ``(1 + |rs| + |r| + |s|) * sup``.
     """
     handle = as_map_on(f, space)
-    _, _, norms = _restricted_residuals(handle, params, d, space, sampler)
-    return float(norms.max())
+    return float(_restricted_residuals(handle, params, d, space, sampler).sup)
 
 
 @dataclass
@@ -307,7 +313,9 @@ class StabilityCertificate(Report):
     run was inconclusive (some probe's limit extraction failed).  The
     comparison is ``max_deviation <= c_approx + 1e-9 * (1 + c_approx)``.
     ``samples`` holds the sampled pairs and each pair's residual norm as
-    ``(xs, ys, norms)``; it is left out of :meth:`to_dict` and equality.
+    whole-batch arrays ``(xs, ys, norms)`` when :func:`certify` was asked to
+    keep them (``keep_samples=True``), else None; it is left out of
+    :meth:`to_dict` and equality.
     """
 
     params: EquationParams
@@ -345,6 +353,7 @@ def certify(
     tol: float = 1e-10,
     delta_override: float | None = None,
     probe_count: int = 32,
+    keep_samples: bool = False,
 ) -> StabilityCertificate:
     """End-to-end stability certification.
 
@@ -352,6 +361,10 @@ def certify(
     evaluates the constants, extracts the dyadic limit at unit-sphere
     probes plus the first sampled restricted points, and compares the
     worst observed distance against the sharpened bound ``c_approx``.
+    The sampled pairs stream through the residual chunk by chunk, so the
+    rows held follow the chunk, not the batch; ``keep_samples=True`` keeps
+    the whole batch's rows and residual norms as the certificate's
+    ``samples``.
 
     A probe whose extraction blows up makes the certificate inconclusive
     rather than failed; warnings flag small ``|r s|``, quasi-norm domains,
@@ -371,8 +384,8 @@ def certify(
             "assume a genuine norm"
         )
 
-    xs, ys, norms = _restricted_residuals(handle, params, d, space, sampler)
-    delta_hat = float(norms.max())
+    fold = _restricted_residuals(handle, params, d, space, sampler, keep_samples)
+    delta_hat = float(fold.sup)
     if delta_override is not None:
         if not np.isfinite(delta_override) or delta_override < 0:
             raise ParameterError(
@@ -385,7 +398,7 @@ def certify(
         delta_source = "empirical"
     constants = stability_constants(params, d, delta_used)
 
-    probes = _probes(space, sampler, xs, probe_count)
+    probes = _probes(space, sampler, fold.head, probe_count)
     batch = extract_quadratic_batch(handle, probes, max_iters, tol)
     f_probes = batch.base
     evenness = float(norm_eval(None, f_probes - handle(-probes)).max())
@@ -432,7 +445,7 @@ def certify(
         tol=tol,
         # Rows past the first failure count as never extracted.
         extraction_iterations_max=int(batch.iterations[:failed].max(initial=0)),
-        samples=(xs, ys, norms),
+        samples=fold.samples,
     )
 
 
@@ -482,10 +495,16 @@ def verify_czerwik(
     if space.is_quasi_norm:
         warnings_.append(f"domain norm p={space.p} is a quasi-norm (p < 1)")
 
-    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
-    delta_hat = float(norm_eval(None, residual_q(handle, xs, ys)).max())
+    fold = fold_pairs_restricted(
+        space,
+        0.0,
+        sampler,
+        lambda xs, ys: norm_eval(None, residual_q(handle, xs, ys)),
+        head=_RESTRICTED_PROBES,
+    )
+    delta_hat = float(fold.sup)
 
-    probes = _probes(space, sampler, xs, probe_count)
+    probes = _probes(space, sampler, fold.head, probe_count)
     # The base probes, then t * probes for each scale, in one batch; its
     # first failed row raises, as extracting the blocks in turn would.
     batch = extract_quadratic_batch(

@@ -350,17 +350,30 @@ class TestExponentScan:
 
     def test_each_sampled_norm_is_raised_to_each_exponent_once(self, monkeypatch):
         # The default grid needs 4 terms x 3 exponents powers of the sampled
-        # norms, not 81 patterns x 4 terms.
-        raised, power = [], np.power
+        # norms, not 81 patterns x 4 terms.  Cubes are products, so numpy's
+        # pow sees only the exponents 1 and 2.
+        raised, pow_raised, raise_to, power = [], [], geometry_module._power, np.power
+
+        def counting_raise(base, exponent):
+            if np.size(base) == 300:
+                raised.append(exponent)
+            return raise_to(base, exponent)
 
         def counting_power(base, exponent, *args, **kwargs):
             if np.size(base) == 300:
-                raised.append(exponent)
+                pow_raised.append(exponent)
             return power(base, exponent, *args, **kwargs)
 
+        monkeypatch.setattr(geometry_module, "_power", counting_raise)
         monkeypatch.setattr(np, "power", counting_power)
         self._scan(euclidean(2), count=300)
         assert sorted(raised) == [1.0] * 4 + [2.0] * 4 + [3.0] * 4
+        assert sorted(pow_raised) == [1.0] * 4 + [2.0] * 4
+
+    def test_a_cube_is_a_product(self):
+        n = np.random.default_rng(5).uniform(0.0, 8.0, 1000)
+        cube = geometry_module._power(n, 3.0)
+        assert np.array_equal(cube.view(np.uint64), (n * n * n).view(np.uint64))
 
     def test_norms_two_rows_per_sampled_pair_beyond_the_sampler(self, monkeypatch):
         # norm(r x + s y) and norm(x - y) per pair, plus 4 rows for each of

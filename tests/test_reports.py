@@ -106,8 +106,11 @@ def test_stability_constants():
 
 
 def test_certificate_nests_its_parts_and_leaves_out_the_samples():
+    # Samples are kept only when asked for, and never reported.
     cert = certify(_map(), THIRDS, 1.0, euclidean(2), SAMPLER, probe_count=4)
-    assert cert.samples is not None
+    kept = certify(_map(), THIRDS, 1.0, euclidean(2), SAMPLER, probe_count=4, keep_samples=True)
+    assert cert.samples is None and kept.samples is not None
+    assert kept == cert and kept.to_dict() == cert.to_dict()
     d = _strict(cert.to_dict())
     assert list(d) == CERTIFICATE_KEYS
     assert list(d["params"]) == PARAMS_KEYS + ["r_exact"]

@@ -1,7 +1,9 @@
 """Norm evaluation and sampler contracts."""
 
 import copy
+import json
 import pickle
+import sys
 import threading
 import warnings
 from dataclasses import fields
@@ -21,6 +23,7 @@ from quadlab import (
     Sampler,
     SpaceSpec,
     certify,
+    derivation_chain_check,
     equation_params,
     euclidean,
     extract_quadratic_batch,
@@ -38,7 +41,9 @@ from quadlab import (
     verify_czerwik,
     weighted_quadratic,
 )
+from quadlab import quadratic as quadratic_module
 from quadlab import space as space_module
+from quadlab import stability as stability_module
 from quadlab.errors import DimensionMismatchError
 from quadlab.space import form_rows, row_blocks, row_sums
 
@@ -426,6 +431,17 @@ class TestSamplers:
             Sampler.restricted_pairs(seed=-1, count=10, radius_max=1.0)
         with pytest.raises(ParameterError):
             Sampler.restricted_pairs(seed=2**64, count=10, radius_max=1.0)
+
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True)], ids=repr)
+    def test_a_bool_is_not_a_seed(self, seed):
+        message = f"^seed must be an integer in \\[0, 2\\*\\*64\\), got {seed!r}$"
+        for call in (
+            lambda: Sampler.restricted_pairs(seed=seed, count=10, radius_max=2.0),
+            lambda: NoiseModel.uniform_bounded(0.1, seed=seed),
+            lambda: space_module.generator(seed, space_module.STREAM_PAIR_X),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                call()
 
     def test_bad_count_and_radius(self):
         with pytest.raises(ParameterError):
@@ -918,3 +934,173 @@ class TestPairHalvesOnTwoThreads:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleDomainError, match="^norms of sampled directions overflow"):
                 sample_pairs_restricted(euclidean(3), 1.0, sampler)
+
+
+def _whole_batch_fold(space, d, sampler, fn, *, head=0, keep=False):
+    """The pass that a streamed fold replaces: the whole batch sampled, then
+    ``fn`` over it in one call, then its maximum."""
+    xs, ys = sample_pairs_restricted(space, d, sampler)
+    values = fn(xs, ys)
+    samples = (xs, ys, values) if keep else None
+    return space_module.PairFold(values.max(axis=0), xs[:head], samples)
+
+
+# 3000 pairs of dim 3 in blocks of 64 rows: 47 row blocks.
+_STREAM_COUNT, _STREAM_BLOCK_ROWS, _STREAM_BLOCKS = 3000, 64, 47
+
+
+class TestStreamedRestrictedPairs:
+    """certify, verify_czerwik and derivation_chain_check fold their sampled
+    pairs chunk by chunk (space.fold_pairs_restricted); every report and
+    kept sample must be the whole-batch pass's, bit for bit."""
+
+    @staticmethod
+    def _map(space, sampler, nan_row):
+        # A noisy form that is NaN at one sampled x row of the d = 1 and the
+        # d = 0 batch, so that one pair's residual is NaN in each.
+        base = make_perturbed(
+            random_symmetric_form(space, euclidean(2), seed=4), NoiseModel.uniform_bounded(0.05, 6)
+        )
+        marked = np.array(
+            []
+            if nan_row is None
+            else [sample_pairs_restricted(space, d, sampler)[0][nan_row, 0] for d in (0.0, 1.0)]
+        )
+
+        def evaluator(rows):
+            out = np.array(base(rows))
+            out[np.isin(rows[:, 0], marked)] = np.nan
+            return out
+
+        return MapHandle(evaluator, space.dim, 2)
+
+    @pytest.mark.parametrize("nan_row", [None, 40, -1], ids=["finite", "nan-first", "nan-last"])
+    @pytest.mark.parametrize("chunks", [1, 2, 3, _STREAM_BLOCKS])
+    def test_streamed_restricted_pass_matches_the_whole_batch_reference(
+        self, monkeypatch, chunks, nan_row
+    ):
+        space, params = euclidean(3), equation_params("1/3")
+        sampler = Sampler.restricted_pairs(5, _STREAM_COUNT, _R)
+        f = self._map(space, sampler, nan_row)
+        calls = {
+            "certify": lambda: certify(
+                f, params, 1.0, space, sampler, probe_count=4, delta_override=1.0, keep_samples=True
+            ),
+            "czerwik": lambda: verify_czerwik(f, space, sampler, probe_count=4),
+            "chain": lambda: derivation_chain_check(f, params, space, sampler),
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(stability_module, "fold_pairs_restricted", _whole_batch_fold)
+            patch.setattr(quadratic_module, "fold_pairs_restricted", _whole_batch_fold)
+            want = {name: call() for name, call in calls.items()}
+
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * space.dim)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-_STREAM_BLOCKS // chunks))
+        settle, settled = space_module._PairDraw.settle, []
+
+        def counted(draw, rows, norms):
+            settled.append(rows[0].shape[0])
+            return settle(draw, rows, norms)
+
+        monkeypatch.setattr(space_module._PairDraw, "settle", counted)
+        got = {name: call() for name, call in calls.items()}
+        assert len(settled) == 3 * chunks and sum(settled) == 3 * _STREAM_COUNT
+        for name in calls:
+            assert json.dumps(got[name].to_dict()) == json.dumps(want[name].to_dict()), name
+        assert all(
+            np.array_equal(g.view(np.uint64), w.view(np.uint64))
+            for g, w in zip(got["certify"].samples, want["certify"].samples)
+        )
+        assert np.isnan(got["certify"].delta_hat) == (nan_row is not None)
+        assert np.isnan(got["czerwik"].delta_hat) == (nan_row is not None)
+
+    @pytest.mark.parametrize("threads", ["helper", "serial"])
+    def test_an_earlier_chunks_map_error_beats_a_later_chunks_pair_error(
+        self, monkeypatch, threads
+    ):
+        # Chunks of one block: chunk 0's map call fails, and so does chunk 1's
+        # x half, which the calling thread draws after it.  The pass surfaces
+        # errors in stream order, chunk by chunk, so the map's error wins
+        # (a whole-batch pass, which samples before its first map call,
+        # surfaced the sampling error).
+        drawn = []
+
+        def refuse_the_second_block(out):
+            drawn.append(out.shape[0])
+            if len(drawn) == 2:
+                raise InfeasibleDomainError("chunk 1 refused")
+
+        def refuse(rows):
+            raise RuntimeError("the map refused")
+
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_X, refuse_the_second_block)
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 1)
+        sampler = Sampler.restricted_pairs(8, _STREAM_COUNT, _R)
+        f, params = MapHandle(refuse, 3, 1), equation_params("1/2")
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^the map refused$"):
+            if threads == "serial":
+                # A busy helper leaves the whole pass on the calling thread.
+                with space_module._HELPER_BUSY:
+                    certify(f, params, 1.0, euclidean(3), sampler)
+            else:
+                certify(f, params, 1.0, euclidean(3), sampler)
+        assert drawn == [_STREAM_BLOCK_ROWS] * 2
+        assert threading.active_count() == before
+
+    def test_a_streamed_restricted_pass_shares_one_helper(self, monkeypatch):
+        # Chunks of 16 blocks: each thread evaluates half a chunk, 8 blocks,
+        # a pass that would hand its later half off were the helper free.
+        # It is busy, so the map only ever runs beside the one helper, on
+        # both threads, and the helper is joined after the pass.
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 16)
+        form, seen = random_symmetric_form(euclidean(3), euclidean(2), seed=4), set()
+
+        def evaluator(rows):
+            seen.add((threading.get_ident(), threading.active_count()))
+            return form(rows)
+
+        f, params = MapHandle(evaluator, 3, 2), equation_params("1/3")
+        before = threading.active_count()
+        fold = space_module.fold_pairs_restricted(
+            euclidean(3),
+            1.0,
+            Sampler.restricted_pairs(8, _STREAM_COUNT, _R),
+            lambda xs, ys: norm_eval(None, residual_gq(f, params, xs, ys)),
+        )
+        assert np.isfinite(fold.sup)
+        assert len({ident for ident, _ in seen}) == 2
+        assert {count for _, count in seen} == {before + 1}
+        assert threading.active_count() == before
+
+    def test_a_streamed_restricted_pass_keeps_its_rows_under_fast_switching(self, monkeypatch):
+        # Chunks of one block: the next chunk's draw reuses the buffers of
+        # the chunk before the current one.  With the threads switching every
+        # microsecond, no draw may overwrite rows still being evaluated, so
+        # every evaluated value is one of the whole batch's.
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 1)
+        space, params = euclidean(3), equation_params("1/3")
+        sampler = Sampler.restricted_pairs(8, _STREAM_COUNT, _R)
+        form = random_symmetric_form(space, euclidean(2), seed=4)
+        xs, ys = sample_pairs_restricted(space, 1.0, sampler)
+        want = norm_eval(None, residual_gq(form, params, xs, ys))
+        seen = []
+
+        def fn(xs, ys):
+            values = norm_eval(None, residual_gq(form, params, xs, ys))
+            seen.append(values)
+            return values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                seen.clear()
+                fold = space_module.fold_pairs_restricted(space, 1.0, sampler, fn)
+                assert fold.sup == want.max()
+                assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(want))
+        finally:
+            sys.setswitchinterval(interval)

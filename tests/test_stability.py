@@ -573,6 +573,23 @@ class TestCertify:
         assert cert.warnings[-1] == message
         assert cert.extraction_iterations_max == max(iterations)
 
+    def test_memory_follows_the_chunk_not_the_batch(self):
+        # The residual pass streams its pairs: twice the pairs adds only
+        # their radii (two floats a pair, 3.2 MB more at 400k), where the
+        # whole batch's rows and norms would add 32 MB more.
+        space, params = euclidean(8), equation_params("1/3")
+        form = random_symmetric_form(space, euclidean(2), seed=1)
+        peaks = []
+        for count in (200_000, 400_000):
+            sampler = Sampler.restricted_pairs(1, count, 2.0)
+            tracemalloc.start()
+            try:
+                certify(form, params, 2.95, space, sampler, probe_count=1, max_iters=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * 2**20, peaks
+
     def test_map_runs_once_at_the_probes(self):
         # The extraction's base values are the map at the probes; the
         # deviation from the limit reads them instead of a second call.
