@@ -19,6 +19,7 @@ from .space import (
     Sampler,
     SpaceSpec,
     blockwise,
+    fold_pairs_restricted,
     form_rows,
     norm_eval,
     pair_rows,
@@ -86,16 +87,16 @@ def detect_inner_product(
 ) -> InnerProductVerdict:
     """Decide whether the space's norm satisfies the parallelogram law.
 
-    Tests all basis pairs plus sampled pairs; the decision statistic is the
-    defect normalized by ``1 + norm(x)^2 + norm(y)^2``.  On acceptance the
-    Gram matrix is recovered and cross-checked against the norm on the
-    sampled points.
+    Tests all basis pairs, then sampled pairs; the decision statistic is the
+    defect normalized by ``1 + norm(x)^2 + norm(y)^2``.  When the basis
+    pairs pass, the Gram matrix is recovered up front, and its cross-check
+    against the norm at the sampled x rows (``bilinearity_defect``) folds
+    in the same streamed pass over the pairs
+    (:func:`~quadlab.space.fold_pairs_restricted`); a rejected verdict
+    drops both.
     """
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
-    sample = sample_pairs_restricted(space, 0.0, sampler)
-    xs, ys = sample
-    n_xs, n_ys = sample.norms
 
     def defects(x, y, nx, ny):
         """The raw and normalized defects of each pair, shape (rows, 2)."""
@@ -107,23 +108,31 @@ def detect_inner_product(
     eye = np.eye(space.dim)
     basis = [eye[i] for i in np.triu_indices(space.dim, k=1)]
     on_basis = defects(*basis, *(norm_eval(space, v) for v in basis)).max(axis=0, initial=0.0)
-    sampled = blockwise(lambda b: defects(xs[b], ys[b], n_xs[b], n_ys[b]), *xs.shape)
+    # The form is needed only if the basis pairs pass, which acceptance requires.
+    gram = recover_gram(space) if on_basis[1] <= tol else None
+
+    def sampled(x, y, nx, ny):
+        """Each pair's defects, then, with a Gram matrix, x's bilinearity defect."""
+        columns = defects(x, y, nx, ny)
+        if gram is None:
+            return columns
+        norms_sq = nx**2
+        quad = form_rows(x, gram, x)[:, 0]
+        return np.column_stack((columns, np.abs(norms_sq - quad) / (1.0 + norms_sq)))
+
+    sup = fold_pairs_restricted(space, 0.0, sampler, sampled).sup
     basis_witness_max = float(on_basis[0])
-    worst = np.maximum(on_basis, sampled.max(axis=0))
+    worst = np.maximum(on_basis, sup[:2])
     max_defect, max_normalized_defect = (float(v) for v in worst)
     accepted = bool(max_normalized_defect <= tol)
 
-    gram = None
     bil_defect = None
     min_eig = None
     if accepted:
-        gram = recover_gram(space)
-        quad = form_rows(xs, gram, xs)[:, 0]
-        norms_sq = n_xs**2
-        bil_defect = float(
-            (np.abs(norms_sq - quad) / (1.0 + norms_sq)).max()
-        )
+        bil_defect = float(sup[2])
         min_eig = float(np.linalg.eigvalsh(gram).min())
+    else:
+        gram = None
 
     summary = space.describe()
     summary["quasi_norm"] = space.is_quasi_norm

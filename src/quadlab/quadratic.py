@@ -402,7 +402,7 @@ def derivation_chain_check(
     """
     handle = as_map_on(f, space)
     sup = fold_pairs_restricted(
-        space, 0.0, sampler, lambda xs, ys: _chain_norms(handle, params, xs, ys)
+        space, 0.0, sampler, lambda xs, ys, *_: _chain_norms(handle, params, xs, ys)
     ).sup
     return DerivationChainReport(
         defects={name: float(v) for name, v in zip(_CHAIN_IDENTITIES, sup)},

@@ -10,7 +10,9 @@ evaluator gives a row the same bits in any block, so :func:`blockwise` can
 share a pass's blocks between the calling thread and one helper, which takes
 only a call that fills more than one row block (:func:`_helper_thread`), and
 :func:`fold_pairs_restricted` can stream restricted pairs into a running
-maximum chunk by chunk, holding two chunks of rows rather than the batch.
+maximum chunk by chunk, holding two chunks of rows rather than the batch
+(certification, the Czerwik check, the derivation chain and inner-product
+detection).
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -243,7 +245,8 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
     the output while the calling thread writes the earlier run, so ``fn``
     must be safe to call from two threads at once on different blocks.  A
     pass run while the helper is busy, such as one inside a streamed
-    restricted pass (:func:`fold_pairs_restricted`), stays on its thread.
+    restricted pass (:func:`fold_pairs_restricted`: residuals, the
+    derivation chain, inner-product detection), stays on its thread.
     Each block's rows are ``fn``'s, so the output is the serial loop's bit
     for bit, and errors surface in its order: the earlier run's first.
     """
@@ -440,8 +443,9 @@ def _helper_thread(values: int):
     (``np.geterr()``, ``np.geterrcall()``) of the thread that entered the
     block.  Each user passes the values its call fills: a profile's shell
     draw (both halves), a sample's y half, a streamed restricted pass
-    (:func:`fold_pairs_restricted`: every chunk's y half and the later half
-    of its evaluation, all on one helper), the later run of a
+    (:func:`fold_pairs_restricted`, behind certification, the derivation
+    chain and inner-product detection: every chunk's y half and the later
+    half of its evaluation, all on one helper), the later run of a
     :func:`blockwise` pass, or every second block of a samples CSV
     (``cli._write_samples_csv``).
     """
@@ -598,14 +602,19 @@ def _now(fn, *args):
 def fold_pairs_restricted(
     space: SpaceSpec, d: float, sampler: Sampler, fn, *, head: int = 0, keep: bool = False
 ) -> PairFold:
-    """``fn(xs, ys)`` over the pairs :func:`sample_pairs_restricted` draws,
-    folded chunk by chunk, so that the rows held follow the chunk and not
-    the batch: two chunks of both halves' rows, and the batch's radii.
+    """``fn(xs, ys, nx, ny)`` over the pairs :func:`sample_pairs_restricted`
+    draws, folded chunk by chunk, so that the rows held follow the chunk and
+    not the batch: two chunks of both halves' rows and norms, and the
+    batch's radii.
 
-    ``fn`` maps pair rows to one value row each ((N,) or (N, k)) and must
-    give a row the same bits in any run of rows.  The pairs are drawn
-    through one :class:`_PairDraw`, in chunks of about ``_CHUNK_BLOCKS``
-    whole row blocks of x rows, so each pair has the sampler's bits.  Each
+    ``fn`` maps pair rows and their norms (``nx``, ``ny``: the ones
+    :attr:`PairSample.norms` holds, re-taken for rows pulled inside the
+    domain) to one value row each ((N,) or (N, k)) and must give a row the
+    same bits in any run of rows.  Its users: ``certify``,
+    ``verify_czerwik``, ``derivation_chain_check`` and inner-product
+    detection, which alone reads the norms.  The pairs are drawn through one
+    :class:`_PairDraw`, in chunks of about ``_CHUNK_BLOCKS`` whole row
+    blocks of x rows, so each pair has the sampler's bits.  Each
     chunk's values fold into ``sup`` with ``np.maximum``, so a NaN value
     makes its column's sup NaN, as a whole-batch ``max`` would.  ``head``
     asks for the first ``head`` x rows (fewer in a smaller batch), and
@@ -648,13 +657,14 @@ def fold_pairs_restricted(
 
     def settle(i):
         xs, ys, nx, ny = views[i]
-        draw.settle([xs, ys], [nx, ny])
+        # The rows are repaired in place; their re-checked norms are new arrays.
+        nx[:], ny[:] = draw.settle([xs, ys], [nx, ny])[1]
         lo, hi = chunks[i].start, min(first.shape[0], chunks[i].stop)
         if lo < hi:
             first[lo:hi] = xs[: hi - lo]
 
     def evaluate(i, lo, hi):
-        return fn(views[i][0][lo:hi], views[i][1][lo:hi])
+        return fn(*(a[lo:hi] for a in views[i]))
 
     def fold(i, lo, part):
         nonlocal sup, values

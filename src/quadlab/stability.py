@@ -281,7 +281,7 @@ def _restricted_residuals(handle, params, d, space, sampler, keep=False):
         space,
         d,
         sampler,
-        lambda xs, ys: norm_eval(None, residual_gq(handle, params, xs, ys)),
+        lambda xs, ys, *_: norm_eval(None, residual_gq(handle, params, xs, ys)),
         head=_RESTRICTED_PROBES,
         keep=keep,
     )
@@ -499,7 +499,7 @@ def verify_czerwik(
         space,
         0.0,
         sampler,
-        lambda xs, ys: norm_eval(None, residual_q(handle, xs, ys)),
+        lambda xs, ys, *_: norm_eval(None, residual_q(handle, xs, ys)),
         head=_RESTRICTED_PROBES,
     )
     delta_hat = float(fold.sup)

@@ -1,8 +1,10 @@
 """Parallelogram-law detection, Gram recovery, and exponent-pattern scans."""
 
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from quadlab import space as space_module
 from quadlab.errors import DimensionMismatchError
 from quadlab.geometry import ScanEntry
 from quadlab.space import form_rows
+from test_space import _count_settles, _whole_batch_fold
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -209,6 +212,51 @@ class TestDetectInnerProduct:
         normed.clear()
         detect_inner_product(space, sampler)
         assert sum(normed) == 6 * sampler.count + 4 * (8 * 7 // 2)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 47])
+    @pytest.mark.parametrize(
+        "space, tol",
+        [
+            (p_norm(8, 3.0), 1e-9),
+            (weighted_quadratic([[2.0, 1.0], [1.0, 3.0]]), 1e-9),
+            (euclidean(1), 1e-9),
+            (p_norm(2, 1.0), 1e-9),
+            # Basis pairs pass (4.6e-4), sampled pairs fail (6.0e-4): the
+            # Gram matrix is recovered, folded, then dropped.
+            (p_norm(2, 2.001), 5e-4),
+        ],
+        ids=["p:3", "weighted", "line", "p:1", "p:2.001"],
+    )
+    def test_streamed_detect_matches_the_whole_batch_reference_at_any_chunk_count(
+        self, monkeypatch, space, tol, chunks
+    ):
+        # 3000 pairs in blocks of 64 rows: 47 row blocks, folded in `chunks`
+        # chunks, against one call on the whole batch at default blocks.
+        sampler = self._sampler(count=3000)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry_module, "fold_pairs_restricted", _whole_batch_fold)
+            want = detect_inner_product(space, sampler, tol).to_dict()
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 64 * space.dim)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-47 // chunks))
+        settled = _count_settles(monkeypatch)
+        got = detect_inner_product(space, sampler, tol).to_dict()
+        assert len(settled) == chunks
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_detection_memory_follows_the_pass_not_the_batch(self):
+        # Detection streams its pairs: twice the pairs adds only their radii
+        # (two floats a pair, 3.2 MB more at 400k), where the whole batch's
+        # rows and norms would add 29 MB more.
+        peaks = []
+        for count in (200_000, 400_000):
+            sampler = Sampler.restricted_pairs(1, count, 2.0)
+            tracemalloc.start()
+            try:
+                detect_inner_product(p_norm(8, 3.0), sampler)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * 2**20, peaks
 
     def test_only_the_lapack_value_depends_on_the_blas_core_type(self):
         # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process.  These

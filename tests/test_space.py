@@ -938,11 +938,25 @@ class TestPairHalvesOnTwoThreads:
 
 def _whole_batch_fold(space, d, sampler, fn, *, head=0, keep=False):
     """The pass that a streamed fold replaces: the whole batch sampled, then
-    ``fn`` over it in one call, then its maximum."""
-    xs, ys = sample_pairs_restricted(space, d, sampler)
-    values = fn(xs, ys)
+    ``fn`` over it and its norms in one call, then its maximum."""
+    sample = sample_pairs_restricted(space, d, sampler)
+    xs, ys = sample
+    values = fn(xs, ys, *sample.norms)
     samples = (xs, ys, values) if keep else None
     return space_module.PairFold(values.max(axis=0), xs[:head], samples)
+
+
+def _count_settles(monkeypatch) -> list:
+    """Wrap ``_PairDraw.settle``; the list grows by the row count of each
+    settled run of pairs."""
+    settle, settled = space_module._PairDraw.settle, []
+
+    def counted(draw, rows, norms):
+        settled.append(rows[0].shape[0])
+        return settle(draw, rows, norms)
+
+    monkeypatch.setattr(space_module._PairDraw, "settle", counted)
+    return settled
 
 
 # 3000 pairs of dim 3 in blocks of 64 rows: 47 row blocks.
@@ -1014,6 +1028,34 @@ class TestStreamedRestrictedPairs:
         assert np.isnan(got["certify"].delta_hat) == (nan_row is not None)
         assert np.isnan(got["czerwik"].delta_hat) == (nan_row is not None)
 
+    @pytest.mark.parametrize("keep", [False, True], ids=["streamed", "kept"])
+    @pytest.mark.parametrize("chunks", [1, 2, 16])
+    def test_a_chunk_hands_fn_the_norms_of_its_repaired_rows(self, monkeypatch, chunks, keep):
+        # The repair case of test_repaired_rows_carry_the_norms_of_their_recheck:
+        # rows pulled inside the domain are normed again, and fn must receive
+        # those norms, not the ones taken before the repair.  1000 rows of
+        # dim 3 in blocks of 64 rows: 16 row blocks.
+        space, radius = sup_norm(3), 1.1
+        d = float(np.nextafter(2.0 * radius, 0.0))
+        sampler = Sampler.restricted_pairs(0, 1000, radius)
+        sample = sample_pairs_restricted(space, d, sampler)
+        want = np.column_stack((*sample, *sample.norms))
+        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 64 * space.dim)
+        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-16 // chunks))
+        settled, seen = _count_settles(monkeypatch), []
+
+        def fn(xs, ys, nx, ny):
+            seen.append(np.column_stack((xs, ys, nx, ny)))
+            return nx
+
+        space_module.fold_pairs_restricted(space, d, sampler, fn, keep=keep)
+        assert len(settled) == chunks
+        # The two threads' calls interleave; the pairs are distinct, so
+        # sorting lines them up.
+        got = np.concatenate(seen)
+        got, want = (rows[np.lexsort(rows.T)] for rows in (got, want))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("threads", ["helper", "serial"])
     def test_an_earlier_chunks_map_error_beats_a_later_chunks_pair_error(
         self, monkeypatch, threads
@@ -1068,7 +1110,7 @@ class TestStreamedRestrictedPairs:
             euclidean(3),
             1.0,
             Sampler.restricted_pairs(8, _STREAM_COUNT, _R),
-            lambda xs, ys: norm_eval(None, residual_gq(f, params, xs, ys)),
+            lambda xs, ys, nx, ny: norm_eval(None, residual_gq(f, params, xs, ys)),
         )
         assert np.isfinite(fold.sup)
         assert len({ident for ident, _ in seen}) == 2
@@ -1089,7 +1131,7 @@ class TestStreamedRestrictedPairs:
         want = norm_eval(None, residual_gq(form, params, xs, ys))
         seen = []
 
-        def fn(xs, ys):
+        def fn(xs, ys, nx, ny):
             values = norm_eval(None, residual_gq(form, params, xs, ys))
             seen.append(values)
             return values
