@@ -12,7 +12,8 @@ only a call that fills more than one row block (:func:`_helper_thread`), and
 :func:`fold_pairs_restricted` can stream restricted pairs into a running
 maximum chunk by chunk, holding two chunks of rows rather than the batch
 (certification, the Czerwik check, the derivation chain and inner-product
-detection).
+detection); a chunk spans two row blocks, with rows counted at no fewer
+than 8 values, so it holds at most 16,384 pairs up to dim 8.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -568,9 +569,14 @@ def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> Pai
     return PairSample(xs, ys, norms)
 
 
-# Row blocks per chunk of a streamed pair pass (fold_pairs_restricted), about:
-# the pass holds two chunks of both halves' rows.
-_CHUNK_BLOCKS = 4
+# A streamed pair pass (fold_pairs_restricted) runs in chunks of
+# _CHUNK_BLOCKS row blocks, with rows counted at no fewer than
+# _CHUNK_MIN_WIDTH values: 16,384 pairs up to dim 8, two row blocks above.
+# So a chunk is bounded in pairs as well as in row values, and the per-pair
+# temporaries of an evaluation stay within one block of dim-8 rows on each
+# thread.  The pass holds two chunks of both halves' rows.
+_CHUNK_BLOCKS = 2
+_CHUNK_MIN_WIDTH = 8
 
 
 class PairFold(NamedTuple):
@@ -614,7 +620,9 @@ def fold_pairs_restricted(
     ``verify_czerwik``, ``derivation_chain_check`` and inner-product
     detection, which alone reads the norms.  The pairs are drawn through one
     :class:`_PairDraw`, in chunks of about ``_CHUNK_BLOCKS`` whole row
-    blocks of x rows, so each pair has the sampler's bits.  Each
+    blocks, with rows counted at ``max(dim, _CHUNK_MIN_WIDTH)`` values, so
+    a chunk is bounded in pairs (16,384 up to dim 8) as well as in row
+    values, and each pair has the sampler's bits.  Each
     chunk's values fold into ``sup`` with ``np.maximum``, so a NaN value
     makes its column's sup NaN, as a whole-batch ``max`` would.  ``head``
     asks for the first ``head`` x rows (fewer in a smaller batch), and
@@ -635,7 +643,7 @@ def fold_pairs_restricted(
     """
     draw = _PairDraw(space, d, sampler)
     n, dim = sampler.count, space.dim
-    blocks = list(row_blocks(n, dim))
+    blocks = list(row_blocks(n, max(dim, _CHUNK_MIN_WIDTH)))
     k = -(-len(blocks) // _CHUNK_BLOCKS)
     groups = [blocks[len(blocks) * i // k : len(blocks) * (i + 1) // k] for i in range(k)]
     chunks = [slice(g[0].start, g[-1].stop) for g in groups]

@@ -9,7 +9,9 @@ Each entry is one ``quadlab`` command line or one library call:
 * ``verify_czerwik(...).to_dict()`` as the benchmark calls it, shrunk the
   same way;
 * a few sine-noise command lines at seed 1, whose extraction and noise
-  reduce rows of 2 to 12 elements.
+  reduce rows of 2 to 12 elements;
+* one exponent scan whose norm passes span two row blocks at the small
+  blocks of ``test_golden.py``.
 
 A report is digested without its ``runtime_ms`` line, an emitted CSV as
 written, and a library report as its sorted JSON.  ``portable`` entries go
@@ -82,6 +84,10 @@ _SINE_LINES = [
     "residual --dim 3 --r 1/3 --noise sine:0.2 --x 1,2,3 --y -2,0.5,1",
 ]
 
+# 1500 pairs of dim 4: two blocks of 1024 rows at test_golden.py's small
+# blocks, a span that no other entry's passes reach.
+_TWO_BLOCK_LINE = "exponents --dim 4 --r 1/3 --samples 1500 --seed 1"
+
 
 def _libm(argv) -> bool:
     """Whether a command line's values go through ``pow`` or ``sin``."""
@@ -143,6 +149,7 @@ def compute() -> dict:
         groups["portable"][f"verify_czerwik seed {seed}"] = _czerwik(seed)
     for line in _SINE_LINES:
         add([*line.split(), "--seed", "1"])
+    add(_TWO_BLOCK_LINE.split())
     return groups
 
 

@@ -36,7 +36,7 @@ from quadlab import space as space_module
 from quadlab.errors import DimensionMismatchError
 from quadlab.geometry import ScanEntry
 from quadlab.space import form_rows
-from test_space import _count_settles, _whole_batch_fold
+from test_space import _chunk_blocks, _count_settles, _whole_batch_fold
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -230,14 +230,14 @@ class TestDetectInnerProduct:
     def test_streamed_detect_matches_the_whole_batch_reference_at_any_chunk_count(
         self, monkeypatch, space, tol, chunks
     ):
-        # 3000 pairs in blocks of 64 rows: 47 row blocks, folded in `chunks`
-        # chunks, against one call on the whole batch at default blocks.
+        # 3000 pairs in chunk blocks of 64 rows: 47 row blocks, folded in
+        # `chunks` chunks, against one call on the whole batch at default
+        # blocks.
         sampler = self._sampler(count=3000)
         with monkeypatch.context() as patch:
             patch.setattr(geometry_module, "fold_pairs_restricted", _whole_batch_fold)
             want = detect_inner_product(space, sampler, tol).to_dict()
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 64 * space.dim)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-47 // chunks))
+        _chunk_blocks(monkeypatch, space.dim, 64, -(-47 // chunks))
         settled = _count_settles(monkeypatch)
         got = detect_inner_product(space, sampler, tol).to_dict()
         assert len(settled) == chunks
@@ -257,6 +257,21 @@ class TestDetectInnerProduct:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 8 * 2**20, peaks
+
+    def test_detect_at_dim_2_peaks_no_higher_than_at_dim_8(self):
+        # A streamed chunk is bounded in pairs, not only in row values, so
+        # narrow rows do not buy longer chunks: detection's per-pair
+        # temporaries at dim 2 stay within those of dim 8 (about 8.4 against
+        # 10.3 MiB; chunks sized by row values alone read about 20 against 16).
+        peaks = []
+        for space in (weighted_quadratic([[2.0, 1.0], [1.0, 3.0]]), p_norm(8, 3.0)):
+            tracemalloc.start()
+            try:
+                detect_inner_product(space, Sampler.restricted_pairs(1, 200_000, 2.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
     def test_only_the_lapack_value_depends_on_the_blas_core_type(self):
         # OPENBLAS_CORETYPE picks OpenBLAS's kernels for one process.  These

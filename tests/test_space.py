@@ -959,7 +959,17 @@ def _count_settles(monkeypatch) -> list:
     return settled
 
 
-# 3000 pairs of dim 3 in blocks of 64 rows: 47 row blocks.
+def _chunk_blocks(monkeypatch, dim: int, rows: int, blocks: int) -> None:
+    """Make a streamed pass over rows of ``dim`` values run in chunks of
+    ``blocks`` row blocks of ``rows`` pairs each.  A chunk counts a row at
+    ``max(dim, _CHUNK_MIN_WIDTH)`` values, so the row block is set for that
+    width."""
+    width = max(dim, space_module._CHUNK_MIN_WIDTH)
+    monkeypatch.setattr(space_module, "_BLOCK_VALUES", rows * width)
+    monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", blocks)
+
+
+# 3000 pairs in chunk blocks of 64 rows: 47 row blocks.
 _STREAM_COUNT, _STREAM_BLOCK_ROWS, _STREAM_BLOCKS = 3000, 64, 47
 
 
@@ -1008,8 +1018,7 @@ class TestStreamedRestrictedPairs:
             patch.setattr(quadratic_module, "fold_pairs_restricted", _whole_batch_fold)
             want = {name: call() for name, call in calls.items()}
 
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * space.dim)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-_STREAM_BLOCKS // chunks))
+        _chunk_blocks(monkeypatch, space.dim, _STREAM_BLOCK_ROWS, -(-_STREAM_BLOCKS // chunks))
         settle, settled = space_module._PairDraw.settle, []
 
         def counted(draw, rows, norms):
@@ -1033,15 +1042,14 @@ class TestStreamedRestrictedPairs:
     def test_a_chunk_hands_fn_the_norms_of_its_repaired_rows(self, monkeypatch, chunks, keep):
         # The repair case of test_repaired_rows_carry_the_norms_of_their_recheck:
         # rows pulled inside the domain are normed again, and fn must receive
-        # those norms, not the ones taken before the repair.  1000 rows of
-        # dim 3 in blocks of 64 rows: 16 row blocks.
+        # those norms, not the ones taken before the repair.  1000 pairs in
+        # chunk blocks of 64 rows: 16 row blocks.
         space, radius = sup_norm(3), 1.1
         d = float(np.nextafter(2.0 * radius, 0.0))
         sampler = Sampler.restricted_pairs(0, 1000, radius)
         sample = sample_pairs_restricted(space, d, sampler)
         want = np.column_stack((*sample, *sample.norms))
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", 64 * space.dim)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", -(-16 // chunks))
+        _chunk_blocks(monkeypatch, space.dim, 64, -(-16 // chunks))
         settled, seen = _count_settles(monkeypatch), []
 
         def fn(xs, ys, nx, ny):
@@ -1076,8 +1084,7 @@ class TestStreamedRestrictedPairs:
             raise RuntimeError("the map refused")
 
         _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_X, refuse_the_second_block)
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 1)
+        _chunk_blocks(monkeypatch, 3, _STREAM_BLOCK_ROWS, 1)
         sampler = Sampler.restricted_pairs(8, _STREAM_COUNT, _R)
         f, params = MapHandle(refuse, 3, 1), equation_params("1/2")
         before = threading.active_count()
@@ -1092,12 +1099,12 @@ class TestStreamedRestrictedPairs:
         assert threading.active_count() == before
 
     def test_a_streamed_restricted_pass_shares_one_helper(self, monkeypatch):
-        # Chunks of 16 blocks: each thread evaluates half a chunk, 8 blocks,
-        # a pass that would hand its later half off were the helper free.
+        # Chunks of 16 blocks of 64 pairs: each thread evaluates half a
+        # chunk, 512 pairs of dim 3, a residual pass of four row blocks that
+        # would hand its later half off were the helper free.
         # It is busy, so the map only ever runs beside the one helper, on
         # both threads, and the helper is joined after the pass.
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 16)
+        _chunk_blocks(monkeypatch, 3, _STREAM_BLOCK_ROWS, 16)
         form, seen = random_symmetric_form(euclidean(3), euclidean(2), seed=4), set()
 
         def evaluator(rows):
@@ -1122,8 +1129,7 @@ class TestStreamedRestrictedPairs:
         # the chunk before the current one.  With the threads switching every
         # microsecond, no draw may overwrite rows still being evaluated, so
         # every evaluated value is one of the whole batch's.
-        monkeypatch.setattr(space_module, "_BLOCK_VALUES", _STREAM_BLOCK_ROWS * 3)
-        monkeypatch.setattr(space_module, "_CHUNK_BLOCKS", 1)
+        _chunk_blocks(monkeypatch, 3, _STREAM_BLOCK_ROWS, 1)
         space, params = euclidean(3), equation_params("1/3")
         sampler = Sampler.restricted_pairs(8, _STREAM_COUNT, _R)
         form = random_symmetric_form(space, euclidean(2), seed=4)
