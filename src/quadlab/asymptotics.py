@@ -91,9 +91,8 @@ def shell_delta_profile(
 
     Each shell's draw (``2 * per_shell_count * dim`` values) goes through
     :func:`_helper_thread`, which may run it while the calling thread takes
-    the previous shell's residuals.  ``f`` runs only on the calling thread:
-    a shell too small to be drawn on the helper is one residual block, and
-    while the helper is busy a residual pass starts no other.
+    the previous shell's residuals.  ``f`` runs only on the calling thread,
+    where a residual pass runs all its blocks.
     Errors surface in a serial loop's order, at most two shells' rows are
     alive at once, and the deltas are bit for bit the serial loop's.
     """

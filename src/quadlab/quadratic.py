@@ -210,14 +210,14 @@ class MapHandle:
     Whole-batch passes (residuals) may hand an evaluator any block of their
     rows (:func:`~quadlab.space.row_blocks`), so an evaluator must give each
     row the same value in any block; every built-in map does, bit for bit.
-    A pass whose later half fills more than one row block may also call the
-    evaluator from one helper thread, on other blocks, while the calling
-    thread runs it (:func:`~quadlab.space.blockwise`), and so may a streamed
-    restricted pass of more than one row block, on the later half of each
-    chunk (:func:`~quadlab.space.fold_pairs_restricted`, behind ``certify``,
-    ``verify_czerwik`` and ``derivation_chain_check``).  So an evaluator
-    must be safe to call from two threads at once; a pure function of its
-    rows is.
+    They run their blocks in order on the calling thread
+    (:func:`~quadlab.space.blockwise`).  Only a streamed restricted pass of
+    more than one row block (:func:`~quadlab.space.fold_pairs_restricted`,
+    behind ``certify``, ``verify_czerwik`` and ``derivation_chain_check``)
+    calls the evaluator from one helper thread, on the later half of each
+    chunk, while the calling thread runs it on the earlier half.  So an
+    evaluator must be safe to call from two threads at once; a pure
+    function of its rows is.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -265,8 +265,9 @@ def as_map_on(f, space: SpaceSpec) -> MapHandle:
 
 def _pair_pass(f, x, y, combine, widen: int = 1):
     """``combine(handle, xs, ys)`` over the pair rows of ``x`` and ``y``, one
-    row block at a time (:func:`~quadlab.space.blockwise`), so that every map
-    argument of a block is evaluated while the block is in cache.  Blocks
+    row block at a time on the calling thread
+    (:func:`~quadlab.space.blockwise`), so that every map argument of a
+    block is evaluated while the block is in cache.  Blocks
     are sized as if each row were ``widen`` times as wide, so a pass with
     many temporaries per row runs in smaller blocks.  One pair gives its
     output row."""
@@ -369,8 +370,8 @@ def _chain_norms(f, params: EquationParams, x, y) -> np.ndarray:
     """The four derivation-chain defect norms of each pair, one column per
     identity in ``_CHAIN_IDENTITIES`` order.  Pairs go in blocks of half a
     row block's rows: a block makes 22 map calls, against a residual's 4,
-    and the calling thread and the helper each hold one block's
-    temporaries."""
+    and in a streamed pass the calling thread and the helper each hold one
+    block's temporaries."""
     f_even, f_odd = parity_decompose(f)
     r, s = params.r, params.s
 

@@ -5,15 +5,16 @@ One vector is a one-row batch.  Every entry point that evaluates vectors
 through :func:`as_rows` or :func:`pair_rows`, so evaluators always receive
 C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
 A single vector's result is its row of the batch result.  Whole-batch
-pipelines run in cache-sized blocks from :func:`row_blocks`; every built-in
-evaluator gives a row the same bits in any block, so :func:`blockwise` can
-share a pass's blocks between the calling thread and one helper, which takes
-only a call that fills more than one row block (:func:`_helper_thread`), and
-:func:`fold_pairs_restricted` can stream restricted pairs into a running
-maximum chunk by chunk, holding two chunks of rows rather than the batch
-(certification, the Czerwik check, the derivation chain and inner-product
-detection); a chunk spans two row blocks, with rows counted at no fewer
-than 8 values, so it holds at most 16,384 pairs up to dim 8.
+pipelines run in cache-sized blocks from :func:`row_blocks`, in order on the
+calling thread (:func:`blockwise`); every built-in evaluator gives a row the
+same bits in any block, so :func:`fold_pairs_restricted` can stream
+restricted pairs into a running maximum chunk by chunk, holding two chunks
+of rows rather than the batch (certification, the Czerwik check, the
+derivation chain and inner-product detection), and evaluate the later half
+of each chunk on one helper thread, which takes only a call that fills more
+than one row block (:func:`_helper_thread`); a chunk spans two row blocks,
+with rows counted at no fewer than 8 values, so it holds at most 16,384
+pairs up to dim 8.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -53,8 +54,9 @@ _NORM_KINDS = ("euclidean", "p", "weighted", "sup")
 # block so that each block's temporaries stay in cache (see row_blocks).
 _BLOCK_VALUES = 2**16
 
-# Held while a helper thread runs: quadlab starts at most one at a time
-# (see _helper_thread).
+# Held while a helper thread runs: quadlab starts at most one at a time, and
+# a hand-off made while it is held stays on its own thread (see
+# _helper_thread).
 _HELPER_BUSY = threading.Lock()
 
 # Relative clearance from every bound of a sampled row pulled back inside:
@@ -236,37 +238,21 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
     in order into one float64 array of n rows.
 
     A batch of one block returns ``fn``'s own result, with no copy.  In a
-    larger one the calling thread runs the first block, which sizes the
-    output, and only then allocates it: an output allocated before the
-    temporaries leaves them at the top of the heap, where freeing them can
-    hand pages back to the system, to be faulted in again on the next call.
-    The other blocks split into two runs in order, and the later run goes
-    through :func:`_helper_thread` with its rows' values: past one block's
-    worth (in any pass of four blocks or more), the helper writes it into
-    the output while the calling thread writes the earlier run, so ``fn``
-    must be safe to call from two threads at once on different blocks.  A
-    pass run while the helper is busy, such as one inside a streamed
-    restricted pass (:func:`fold_pairs_restricted`: residuals, the
-    derivation chain, inner-product detection), stays on its thread.
-    Each block's rows are ``fn``'s, so the output is the serial loop's bit
-    for bit, and errors surface in its order: the earlier run's first.
+    larger one the first block sizes the output, which is allocated only
+    then: an output allocated before the temporaries leaves them at the top
+    of the heap, where freeing them can hand pages back to the system, to be
+    faulted in again on the next call.  Every block runs on the calling
+    thread, in order, so the first failing block's error surfaces and no
+    later block runs.
     """
-    blocks = list(row_blocks(n, width)) or [slice(0, 0)]
-    first = fn(blocks[0])
+    blocks = row_blocks(n, width)
+    first = fn(next(blocks, slice(0, 0)))
     if first.shape[0] == n:
         return first
     out = np.empty((n, *first.shape[1:]))
     out[: first.shape[0]] = first
-
-    def fill(run):
-        for rows in run:
-            out[rows] = fn(rows)
-
-    split = (len(blocks) + 1) // 2
-    with _helper_thread((n - blocks[split].start) * width) as submit:
-        later = submit(fill, blocks[split:])
-        fill(blocks[1:split])
-    later()
+    for rows in blocks:
+        out[rows] = fn(rows)
     return out
 
 
@@ -442,13 +428,12 @@ def _helper_thread(values: int):
     when ``result()`` is called (once), the serial order, or never if it is
     not called.  Either way ``fn`` runs under the numpy error state
     (``np.geterr()``, ``np.geterrcall()``) of the thread that entered the
-    block.  Each user passes the values its call fills: a profile's shell
-    draw (both halves), a sample's y half, a streamed restricted pass
-    (:func:`fold_pairs_restricted`, behind certification, the derivation
-    chain and inner-product detection: every chunk's y half and the later
-    half of its evaluation, all on one helper), the later run of a
-    :func:`blockwise` pass, or every second block of a samples CSV
-    (``cli._write_samples_csv``).
+    block.  Each of its four users passes the values its call fills: a
+    profile's shell draw (both halves), a sample's y half, a streamed
+    restricted pass (:func:`fold_pairs_restricted`, behind certification,
+    the derivation chain and inner-product detection: every chunk's y half
+    and the later half of its evaluation, all on one helper), or every
+    second block of a samples CSV (``cli._write_samples_csv``).
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -635,8 +620,8 @@ def fold_pairs_restricted(
     chunk's y half and then runs ``fn`` on the chunk's later half of row
     blocks, while the calling thread runs ``fn`` on the earlier half and
     then draws the next chunk's x half.  So ``fn`` must be safe to call from
-    two threads at once; a pass inside it (:func:`blockwise`) finds the
-    helper busy and stays on its thread.  Errors surface in the order of the
+    two threads at once; a pass inside it (:func:`blockwise`) runs on the
+    thread that calls it.  Errors surface in the order of the
     serial stream, chunk by chunk: a chunk's x half, y half, settle step,
     and ``fn`` on its earlier and its later half, so an earlier chunk's
     ``fn`` error comes before a later chunk's sampling error.

@@ -1100,10 +1100,10 @@ class TestStreamedRestrictedPairs:
 
     def test_a_streamed_restricted_pass_shares_one_helper(self, monkeypatch):
         # Chunks of 16 blocks of 64 pairs: each thread evaluates half a
-        # chunk, 512 pairs of dim 3, a residual pass of four row blocks that
-        # would hand its later half off were the helper free.
-        # It is busy, so the map only ever runs beside the one helper, on
-        # both threads, and the helper is joined after the pass.
+        # chunk, 512 pairs of dim 3, a residual pass of four row blocks,
+        # which runs on the thread that calls it.  So the map only ever runs
+        # beside the one helper, on both threads, and the helper is joined
+        # after the pass.
         _chunk_blocks(monkeypatch, 3, _STREAM_BLOCK_ROWS, 16)
         form, seen = random_symmetric_form(euclidean(3), euclidean(2), seed=4), set()
 
@@ -1152,3 +1152,78 @@ class TestStreamedRestrictedPairs:
                 assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(want))
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestErrorStateReachesTheRestrictedFoldsHelper:
+    """A streamed restricted pass past one row block runs its helper's calls
+    under the calling thread's numpy error state.  One pair overflows: once
+    in the later half of a chunk, which the helper evaluates, and once in a
+    later chunk's y half, which the helper draws.  Chunks of two blocks of
+    64 pairs, so the helper evaluates pairs 64-127 of each 128."""
+
+    _SAMPLER = Sampler.restricted_pairs(8, 1000, _R)
+
+    @pytest.fixture(autouse=True)
+    def _two_block_chunks(self, monkeypatch):
+        _chunk_blocks(monkeypatch, 3, _STREAM_BLOCK_ROWS, 2)
+
+    def _overflowing_at(self, pair):
+        """A fold ``fn`` whose value overflows at ``pair`` alone, and the
+        threads that evaluated that pair."""
+        target, on = sample_pairs_restricted(euclidean(3), 1.0, self._SAMPLER)[0][pair], []
+
+        def fn(xs, ys, nx, ny):
+            hit = np.all(xs == target, axis=1)
+            if hit.any():
+                on.append(threading.get_ident())
+            return (nx * np.where(hit, 1e200, 1.0)) ** 2
+
+        return fn, on
+
+    def _overflowing_y_draw(self, monkeypatch):
+        """Scale the first direction of the second y block drawn (chunk 1's)
+        by 1e200, so that its norm overflows; returns the drawing threads."""
+        drawn_on = []
+
+        def scaled(out):
+            drawn_on.append(threading.get_ident())
+            if len(drawn_on) == 2:
+                out[0] *= 1e200
+
+        _rewrite_stream(monkeypatch, space_module.STREAM_PAIR_Y, scaled)
+        return drawn_on
+
+    def _fold(self, fn):
+        return space_module.fold_pairs_restricted(euclidean(3), 1.0, self._SAMPLER, fn)
+
+    def test_raising_error_state_reaches_a_restricted_folds_later_half(self):
+        fn, on = self._overflowing_at(100)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            self._fold(fn)
+        assert on and threading.get_ident() not in on
+        assert threading.active_count() == before
+
+    def test_ignoring_error_state_reaches_a_restricted_folds_later_half(self):
+        fn, on = self._overflowing_at(100)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fold = self._fold(fn)
+        assert fold.sup == np.inf
+        assert on and threading.get_ident() not in on
+
+    def test_raising_error_state_reaches_a_restricted_folds_y_half(self, monkeypatch):
+        drawn_on = self._overflowing_y_draw(monkeypatch)
+        before = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            self._fold(lambda xs, ys, nx, ny: nx)
+        assert len(drawn_on) >= 2 and threading.get_ident() not in drawn_on
+        assert threading.active_count() == before
+
+    def test_ignoring_error_state_reaches_a_restricted_folds_y_half(self, monkeypatch):
+        drawn_on = self._overflowing_y_draw(monkeypatch)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleDomainError, match="^norms of sampled directions overflow"):
+                self._fold(lambda xs, ys, nx, ny: nx)
+        assert len(drawn_on) >= 2 and threading.get_ident() not in drawn_on

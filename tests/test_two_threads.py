@@ -1,10 +1,9 @@
-"""Whole-batch passes on two threads: when the later half of a pass's blocks
-fills more than one row block, ``space.blockwise`` runs it on one helper
-thread while the calling thread runs the earlier half, with a serial loop's
-bits, errors and numpy error state, and at most one helper in the process."""
+"""Whole-batch passes and the one helper thread: ``space.blockwise`` runs a
+pass's blocks in order on the calling thread, with a serial loop's bits and
+errors, whatever its size; ``space._helper_thread`` runs at most one helper
+in the process, and a hand-off made while it is busy stays on its thread."""
 
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -67,9 +66,7 @@ def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-# 1 block (inline); 2 and 3 blocks, whose later run fits in one block, on
-# the caller alone; 4 and 5 blocks, whose later run does not, and 50, on the
-# caller and the helper.
+# 1 block (inline), 2, 3, 4, 5 and 50 blocks.
 _COUNTS = [20, 21, 41, 61, 81, 1000]
 
 
@@ -114,37 +111,32 @@ class TestPassesMatchTheSerialLoop:
         assert _same_bits(norm_eval(space, rows), want)
 
 
-def _recording_map(threads):
+def _recording_map(threads, rows_seen=None):
     def evaluator(rows):
         threads.append(threading.get_ident())
+        if rows_seen is not None:
+            rows_seen.append(rows.copy())
         return np.sum(rows * rows, axis=1)
 
     return MapHandle(evaluator, _DIM, 1)
 
 
 @pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("n", [21, 41])
-def test_a_two_or_three_block_pass_runs_on_the_caller_alone(n):
-    """The later run of its blocks fills at most one block: too little for a thread."""
+@pytest.mark.parametrize("n", _COUNTS)
+def test_a_pass_runs_on_the_caller_in_block_order(n):
+    """Every map call of a pass, of one block or fifty, is the calling
+    thread's, and the calls are the per-block loop's, in its order."""
+    xs, ys = _pairs(n)
+    want = []
+    for b in row_blocks(n, _DIM):
+        residual_gq(_recording_map([], want), _PARAMS, xs[b], ys[b])
     before = threading.active_count()
-    threads = []
-    residual_gq(_recording_map(threads), _PARAMS, *_pairs(n))
+    threads, got = [], []
+    residual_gq(_recording_map(threads, got), _PARAMS, xs, ys)
     assert threading.active_count() == before
     assert set(threads) == {threading.get_ident()}
-    assert len(threads) == 4 * len(list(row_blocks(n, _DIM)))
-
-
-@pytest.mark.usefixtures("small_blocks")
-@pytest.mark.parametrize("n", [61, 81, 1000])
-def test_a_multi_block_pass_runs_on_the_caller_and_one_helper(n):
-    before = threading.active_count()
-    threads = []
-    residual_gq(_recording_map(threads), _PARAMS, *_pairs(n))
-    assert threading.active_count() == before
-    assert len(set(threads)) == 2 and threading.get_ident() in threads
-    # Four map calls per block; the first block is the caller's.
-    assert len(threads) == 4 * len(list(row_blocks(n, _DIM)))
-    assert set(threads[:4]) == {threading.get_ident()}
+    assert len(got) == len(want) == 4 * len(list(row_blocks(n, _DIM)))
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
 
 
 _SPACES = [
@@ -167,16 +159,9 @@ def test_inner_product_detection_in_small_blocks(space, monkeypatch):
 
 
 @pytest.mark.usefixtures("small_blocks")
-def test_a_one_block_pass_starts_no_thread():
-    threads = []
-    residual_gq(_recording_map(threads), _PARAMS, *_pairs(20))
-    assert set(threads) == {threading.get_ident()}
-
-
-@pytest.mark.usefixtures("small_blocks")
 def test_a_pass_runs_on_its_caller_alone_while_the_helper_is_busy():
     """While a helper runs, a pass on the thread that holds it, and a pass
-    on the helper itself, each run serially on their own thread."""
+    on the helper itself, each run on their own thread."""
     xs, ys = _pairs(1000)
     on_caller, on_helper = [], []
     before = threading.active_count()
@@ -188,10 +173,6 @@ def test_a_pass_runs_on_its_caller_alone_while_the_helper_is_busy():
     assert set(on_caller) == {threading.get_ident()}
     assert len(set(on_helper)) == 1 and threading.get_ident() not in on_helper
     assert _same_bits(got, nested)
-    # The helper is free again once its block is left.
-    threads = []
-    residual_gq(_recording_map(threads), _PARAMS, xs, ys)
-    assert len(set(threads)) == 2
 
 
 def test_a_busy_helper_defers_a_second_hand_off_to_its_result():
@@ -206,33 +187,33 @@ def test_a_busy_helper_defers_a_second_hand_off_to_its_result():
 
 
 class TestErrorsSurfaceInSerialOrder:
-    """blockwise over 1000 rows of width 1 in blocks of 10: the caller runs
-    blocks 0-49 and the helper blocks 50-99."""
+    """blockwise over 1000 rows of width 1 in blocks of 10, all on the
+    calling thread."""
 
     @pytest.fixture(autouse=True)
     def _ten_row_blocks(self, monkeypatch):
         monkeypatch.setattr(space_module, "_BLOCK_VALUES", 10)
 
-    def test_the_callers_error_wins(self):
-        helper_failed = threading.Event()
+    def test_the_first_failing_block_wins(self):
+        ran = []
 
         def fn(rows):
+            ran.append(rows.start)
             if rows.start == 990:
-                helper_failed.set()
-                raise ValueError("the helper's block refused")
+                raise ValueError("the last block refused")
             if rows.start == 30:
-                assert helper_failed.wait(10.0)
-                raise ArithmeticError("the caller's block refused")
+                raise ArithmeticError("block 3 refused")
             return np.zeros(rows.stop - rows.start)
 
         before = threading.active_count()
-        with pytest.raises(ArithmeticError, match="^the caller's block refused$"):
+        with pytest.raises(ArithmeticError, match="^block 3 refused$"):
             blockwise(fn, 1000, 1)
         assert threading.active_count() == before
-        assert helper_failed.is_set()
+        # No block after the failing one ran.
+        assert ran == [0, 10, 20, 30]
 
-    @pytest.mark.parametrize("bad", [500, 990], ids=["helper-first", "helper-last"])
-    def test_a_helper_only_error_surfaces(self, bad):
+    @pytest.mark.parametrize("bad", [500, 990], ids=["middle", "last"])
+    def test_a_later_blocks_error_surfaces(self, bad):
         done = []
 
         def fn(rows):
@@ -245,8 +226,8 @@ class TestErrorsSurfaceInSerialOrder:
         with pytest.raises(ValueError, match=f"^block at {bad} refused$"):
             blockwise(fn, 1000, 1)
         assert threading.active_count() == before
-        # The caller's half ran in full.
-        assert set(range(0, 500, 10)) <= set(done)
+        # Every block before it ran, in order, and none after it.
+        assert done == list(range(0, bad, 10))
 
     def test_a_first_block_error_starts_no_thread(self):
         def fn(rows):
@@ -257,41 +238,14 @@ class TestErrorsSurfaceInSerialOrder:
             blockwise(fn, 1000, 1)
         assert threading.active_count() == before
 
-    def test_the_halves_and_the_output(self):
-        where = {}
+    def test_the_blocks_and_the_output(self):
+        where = []
 
         def fn(rows):
-            where[rows.start] = threading.get_ident()
+            where.append((rows.start, threading.get_ident()))
             return np.arange(rows.start, rows.stop, dtype=np.float64)[:, None] * [1.0, -1.0]
 
         out = blockwise(fn, 1000, 1)
         assert np.array_equal(out[:, 0], np.arange(1000.0))
         assert np.array_equal(out[:, 1], -np.arange(1000.0))
-        caller = threading.get_ident()
-        assert [start for start, ident in where.items() if ident == caller] == list(
-            range(0, 500, 10)
-        )
-        assert len({where[start] for start in range(500, 1000, 10)} - {caller}) == 1
-
-
-@pytest.mark.usefixtures("small_blocks")
-class TestErrorStateReachesTheHelper:
-    """Rows whose squares overflow only in the last block, which the helper
-    runs."""
-
-    def _rows(self):
-        rows = np.ones((1000, _DIM))
-        rows[-1] = 1e200
-        return rows
-
-    def test_raising(self):
-        before = threading.active_count()
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            norm_eval(None, self._rows())
-        assert threading.active_count() == before
-
-    def test_ignoring(self):
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            norms = norm_eval(None, self._rows())
-        assert np.isinf(norms[-1]) and np.all(norms[:-1] == np.sqrt(3.0))
+        assert where == [(start, threading.get_ident()) for start in range(0, 1000, 10)]
