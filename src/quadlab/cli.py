@@ -55,6 +55,7 @@ from .space import (
     Sampler,
     SpaceSpec,
     _helper_thread,
+    _power,
     euclidean,
     norm_eval,
     p_norm,
@@ -302,7 +303,7 @@ def _map_from(effective: dict) -> MapHandle:
         return make_perturbed(_form_from(effective), _noise_from(effective))
     if spec == "cube":
         def cube(rows):
-            return np.repeat(row_sums(rows**3)[:, None], codim, axis=1)
+            return np.repeat(row_sums(_power(rows, 3.0))[:, None], codim, axis=1)
 
         return MapHandle(cube, dim, codim)
     if spec.startswith("odd:"):

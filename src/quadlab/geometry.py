@@ -18,6 +18,7 @@ from .quadratic import EquationParams, Report
 from .space import (
     Sampler,
     SpaceSpec,
+    _power,
     blockwise,
     fold_pairs_restricted,
     form_rows,
@@ -198,13 +199,6 @@ def _pattern_norms(space: SpaceSpec, params: EquationParams, xs, ys, own=None) -
     if own is None:
         own = (norm_eval(space, xs), norm_eval(space, ys))
     return (normed(lambda x, y: r * x + s * y), normed(lambda x, y: x - y), *own)
-
-
-def _power(n: np.ndarray, e: float) -> np.ndarray:
-    """``n ** e``, a cube as ``n * n * n``: IEEE-754 rounds a product alike on
-    every CPU, while numpy's ``pow`` follows its SIMD dispatch (its AVX512
-    kernel rounds some cubes differently)."""
-    return n * n * n if e == 3.0 else np.power(n, e)
 
 
 def _pattern_defect(params: EquationParams, exps: Exponents, norms, powers=None):

@@ -20,7 +20,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ParameterError
 from .quadratic import MapHandle, QuadraticForm
-from .space import STREAM_FORMS, SpaceSpec, as_rows, check_seed, generator, norm_eval, row_sums
+from .space import (
+    STREAM_FORMS,
+    SpaceSpec,
+    _power,
+    as_rows,
+    check_seed,
+    generator,
+    norm_eval,
+    row_sums,
+)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -153,7 +162,7 @@ def noise_values(model: NoiseModel, x, codim: int = 1):
     elif model.kind == "decay":
         radii = norm_eval(None, rows)
         out = np.repeat(
-            (model.c / (1.0 + radii**model.alpha))[:, None], codim, axis=1
+            (model.c / (1.0 + _power(radii, model.alpha)))[:, None], codim, axis=1
         )
     else:  # sine
         if model.freq.shape[0] != rows.shape[1]:

@@ -17,12 +17,24 @@ A report is digested without its ``runtime_ms`` line, an emitted CSV as
 written, and a library report as its sorted JSON.  ``portable`` entries go
 only through ``+ - * /``, ``sqrt``, Philox and the BLAS-free row kernels
 (``row_sums`` and the einsums of ``form_rows``), which give the same bits
-on every CPU and numpy build.  One exception: an accepted ``detect-ip``
-reports LAPACK's ``eigvalsh`` as ``gram_min_eigenvalue``, whose last bit
-may differ by BLAS core type in larger dims, though not at the dims 2 and
-3 pinned here.  ``libm`` entries also go through the p-norm's or the
-exponent scan's ``pow``, the sine noise's ``sin`` or the cube map's power,
-whose last bit may differ across CPUs and numpy builds.
+on every CPU and numpy build; an integer power from 1 to 8 (the p-norm's
+coordinate powers, the exponent scan, the ``cube`` map, the decay noise)
+is a product chain (``space._power``), so it is portable too.  One
+exception: an accepted ``detect-ip`` reports LAPACK's ``eigvalsh`` as
+``gram_min_eigenvalue``, whose last bit may differ by BLAS core type in
+larger dims, though not at the dims 2 and 3 pinned here.  ``libm`` entries
+also go through numpy's ``pow`` or ``sin``, whose last bit follows numpy's
+SIMD dispatch: the p-norm's root ``** (1/p)`` for p other than 1 and 2, a
+decay or scan exponent that is not an integer from 1 to 8, and the sine
+noise.  (The CSV kernel's ``log10`` changes bits across the dispatch too,
+but its shortest-digits search corrects the exponent either way, so no CSV
+moves.)  A ``portable`` entry has one digest; a ``libm`` entry has one per
+dispatch target (:func:`dispatch_target`), and regenerating computes them
+under numpy's own pick and, in a subprocess, with
+``NPY_DISABLE_CPU_FEATURES=X86_V4``, as on a CPU without AVX512.  It
+refuses to write when a ``portable`` entry differs between the two.  On a
+host without AVX512 both runs give the same target, so only that one is
+written.
 
 ``tests/test_golden.py`` recomputes every entry.  A change that means to
 move bytes regenerates the file and lists every moved entry::
@@ -37,6 +49,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -50,6 +64,7 @@ from quadlab import (
     verify_czerwik,
 )
 from quadlab.cli import main as cli_main
+from quadlab.space import _CHAIN_MAX
 
 from test_acceptance import CLI_EXAMPLES
 
@@ -89,11 +104,33 @@ _SINE_LINES = [
 _TWO_BLOCK_LINE = "exponents --dim 4 --r 1/3 --samples 1500 --seed 1"
 
 
+# numpy's x86-64 dispatch levels, highest first.
+_TARGETS = ("X86_V4", "X86_V3", "X86_V2")
+
+
+def dispatch_target() -> str:
+    """The highest x86-64 level numpy dispatches to in this process
+    ("baseline" below X86_V2 or off x86-64), the key of a ``libm`` digest."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return next((t for t in _TARGETS if __cpu_features__.get(t)), "baseline")
+
+
 def _libm(argv) -> bool:
-    """Whether a command line's values go through ``pow`` or ``sin``."""
-    line = " ".join(argv)
-    return argv[0] == "exponents" or any(
-        word in line for word in ("p:", "sine:", "--map cube")
+    """Whether a command line's values go through ``pow`` or ``sin``: a
+    p-norm's root (p other than 1 and 2), a decay or scan exponent that is
+    not an integer from 1 to 8, or the sine noise."""
+    opts = dict(zip(argv, argv[1:]))
+    norm, noise, grid = (opts.get(o, "") for o in ("--norm", "--noise", "--grid"))
+    exponents = grid.replace(";", ",").split(",") if grid else []
+    if noise.startswith("decay:"):
+        exponents.append(noise.split(",")[-1])
+    return (
+        noise.startswith("sine:")
+        or (norm.startswith("p:") and float(norm[2:]) not in (1.0, 2.0))
+        or not all(float(e) in range(1, _CHAIN_MAX + 1) for e in exponents)
     )
 
 
@@ -153,6 +190,35 @@ def compute() -> dict:
     return groups
 
 
+def regenerate() -> dict:
+    """:func:`compute` with each ``libm`` entry's digests keyed by dispatch
+    target: numpy's own pick here and ``X86_V4`` switched off in a
+    subprocess.  Raises ``SystemExit`` if a ``portable`` entry differs."""
+    runs = [{"target": dispatch_target(), "groups": compute()}]
+    other = subprocess.run(
+        [sys.executable, __file__, "--json"],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    runs.append(json.loads(other.stdout))
+    portable, there = (run["groups"]["portable"] for run in runs)
+    moved = [name for name, digests in portable.items() if there[name] != digests]
+    if moved:
+        raise SystemExit(f"portable entries differ with X86_V4 switched off: {moved}")
+    libm = {
+        name: {run["target"]: run["groups"]["libm"][name] for run in runs}
+        for name in runs[0]["groups"]["libm"]
+    }
+    return {"portable": portable, "libm": libm}
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    if sys.argv[1:] == ["--json"]:
+        print(json.dumps({"target": dispatch_target(), "groups": compute()}))
+    else:
+        golden = regenerate()
+        GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        targets = sorted({t for digests in golden["libm"].values() for t in digests})
+        print(f"wrote {GOLDEN}; libm digests for {', '.join(targets)}")

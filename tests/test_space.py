@@ -296,17 +296,41 @@ def test_row_sums_are_numpys_row_sums_bit_for_bit():
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_norms_are_numpys_reductions_bit_for_bit(dim):
-    """Euclidean, p- and sup norms give the bits of numpy's row reductions."""
+    """Euclidean, p- and sup norms give the bits of numpy's row reductions;
+    an integer p raises each coordinate as a product chain."""
     rows = np.random.default_rng(dim).standard_normal((300, dim)) * 1e3
     rows[::7, 0] = -0.0
+    a = np.abs(rows)
     pinned = [
         (euclidean(dim), np.sqrt(np.sum(rows * rows, axis=-1))),
-        (p_norm(dim, 3.0), np.sum(np.abs(rows) ** 3.0, axis=-1) ** (1.0 / 3.0)),
+        (p_norm(dim, 3.0), np.sum(a * a * a, axis=-1) ** (1.0 / 3.0)),
         (p_norm(dim, 0.5), np.sum(np.abs(rows) ** 0.5, axis=-1) ** 2.0),
         (sup_norm(dim), np.max(np.abs(rows), axis=-1)),
     ]
     for space, want in pinned:
         assert np.array_equal(norm_eval(space, rows), want), (space.norm_kind, space.p)
+
+
+def test_integer_powers_are_product_chains():
+    """space._power takes an integer exponent from 1 to 8 as the chain
+    ((v * v) * v) ..., bit for bit, on edge values too, and any other
+    exponent as np.power; at 1 and 2 that is also what ** gives."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3e-310, -1e-300, 1e200, -1e300]
+    v = np.concatenate([edges, np.random.default_rng(8).standard_normal(1000) * 10.0])
+    bits = lambda a: np.asarray(a).view(np.uint64)
+    with np.errstate(all="ignore"):
+        chain = v
+        for e in range(1, 9):
+            for exponent in (e, float(e), np.float64(e)):
+                assert np.array_equal(bits(space_module._power(v, exponent)), bits(chain)), e
+            chain = chain * v
+        for e in (1.0, 2.0):
+            assert np.array_equal(bits(space_module._power(v, e)), bits(v**e)), e
+        assert space_module._power(v, 1.0) is v
+        for e in (0.5, 2.5, 9.0, 0.0, -1.0):
+            want = np.power(v, e)
+            assert np.array_equal(bits(space_module._power(v, e)), bits(want)), e
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
