@@ -63,7 +63,6 @@ from .quadratic import (
     residual_q,
 )
 from .space import (
-    PairSample,
     Sampler,
     SpaceSpec,
     euclidean,
@@ -104,7 +103,6 @@ __all__ = [
     "InnerProductVerdict",
     "MapHandle",
     "NoiseModel",
-    "PairSample",
     "ParameterError",
     "QuadraticForm",
     "Sampler",

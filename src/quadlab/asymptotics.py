@@ -97,8 +97,9 @@ def shell_delta_profile(
     alive at once, and the deltas are bit for bit the serial loop's.
     """
     handle = as_map_on(f, space)
-    if not isinstance(n_min, (int, np.integer)) or not isinstance(n_max, (int, np.integer)):
-        raise ParameterError(f"shell indices must be integers, got {n_min!r}, {n_max!r}")
+    for index in (n_min, n_max):
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ParameterError(f"shell indices must be integers, got {n_min!r}, {n_max!r}")
     if n_min < 0:
         raise ParameterError(f"n_min must be >= 0, got {n_min}")
     if n_max <= n_min:

@@ -329,10 +329,10 @@ def exponent_scan(
         raise ParameterError("exponent grid must be nonempty")
     if not np.isfinite(tol) or tol <= 0:
         raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
-    sample = sample_pairs_restricted(space, 0.0, sampler)
-    norms = _pattern_norms(space, params, *sample, sample.norms)
+    xs, ys, *own = sample_pairs_restricted(space, 0.0, sampler)
+    norms = _pattern_norms(space, params, xs, ys, own)
     # Only the norms are used below: freeing the pairs makes room for the powers.
-    del sample
+    del xs, ys
     powers = {}
     witness_norms = _pattern_norms(space, params, *_scan_witness_pairs(space))
     witness_zero = np.stack(witness_norms) == 0.0

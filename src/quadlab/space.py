@@ -7,14 +7,15 @@ C-ordered (N, n) float64 rows, and memory layout never changes a row's bits.
 A single vector's result is its row of the batch result.  Whole-batch
 pipelines run in cache-sized blocks from :func:`row_blocks`, in order on the
 calling thread (:func:`blockwise`); every built-in evaluator gives a row the
-same bits in any block, so :func:`fold_pairs_restricted` can stream
-restricted pairs into a running maximum chunk by chunk, holding two chunks
-of rows rather than the batch (certification, the Czerwik check, the
-derivation chain and inner-product detection), and evaluate the later half
-of each chunk on one helper thread, which takes only a call that fills more
-than one row block (:func:`_helper_thread`); a chunk spans two row blocks,
-with rows counted at no fewer than 8 values, so it holds at most 16,384
-pairs up to dim 8.
+same bits in any block, so :func:`fold_pairs_restricted`, the one
+restricted-pair path, can stream restricted pairs into a running maximum
+chunk by chunk, holding two chunks of rows rather than the batch
+(certification, the Czerwik check, the derivation chain and inner-product
+detection), and evaluate the later half of each chunk on one helper thread,
+which takes only a call that fills more than one row block
+(:func:`_helper_thread`); a chunk spans two row blocks, with rows counted at
+no fewer than 8 values, so it holds at most 16,384 pairs up to dim 8.
+:func:`sample_pairs_restricted` is the same fold, kept whole.
 
 All randomness flows through counter-based Philox generators keyed on
 ``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
@@ -346,7 +347,8 @@ def _block_norms(space: SpaceSpec | None, rows: np.ndarray) -> np.ndarray:
 class Sampler:
     """Deterministic request for restricted pairs: seed, count, and the
     radius ``radius_max`` of the ball both halves of a pair lie in (see
-    :func:`sample_pairs_restricted`).  Build it with :meth:`restricted_pairs`.
+    :func:`fold_pairs_restricted`, and :func:`sample_pairs_restricted` for
+    the whole batch).  Build it with :meth:`restricted_pairs`.
     """
 
     seed: int
@@ -455,12 +457,13 @@ def _helper_thread(values: int):
     when ``result()`` is called (once), the serial order, or never if it is
     not called.  Either way ``fn`` runs under the numpy error state
     (``np.geterr()``, ``np.geterrcall()``) of the thread that entered the
-    block.  Each of its four users passes the values its call fills: a
-    profile's shell draw (both halves), a sample's y half, a streamed
-    restricted pass (:func:`fold_pairs_restricted`, behind certification,
-    the derivation chain and inner-product detection: every chunk's y half
-    and the later half of its evaluation, all on one helper), or every
-    second block of a samples CSV (``cli._write_samples_csv``).
+    block.  Each of its three users passes the values its call fills: a
+    profile's shell draw (both halves), a restricted pass
+    (:func:`fold_pairs_restricted`, behind certification, the derivation
+    chain, inner-product detection and :func:`sample_pairs_restricted`:
+    every chunk's y half and the later half of its evaluation, all on one
+    helper), or every second block of a samples CSV
+    (``cli._write_samples_csv``).
     """
     errstate = dict(np.geterr(), call=np.geterrcall())
 
@@ -481,104 +484,42 @@ def _helper_thread(values: int):
         _HELPER_BUSY.release()
 
 
-class PairSample(tuple):
-    """Sampled pairs ``(xs, ys)``, which unpack as a 2-tuple, and ``norms``,
-    the pair ``(norm_eval(space, xs), norm_eval(space, ys))`` the sampler
-    checked the rows on, so that callers need not norm them again."""
+def _pair_radii(d: float, sampler: Sampler):
+    """The radii ``(a, b)`` of ``sampler``'s restricted pairs, drawn whole
+    (two floats a pair), and the generators ``(x, y)`` positioned after them.
 
-    def __new__(cls, xs: np.ndarray, ys: np.ndarray, norms: tuple):
-        sample = super().__new__(cls, (xs, ys))
-        sample.norms = tuple(norms)
-        return sample
-
-    def __getnewargs__(self):
-        # tuple's own would pass (xs, ys) alone to __new__ on copy or unpickle.
-        return (*self, self.norms)
-
-
-class _PairDraw:
-    """The one restricted-pair primitive: a batch's radii, drawn whole on
-    construction (two floats a pair), and its two direction streams, which
-    fill the rows of any run of pairs into arrays the caller gives.
-
-    :meth:`fill` draws one half's rows; each half must be filled in row
-    order, which reads its generator in stream order, and the two halves
-    share nothing, so they may be filled at once on two threads.
-    :meth:`settle` then checks rows whose two halves are filled.  The law
-    and the checks are those of :func:`sample_pairs_restricted`.
-    """
-
-    def __init__(self, space: SpaceSpec, d: float, sampler: Sampler):
-        if not np.isfinite(d) or d < 0:
-            raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
-        R = sampler.radius_max
-        if d >= 2.0 * R:
-            raise InfeasibleDomainError(
-                f"norm(x) + norm(y) >= {d} in a ball of radius {R} has measure zero; need d < 2R"
-            )
-        rng_x = generator(sampler.seed, STREAM_PAIR_X)
-        rng_y = generator(sampler.seed, STREAM_PAIR_Y)
-        # In units of R, a's density is a ramp s = 1 - t + a over s in [s_lo, s_hi]
-        # (t = d / R), then (when t < 1) flat at height 1 over a in [t, 1].
-        t = d / R
-        s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
-        ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
-        u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
-        a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
-        b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
-        del u
-        a *= R
-        b *= R
-        self.space, self.radii, self.rngs = space, (a, b), (rng_x, rng_y)
-        self.inside = lambda nx, ny: (nx <= R) & (ny <= R) & (nx + ny >= d)
-        self.room = (2.0 * R - d) / 4.0
-        self.center = R - self.room
-
-    def fill(self, half: int, pairs: slice, rows: np.ndarray, norms: np.ndarray) -> None:
-        """Fill ``rows`` and ``norms`` with the x (``half`` 0) or y (1) rows
-        of ``pairs``, the run of pairs after the last one this half filled."""
-        _rows_at_radii(self.space, self.rngs[half], self.radii[half][pairs], rows, norms)
-
-    def settle(self, rows: list, norms: list):
-        """:func:`_settled` for filled ``[xs, ys]`` rows and their norms."""
-        return _settled(self.space, rows, self.inside, self.center, self.room, norms)
-
-
-def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> PairSample:
-    """Draw pairs (x, y) with ``norm(x), norm(y) <= R = radius_max`` and
-    ``norm(x) + norm(y) >= d``, each pair once, with no rejection, as a
-    :class:`PairSample` that also carries each row's norm.
-
-    The radii ``(a, b)`` are uniform on ``{a, b in [0, R], a + b >= d}``, the
-    law of independent uniform radii conditioned on the constraint: ``a``
-    from the inverse CDF of its density ``min(R, R - d + a)`` on
-    ``[max(0, d - R), R]``, ``b`` uniform on ``[max(0, d - a), R]``; the
-    directions are independent and norm-uniform.
-
+    The radii are uniform on ``{a, b in [0, R], a + b >= d}`` (``R =
+    radius_max``), the law of independent uniform radii conditioned on the
+    constraint: ``a`` from the inverse CDF of its density ``min(R, R - d +
+    a)`` on ``[max(0, d - R), R]``, ``b`` uniform on ``[max(0, d - a), R]``.
     The x half (``a``, then its directions) comes from the ``STREAM_PAIR_X``
     generator and the y half (``b``, then its directions) from the
     ``STREAM_PAIR_Y`` one, so the halves can be drawn at once without moving
-    a bit.  This function fills whole-batch rows and norms through one
-    :class:`_PairDraw`: it submits the y half to :func:`_helper_thread`
-    (``count * dim`` values), fills the x half, then reads the y half.
-    Errors surface as in the serial order: the x half's first.  Raises
-    :class:`ParameterError` for a negative or non-finite ``d``, and
-    :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
-    measure-zero domain) or when rounding or overflow leaves rows off the
-    domain.  :func:`fold_pairs_restricted` streams the same pairs.
+    a bit.  Raises :class:`ParameterError` for a negative or non-finite
+    ``d``, and :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty
+    or measure-zero domain).
     """
-    draw = _PairDraw(space, d, sampler)
-    # Taken after the radii, so that the radii's temporaries are freed
-    # below the rows (see blockwise).
-    shape = (sampler.count, space.dim)
-    rows, norms = [np.empty(shape), np.empty(shape)], [np.empty(shape[0]), np.empty(shape[0])]
-    pairs = slice(0, shape[0])
-    with _helper_thread(sampler.count * space.dim) as submit:
-        y_done = submit(draw.fill, 1, pairs, rows[1], norms[1])
-        draw.fill(0, pairs, rows[0], norms[0])
-    y_done()
-    (xs, ys), norms = draw.settle(rows, norms)
-    return PairSample(xs, ys, norms)
+    if not np.isfinite(d) or d < 0:
+        raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
+    R = sampler.radius_max
+    if d >= 2.0 * R:
+        raise InfeasibleDomainError(
+            f"norm(x) + norm(y) >= {d} in a ball of radius {R} has measure zero; need d < 2R"
+        )
+    rng_x = generator(sampler.seed, STREAM_PAIR_X)
+    rng_y = generator(sampler.seed, STREAM_PAIR_Y)
+    # In units of R, a's density is a ramp s = 1 - t + a over s in [s_lo, s_hi]
+    # (t = d / R), then (when t < 1) flat at height 1 over a in [t, 1].
+    t = d / R
+    s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
+    ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
+    u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
+    a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
+    b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
+    del u
+    a *= R
+    b *= R
+    return (a, b), (rng_x, rng_y)
 
 
 # A streamed pair pass (fold_pairs_restricted) runs in chunks of
@@ -594,8 +535,9 @@ _CHUNK_MIN_WIDTH = 8
 class PairFold(NamedTuple):
     """What :func:`fold_pairs_restricted` gives: ``sup``, the maximum over
     the pairs of ``fn``'s value rows (one value, or one per column); ``head``,
-    the first x rows; ``samples``, ``(xs, ys, values)`` for the whole batch
-    when kept, else None."""
+    the first x rows; ``samples``, ``(xs, ys, nx, ny, values)`` for the whole
+    batch when kept (the four arrays ``fn`` sees, then its values), else
+    None."""
 
     sup: np.ndarray
     head: np.ndarray
@@ -620,26 +562,31 @@ def _now(fn, *args):
 def fold_pairs_restricted(
     space: SpaceSpec, d: float, sampler: Sampler, fn, *, head: int = 0, keep: bool = False
 ) -> PairFold:
-    """``fn(xs, ys, nx, ny)`` over the pairs :func:`sample_pairs_restricted`
-    draws, folded chunk by chunk, so that the rows held follow the chunk and
-    not the batch: two chunks of both halves' rows and norms, and the
-    batch's radii.
+    """``fn(xs, ys, nx, ny)`` over restricted pairs, folded chunk by chunk,
+    so that the rows held follow the chunk and not the batch: two chunks of
+    both halves' rows and norms, and the batch's radii.
 
-    ``fn`` maps pair rows and their norms (``nx``, ``ny``: the ones
-    :attr:`PairSample.norms` holds, re-taken for rows pulled inside the
-    domain) to one value row each ((N,) or (N, k)) and must give a row the
-    same bits in any run of rows.  Its users: ``certify``,
-    ``verify_czerwik``, ``derivation_chain_check`` and inner-product
-    detection, which alone reads the norms.  The pairs are drawn through one
-    :class:`_PairDraw`, in chunks of about ``_CHUNK_BLOCKS`` whole row
-    blocks, with rows counted at ``max(dim, _CHUNK_MIN_WIDTH)`` values, so
-    a chunk is bounded in pairs (16,384 up to dim 8) as well as in row
-    values, and each pair has the sampler's bits.  Each
-    chunk's values fold into ``sup`` with ``np.maximum``, so a NaN value
-    makes its column's sup NaN, as a whole-batch ``max`` would.  ``head``
-    asks for the first ``head`` x rows (fewer in a smaller batch), and
-    ``keep`` for the whole batch's rows and values, written into whole-batch
-    arrays as the chunks pass.
+    The pairs (x, y) have ``norm(x), norm(y) <= R = radius_max`` and
+    ``norm(x) + norm(y) >= d``, each drawn once, with no rejection: radii
+    from :func:`_pair_radii` times independent norm-uniform directions,
+    each half's from its own generator (:func:`_rows_at_radii`).  Rows that
+    rounding leaves a few ulp off the domain are pulled inside
+    (:func:`_settled`); :class:`InfeasibleDomainError` is raised when a
+    direction's norm overflows or a row stays off the domain, and
+    :func:`_pair_radii` checks ``d``.  ``fn`` maps pair rows and their norms (``nx``, ``ny``:
+    the ones the rows were checked on, re-taken for rows pulled inside) to
+    one value row each ((N,) or (N, k)) and must give a row the same bits in
+    any run of rows.  Its users: ``certify``, ``verify_czerwik``,
+    ``derivation_chain_check``, inner-product detection and
+    :func:`sample_pairs_restricted`.  The pairs are drawn in chunks of about
+    ``_CHUNK_BLOCKS`` whole row blocks, with rows counted at ``max(dim,
+    _CHUNK_MIN_WIDTH)`` values, so a chunk is bounded in pairs (16,384 up to
+    dim 8) as well as in row values; each half is drawn in stream order, so
+    chunking moves no bit.  Each chunk's values fold into ``sup`` with
+    ``np.maximum``, so a NaN value makes its column's sup NaN, as a
+    whole-batch ``max`` would.  ``head`` asks for the first ``head`` x rows
+    (fewer in a smaller batch), and ``keep`` for the whole batch's rows,
+    norms and values, written into whole-batch arrays as the chunks pass.
 
     One :func:`_helper_thread` serves the whole pass (``count * dim``
     values).  The helper draws chunk 0's y half while the calling thread
@@ -653,13 +600,16 @@ def fold_pairs_restricted(
     and ``fn`` on its earlier and its later half, so an earlier chunk's
     ``fn`` error comes before a later chunk's sampling error.
     """
-    draw = _PairDraw(space, d, sampler)
-    n, dim = sampler.count, space.dim
+    radii, rngs = _pair_radii(d, sampler)
+    R, n, dim = sampler.radius_max, sampler.count, space.dim
+    room = (2.0 * R - d) / 4.0
     blocks = list(row_blocks(n, max(dim, _CHUNK_MIN_WIDTH)))
     k = -(-len(blocks) // _CHUNK_BLOCKS)
     groups = [blocks[len(blocks) * i // k : len(blocks) * (i + 1) // k] for i in range(k)]
     chunks = [slice(g[0].start, g[-1].stop) for g in groups]
     if keep:
+        # Taken after the radii, so that the radii's temporaries are freed
+        # below the rows (see blockwise).
         store = [np.empty((n, dim)), np.empty((n, dim)), np.empty(n), np.empty(n)]
         views = [[a[c] for a in store] for c in chunks]
     else:
@@ -672,13 +622,17 @@ def fold_pairs_restricted(
     first = np.empty((min(head, n), dim))
     sup, values = None, None
 
+    def inside(nx, ny):
+        return (nx <= R) & (ny <= R) & (nx + ny >= d)
+
     def fill(i, half):
-        draw.fill(half, chunks[i], views[i][half], views[i][2 + half])
+        rows, norms = views[i][half], views[i][2 + half]
+        _rows_at_radii(space, rngs[half], radii[half][chunks[i]], rows, norms)
 
     def settle(i):
         xs, ys, nx, ny = views[i]
         # The rows are repaired in place; their re-checked norms are new arrays.
-        nx[:], ny[:] = draw.settle([xs, ys], [nx, ny])[1]
+        nx[:], ny[:] = _settled(space, [xs, ys], inside, R - room, room, [nx, ny])[1]
         lo, hi = chunks[i].start, min(first.shape[0], chunks[i].stop)
         if lo < hi:
             first[lo:hi] = xs[: hi - lo]
@@ -717,5 +671,16 @@ def fold_pairs_restricted(
                 x_next()
                 y_next()
                 settle(i + 1)
-    samples = (store[0], store[1], values) if keep else None
-    return PairFold(sup, first, samples)
+    return PairFold(sup, first, (*store, values) if keep else None)
+
+
+def sample_pairs_restricted(space: SpaceSpec, d: float, sampler: Sampler) -> tuple:
+    """The pairs of :func:`fold_pairs_restricted` as whole-batch arrays
+    ``(xs, ys, nx, ny)``: the rows of both halves and the norms each row was
+    checked on, so that callers need not norm them again.
+
+    A thin front on the fold, kept whole (``keep=True``), with the same
+    errors; its one library caller is the exponent scan.
+    """
+    fold = fold_pairs_restricted(space, d, sampler, lambda xs, ys, nx, ny: nx, keep=True)
+    return fold.samples[:4]

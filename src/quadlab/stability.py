@@ -445,7 +445,7 @@ def certify(
         tol=tol,
         # Rows past the first failure count as never extracted.
         extraction_iterations_max=int(batch.iterations[:failed].max(initial=0)),
-        samples=fold.samples,
+        samples=None if fold.samples is None else fold.samples[:2] + fold.samples[4:],
     )
 
 

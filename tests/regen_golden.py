@@ -28,13 +28,14 @@ SIMD dispatch: the p-norm's root ``** (1/p)`` for p other than 1 and 2, a
 decay or scan exponent that is not an integer from 1 to 8, and the sine
 noise.  (The CSV kernel's ``log10`` changes bits across the dispatch too,
 but its shortest-digits search corrects the exponent either way, so no CSV
-moves.)  A ``portable`` entry has one digest; a ``libm`` entry has one per
-dispatch target (:func:`dispatch_target`), and regenerating computes them
-under numpy's own pick and, in a subprocess, with
-``NPY_DISABLE_CPU_FEATURES=X86_V4``, as on a CPU without AVX512.  It
-refuses to write when a ``portable`` entry differs between the two.  On a
-host without AVX512 both runs give the same target, so only that one is
-written.
+moves.)  A command line that exits 2 (a usage error) computes nothing, so
+it is ``portable`` whatever it names.  A ``portable`` entry has one digest;
+a ``libm`` entry has one per dispatch target (:func:`dispatch_target`), and
+regenerating computes them under numpy's own pick and, in subprocesses,
+with ``NPY_DISABLE_CPU_FEATURES`` set to ``X86_V4`` (as on a CPU without
+AVX512) and to ``X86_V4 X86_V3`` (as on one without AVX2 either).  It
+refuses to write when a ``portable`` entry differs between the runs.  On a
+host with fewer levels, runs that give the same target write it once.
 
 ``tests/test_golden.py`` recomputes every entry.  A change that means to
 move bytes regenerates the file and lists every moved entry::
@@ -107,6 +108,10 @@ _TWO_BLOCK_LINE = "exponents --dim 4 --r 1/3 --samples 1500 --seed 1"
 # numpy's x86-64 dispatch levels, highest first.
 _TARGETS = ("X86_V4", "X86_V3", "X86_V2")
 
+# NPY_DISABLE_CPU_FEATURES of the subprocess runs: numpy's pick one and two
+# levels down.
+_DISABLED = ("X86_V4", "X86_V4 X86_V3")
+
 
 def dispatch_target() -> str:
     """The highest x86-64 level numpy dispatches to in this process
@@ -121,7 +126,8 @@ def dispatch_target() -> str:
 def _libm(argv) -> bool:
     """Whether a command line's values go through ``pow`` or ``sin``: a
     p-norm's root (p other than 1 and 2), a decay or scan exponent that is
-    not an integer from 1 to 8, or the sine noise."""
+    not an integer from 1 to 8, or the sine noise.  Read from the options
+    alone; :func:`compute` files a line that exits 2 as ``portable``."""
     opts = dict(zip(argv, argv[1:]))
     norm, noise, grid = (opts.get(o, "") for o in ("--norm", "--noise", "--grid"))
     exponents = grid.replace(";", ",").split(",") if grid else []
@@ -175,7 +181,9 @@ def compute() -> dict:
     groups = {"portable": {}, "libm": {}}
 
     def add(argv):
-        groups["libm" if _libm(argv) else "portable"][" ".join(argv)] = _run(argv)
+        digests = _run(argv)
+        group = "libm" if digests["code"] != 2 and _libm(argv) else "portable"
+        groups[group][" ".join(argv)] = digests
 
     for argv, _ in CLI_EXAMPLES:
         add(argv)
@@ -192,21 +200,23 @@ def compute() -> dict:
 
 def regenerate() -> dict:
     """:func:`compute` with each ``libm`` entry's digests keyed by dispatch
-    target: numpy's own pick here and ``X86_V4`` switched off in a
+    target: numpy's own pick here and each ``_DISABLED`` setting in a
     subprocess.  Raises ``SystemExit`` if a ``portable`` entry differs."""
     runs = [{"target": dispatch_target(), "groups": compute()}]
-    other = subprocess.run(
-        [sys.executable, __file__, "--json"],
-        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    runs.append(json.loads(other.stdout))
-    portable, there = (run["groups"]["portable"] for run in runs)
-    moved = [name for name, digests in portable.items() if there[name] != digests]
-    if moved:
-        raise SystemExit(f"portable entries differ with X86_V4 switched off: {moved}")
+    portable = runs[0]["groups"]["portable"]
+    for disabled in _DISABLED:
+        other = subprocess.run(
+            [sys.executable, __file__, "--json"],
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append(json.loads(other.stdout))
+        there = runs[-1]["groups"]["portable"]
+        moved = [name for name, digests in portable.items() if there[name] != digests]
+        if moved:
+            raise SystemExit(f"portable entries differ with {disabled} switched off: {moved}")
     libm = {
         name: {run["target"]: run["groups"]["libm"][name] for run in runs}
         for name in runs[0]["groups"]["libm"]

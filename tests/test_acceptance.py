@@ -66,7 +66,7 @@ def test_criterion_1_exact_solutions_kill_both_residuals():
             dim = int(rng.integers(1, 9))
             codim = int(rng.integers(1, 4))
             form = random_symmetric_form(euclidean(dim), euclidean(codim), seed=2000 + i)
-            xs, ys = sample_pairs_restricted(
+            xs, ys, *_ = sample_pairs_restricted(
                 euclidean(dim), 0.0, Sampler.restricted_pairs(3000 + i, 10_000, 3.0)
             )
             # Normalize by the size of the quantities that cancel.
@@ -87,13 +87,13 @@ def test_criterion_2_half_defect_bound_is_attained():
         form = random_symmetric_form(space, euclidean(1), seed=4000)
         for c in (0.05, 1.0, -3.0):
             f = make_perturbed(form, NoiseModel.constant(c))
-            xs, ys = sample_pairs_restricted(
+            xs, ys, *_ = sample_pairs_restricted(
                 space, 0.0, Sampler.restricted_pairs(4100, 2000, 2.0)
             )
             delta_hat = float(np.abs(residual_q(f, xs, ys)).max())
             assert abs(delta_hat - 2.0 * abs(c)) <= 1e-10
 
-            probes, _ = sample_pairs_restricted(
+            probes, *_ = sample_pairs_restricted(
                 space, 0.0, Sampler.restricted_pairs(4200, 40, 2.0)
             )
             max_dev = 0.0
@@ -163,7 +163,7 @@ def test_criterion_5_linear_witness_residual_closed_form():
         for i in range(5):
             L = rng.standard_normal((2, 3))
             f = make_odd_witness(L)
-            xs, _ = sample_pairs_restricted(
+            xs, *_ = sample_pairs_restricted(
                 euclidean(3), 0.0, Sampler.restricted_pairs(6100 + i, 1000, 3.0)
             )
             got = residual_gq(f, params, xs, np.zeros_like(xs))

@@ -160,6 +160,8 @@ class TestShellProfile:
         [
             (3, 3, 10), (5, 2, 10), (-1, 4, 10), (0, 4, 0), (0.5, 4, 10),
             (600_000_000, 600_000_004, 1),
+            # A bool is not a shell index.
+            (False, True, 10), (0, True, 10), (False, 4, 10),
         ],
     )
     def test_bad_shell_requests(self, n_min, n_max, count):

@@ -187,7 +187,7 @@ class TestDetectInnerProduct:
         # Rebuilt from the public defect and fresh norms of the same rows.
         sampler = self._sampler()
         verdict = detect_inner_product(space, sampler)
-        xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+        xs, ys, *_ = sample_pairs_restricted(space, 0.0, sampler)
         bi, bj = np.triu_indices(space.dim, k=1)
         eye = np.eye(space.dim)
         all_x, all_y = np.vstack([eye[bi], xs]), np.vstack([eye[bj], ys])
@@ -515,7 +515,7 @@ def _scan_pair_by_pair(space, params, grid, sampler):
     for t in (0.5, 1.0, 2.0):
         w = t * unit
         witnesses.extend([(w, zero), (w, w), (zero, w)])
-    xs, ys = sample_pairs_restricted(space, 0.0, sampler)
+    xs, ys, *_ = sample_pairs_restricted(space, 0.0, sampler)
     entries = []
     for exps in grid:
         sup, excluded = 0.0, 0

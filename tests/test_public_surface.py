@@ -11,7 +11,14 @@ import pytest
 import quadlab
 
 ROOT = Path(__file__).resolve().parent.parent
-REMOVED = ("sample_vectors", "map_from_table", "quad_eval", "polarize", "map_from_callable")
+REMOVED = (
+    "sample_vectors",
+    "map_from_table",
+    "quad_eval",
+    "polarize",
+    "map_from_callable",
+    "PairSample",
+)
 
 
 def _tracer():

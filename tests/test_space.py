@@ -1,8 +1,6 @@
 """Norm evaluation and sampler contracts."""
 
-import copy
 import json
-import pickle
 import sys
 import threading
 import warnings
@@ -18,7 +16,6 @@ from quadlab import (
     InfeasibleDomainError,
     MapHandle,
     NoiseModel,
-    PairSample,
     ParameterError,
     Sampler,
     SpaceSpec,
@@ -429,7 +426,7 @@ class TestSamplers:
         # At d = 0 the x half is a ball draw: norms uniform on [0, R] (mean
         # R / 2, sd R / sqrt(12)) and norm-uniform directions.
         space = euclidean(3)
-        xs, _ = sample_pairs_restricted(space, 0.0, Sampler.restricted_pairs(1, 500, 1.0))
+        xs, *_ = sample_pairs_restricted(space, 0.0, Sampler.restricted_pairs(1, 500, 1.0))
         norms = norm_eval(space, xs)
         assert xs.shape == (500, 3)
         assert np.all(norms <= 1.0)
@@ -526,7 +523,7 @@ def test_every_count_is_a_positive_int_and_not_a_bool(site, value):
 class TestRestrictedPairs:
     def test_constraint_holds(self):
         space = euclidean(3)
-        xs, ys = sample_pairs_restricted(
+        xs, ys, *_ = sample_pairs_restricted(
             space, 1.5, Sampler.restricted_pairs(seed=3, count=400, radius_max=2.0)
         )
         assert xs.shape == ys.shape == (400, 3)
@@ -534,7 +531,7 @@ class TestRestrictedPairs:
 
     def test_unconstrained_when_d_zero(self):
         space = euclidean(2)
-        xs, ys = sample_pairs_restricted(
+        xs, ys, *_ = sample_pairs_restricted(
             space, 0.0, Sampler.restricted_pairs(seed=3, count=100, radius_max=2.0)
         )
         assert xs.shape == (100, 2)
@@ -584,7 +581,7 @@ class TestRestrictedPairs:
             d = frac * radius
         sampler = Sampler.restricted_pairs(seed=7, count=20000, radius_max=radius)
         try:
-            xs, ys = sample_pairs_restricted(space, d, sampler)
+            xs, ys, *_ = sample_pairs_restricted(space, d, sampler)
         except InfeasibleDomainError:
             return
         nx, ny = norm_eval(space, xs), norm_eval(space, ys)
@@ -606,7 +603,7 @@ class TestRestrictedPairs:
     def test_radius_law(self, d, statistic, expected, sd):
         count = 40000
         space = euclidean(3)
-        xs, _ = sample_pairs_restricted(
+        xs, *_ = sample_pairs_restricted(
             space, d, Sampler.restricted_pairs(seed=13, count=count, radius_max=2.0)
         )
         got = np.mean(statistic(norm_eval(space, xs)))
@@ -631,10 +628,10 @@ class TestRestrictedPairs:
     @pytest.mark.parametrize("space", _every_norm_kind(3), ids=lambda s: f"{s.norm_kind}{s.p or ''}")
     def test_pair_sample_carries_the_norms_of_its_rows(self, space):
         sample = sample_pairs_restricted(space, 1.5, Sampler.restricted_pairs(4, 20000, 2.0))
-        xs, ys = sample
-        assert isinstance(sample, tuple) and len(sample) == 2
-        assert np.array_equal(sample.norms[0], norm_eval(space, xs))
-        assert np.array_equal(sample.norms[1], norm_eval(space, ys))
+        assert type(sample) is tuple and len(sample) == 4
+        xs, ys, nx, ny = sample
+        assert np.array_equal(nx, norm_eval(space, xs))
+        assert np.array_equal(ny, norm_eval(space, ys))
 
     def test_repaired_rows_carry_the_norms_of_their_recheck(self, monkeypatch):
         # At d = nextafter(2R, 0) with R = 1.1, rounding leaves rows short of
@@ -651,32 +648,15 @@ class TestRestrictedPairs:
         sample = sample_pairs_restricted(space, d, Sampler.restricted_pairs(0, 1000, radius))
         # Two directions, two checks and two re-checks of 1000 rows each.
         assert normed == [1000] * 6
-        for rows, norms in zip(sample, sample.norms):
+        for rows, norms in zip(sample[:2], sample[2:]):
             assert np.array_equal(norms, norm(space, rows))
-        nx, ny = sample.norms
+        nx, ny = sample[2:]
         assert np.all(nx <= radius) and np.all(ny <= radius) and np.all(nx + ny >= d)
-
-    @pytest.mark.parametrize(
-        "copy_of",
-        [copy.copy, copy.deepcopy]
-        + [
-            lambda x, proto=proto: pickle.loads(pickle.dumps(x, proto))
-            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
-        ],
-        ids=["copy", "deepcopy"]
-        + [f"pickle{proto}" for proto in range(pickle.HIGHEST_PROTOCOL + 1)],
-    )
-    def test_pair_sample_survives_copy_and_pickle(self, copy_of):
-        sample = sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(2, 50, 1.0))
-        again = copy_of(sample)
-        assert type(again) is PairSample and len(again) == 2
-        for got, want in zip((*again, *again.norms), (*sample, *sample.norms)):
-            assert got.tobytes() == want.tobytes()
 
     def test_streams_are_independent(self):
         # The x-half and y-half come from distinct streams, so they differ
         # even for identical seeds.
-        xs, ys = sample_pairs_restricted(
+        xs, ys, *_ = sample_pairs_restricted(
             euclidean(2), 0.0, Sampler.restricted_pairs(seed=5, count=50, radius_max=2.0)
         )
         assert not np.array_equal(xs, ys)
@@ -720,10 +700,11 @@ def _serial_radii(d, sampler):
 
 
 def _serial_pairs(space, d, sampler):
-    """The restricted-pair sampler as one serial pass, kept as the reference
-    for the sampler that fills its two halves on two threads: the radii, one
-    whole-batch draw of directions per half (x first), then the settle step.
-    Returns the rows and norms, or the InfeasibleDomainError it raised."""
+    """The restricted-pair law as one serial pass, kept as the reference for
+    the fold that draws its pairs chunk by chunk on two threads: the radii,
+    one whole-batch draw of directions per half (x first), then the settle
+    step.  Returns the rows and norms, or the InfeasibleDomainError it
+    raised."""
     R, count = sampler.radius_max, sampler.count
     radii, rngs = _serial_radii(d, sampler)
     rows = []
@@ -817,8 +798,9 @@ _TWO_BLOCKS = 2 * _block_rows(3)
 
 
 class TestPairHalvesOnTwoThreads:
-    """sample_pairs_restricted fills the y half on a helper thread when a
-    half is larger than one row block, and must give the serial bits."""
+    """sample_pairs_restricted, the restricted fold kept whole, draws the y
+    halves on a helper thread when a half is larger than one row block, and
+    must give the serial bits."""
 
     @pytest.mark.parametrize("small_blocks", [False, True], ids=["blocks", "small-blocks"])
     @pytest.mark.parametrize("count", ["1", "block", "block+1", "20000"])
@@ -850,19 +832,18 @@ class TestPairHalvesOnTwoThreads:
             assert isinstance(want, InfeasibleDomainError) and str(exc) == str(want)
         else:
             assert not isinstance(want, InfeasibleDomainError), want
-            got = (*sample, *sample.norms)
-            assert all(np.array_equal(g, w) for g, w in zip(_bits(got), _bits(want)))
-        # The helper runs only past one row block: it draws the y half, and
-        # the calling thread draws the x half.
+            assert len(sample) == 4
+            assert all(np.array_equal(g, w) for g, w in zip(_bits(sample), _bits(want)))
+        # The helper runs only past one row block, where it draws y rows.
         helper = [ident for ident in drawn_on if ident != threading.get_ident()]
-        assert len(drawn_on) == 2
-        assert len(helper) == (count * space.dim > space_module._BLOCK_VALUES)
+        assert bool(helper) == (count * space.dim > space_module._BLOCK_VALUES)
 
     @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
     @pytest.mark.parametrize("name", list(_SPACES))
     def test_nextafter_takes_the_repair_path(self, monkeypatch, name, count):
         # So the bit-for-bit case at d = nextafter(2R, 0) covers the settle
-        # step's repair, serial and threaded, whether or not it succeeds.
+        # step's repair, serial and threaded, whether or not it succeeds.  The
+        # first chunk's settle step needs it; a refused one ends the pass.
         settled, off = space_module._settled, []
 
         def spy(space, rows, inside, center, room, norms=None):
@@ -875,7 +856,7 @@ class TestPairHalvesOnTwoThreads:
             sample_pairs_restricted(_SPACES[name], d, Sampler.restricted_pairs(8, count, _R))
         except InfeasibleDomainError:
             pass
-        assert off == [True]
+        assert off[0]
 
     @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
     @pytest.mark.parametrize("half", [0, 1], ids=["x", "y"])
@@ -899,7 +880,7 @@ class TestPairHalvesOnTwoThreads:
         assert np.array_equal(sample[half][:1].view(np.uint64), fallback.view(np.uint64))
         assert np.array_equal(sample[half][1:].view(np.uint64), want[half][1:].view(np.uint64))
         assert np.array_equal(sample[1 - half].view(np.uint64), want[1 - half].view(np.uint64))
-        for rows, norms in zip(sample, sample.norms):
+        for rows, norms in zip(sample[:2], sample[2:]):
             assert np.array_equal(norms, norm_eval(space, rows))
 
     @pytest.mark.parametrize("count", [1000, _TWO_BLOCKS], ids=["serial", "threaded"])
@@ -961,25 +942,27 @@ class TestPairHalvesOnTwoThreads:
 
 
 def _whole_batch_fold(space, d, sampler, fn, *, head=0, keep=False):
-    """The pass that a streamed fold replaces: the whole batch sampled, then
-    ``fn`` over it and its norms in one call, then its maximum."""
-    sample = sample_pairs_restricted(space, d, sampler)
-    xs, ys = sample
-    values = fn(xs, ys, *sample.norms)
-    samples = (xs, ys, values) if keep else None
-    return space_module.PairFold(values.max(axis=0), xs[:head], samples)
+    """The pass that a streamed fold replaces: the whole batch sampled by the
+    serial reference, then ``fn`` over it and its norms in one call, then its
+    maximum."""
+    sample = _serial_pairs(space, d, sampler)
+    if isinstance(sample, InfeasibleDomainError):
+        raise sample
+    values = fn(*sample)
+    samples = (*sample, values) if keep else None
+    return space_module.PairFold(values.max(axis=0), sample[0][:head], samples)
 
 
 def _count_settles(monkeypatch) -> list:
-    """Wrap ``_PairDraw.settle``; the list grows by the row count of each
-    settled run of pairs."""
-    settle, settled = space_module._PairDraw.settle, []
+    """Wrap ``_settled``; the list grows by the row count of each settled
+    run of pairs."""
+    settle, settled = space_module._settled, []
 
-    def counted(draw, rows, norms):
+    def counted(space, rows, *args):
         settled.append(rows[0].shape[0])
-        return settle(draw, rows, norms)
+        return settle(space, rows, *args)
 
-    monkeypatch.setattr(space_module._PairDraw, "settle", counted)
+    monkeypatch.setattr(space_module, "_settled", counted)
     return settled
 
 
@@ -1043,13 +1026,7 @@ class TestStreamedRestrictedPairs:
             want = {name: call() for name, call in calls.items()}
 
         _chunk_blocks(monkeypatch, space.dim, _STREAM_BLOCK_ROWS, -(-_STREAM_BLOCKS // chunks))
-        settle, settled = space_module._PairDraw.settle, []
-
-        def counted(draw, rows, norms):
-            settled.append(rows[0].shape[0])
-            return settle(draw, rows, norms)
-
-        monkeypatch.setattr(space_module._PairDraw, "settle", counted)
+        settled = _count_settles(monkeypatch)
         got = {name: call() for name, call in calls.items()}
         assert len(settled) == 3 * chunks and sum(settled) == 3 * _STREAM_COUNT
         for name in calls:
@@ -1071,8 +1048,7 @@ class TestStreamedRestrictedPairs:
         space, radius = sup_norm(3), 1.1
         d = float(np.nextafter(2.0 * radius, 0.0))
         sampler = Sampler.restricted_pairs(0, 1000, radius)
-        sample = sample_pairs_restricted(space, d, sampler)
-        want = np.column_stack((*sample, *sample.norms))
+        want = np.column_stack(_serial_pairs(space, d, sampler))
         _chunk_blocks(monkeypatch, space.dim, 64, -(-16 // chunks))
         settled, seen = _count_settles(monkeypatch), []
 
@@ -1157,7 +1133,7 @@ class TestStreamedRestrictedPairs:
         space, params = euclidean(3), equation_params("1/3")
         sampler = Sampler.restricted_pairs(8, _STREAM_COUNT, _R)
         form = random_symmetric_form(space, euclidean(2), seed=4)
-        xs, ys = sample_pairs_restricted(space, 1.0, sampler)
+        xs, ys, *_ = _serial_pairs(space, 1.0, sampler)
         want = norm_eval(None, residual_gq(form, params, xs, ys))
         seen = []
 

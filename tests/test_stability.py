@@ -554,7 +554,7 @@ class TestCertify:
         params, sp = equation_params("1/2"), euclidean(2)
         sampler = Sampler.restricted_pairs(59, 100, 2.0)
         cert = certify(f, params, 1.0, sp, sampler)
-        xs, _ = sample_pairs_restricted(sp, 1.0, sampler)
+        xs, *_ = sample_pairs_restricted(sp, 1.0, sampler)
         probes = _probes(sp, sampler, xs, 32)
         iterations, message = [], None
         for i, probe in enumerate(probes):
@@ -602,7 +602,7 @@ class TestCertify:
         params, sp = equation_params("1/2"), euclidean(2)
         sampler = Sampler.restricted_pairs(61, 100, 2.0)
         cert = certify(MapHandle(evaluator, 2, 1), params, 1.0, sp, sampler)
-        xs, _ = sample_pairs_restricted(sp, 1.0, sampler)
+        xs, *_ = sample_pairs_restricted(sp, 1.0, sampler)
         probes = _probes(sp, sampler, xs, 32)
         assert sum(np.array_equal(rows, probes) for rows in calls) == 1
         residual_calls = sum(rows.shape[0] == 100 for rows in calls)
