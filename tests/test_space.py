@@ -1,6 +1,8 @@
 """Norm evaluation and sampler contracts."""
 
+import copy
 import json
+import pickle
 import sys
 import threading
 import warnings
@@ -652,6 +654,24 @@ class TestRestrictedPairs:
             assert np.array_equal(norms, norm(space, rows))
         nx, ny = sample[2:]
         assert np.all(nx <= radius) and np.all(ny <= radius) and np.all(nx + ny >= d)
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda x, proto=proto: pickle.loads(pickle.dumps(x, proto))
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"]
+        + [f"pickle{proto}" for proto in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_pair_sample_survives_copy_and_pickle(self, copy_of):
+        sample = sample_pairs_restricted(euclidean(3), 1.0, Sampler.restricted_pairs(2, 50, 1.0))
+        again = copy_of(sample)
+        assert type(again) is tuple and len(again) == 4
+        for got, want in zip(again, sample):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_streams_are_independent(self):
         # The x-half and y-half come from distinct streams, so they differ
