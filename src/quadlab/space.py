@@ -261,7 +261,9 @@ def blockwise(fn, n: int, width: int) -> np.ndarray:
     return out
 
 
-def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def form_rows(
+    xs: np.ndarray, flat: np.ndarray, ys: np.ndarray, diag: np.ndarray | None = None
+) -> np.ndarray:
     """``(x_n^T M_k y_n)`` for each row pair of ``xs``, ``ys`` (both C-ordered
     (N, dim) rows, as :func:`as_rows` gives them), shape (N, k).
 
@@ -273,13 +275,31 @@ def form_rows(xs: np.ndarray, flat: np.ndarray, ys: np.ndarray) -> np.ndarray:
     and on C-ordered rows it adds each row's terms in one order whatever the
     batch, so a row's value depends neither on its batch nor on the BLAS
     core type.
+
+    ``diag``, shape (k, dim), is given when every matrix is diagonal with
+    that diagonal (:attr:`~quadlab.quadratic.QuadraticForm.diag`).  The
+    first stage is then the products ``x_nj M_k[j, j]`` alone, plus 0.0.
+    The dense stage adds ``x_ni M_k[i, j]`` over ``i`` from +0.0, and for
+    finite ``x`` every term with ``i != j`` is a zero, which changes no sum
+    but turns a -0.0 into +0.0, as the added 0.0 does; so the bits are the
+    dense stage's.  A non-finite ``x`` entry makes its whole row NaN in the
+    dense stage (``inf * 0``) and non-finite in the diagonal one, so a block
+    with any non-finite value is computed again through the dense stage.
+    Like the dense stage, the products are an einsum, which sets no
+    floating-point flags, and adding 0.0 to them raises none either.
     """
     dim = xs.shape[1]
     k = flat.shape[1] // dim
     out = np.empty((xs.shape[0], k))
     for rows in row_blocks(xs.shape[0], k * dim):
-        half = np.einsum("ni,im->nm", xs[rows], flat).reshape(-1, k, dim)
-        np.einsum("nkj,nj->nk", half, ys[rows], out=out[rows])
+        x, y, block = xs[rows], ys[rows], out[rows]
+        if diag is not None:
+            half = np.einsum("nj,kj->nkj", x, diag)
+            half += 0.0
+            np.einsum("nkj,nj->nk", half, y, out=block)
+        if diag is None or not np.isfinite(block).all():
+            half = np.einsum("ni,im->nm", x, flat).reshape(-1, k, dim)
+            np.einsum("nkj,nj->nk", half, y, out=block)
     return out
 
 

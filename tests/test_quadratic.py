@@ -1,5 +1,6 @@
 """Residuals, parity, polarization, and the derivation-chain identities."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +21,12 @@ from quadlab import (
     make_perturbed,
     NoiseModel,
     parity_decompose,
+    random_symmetric_form,
     residual_gq,
     residual_q,
 )
 from quadlab.errors import DimensionMismatchError
-from quadlab.space import row_blocks
+from quadlab.space import form_rows, row_blocks
 
 EPS = np.finfo(np.float64).eps
 
@@ -219,6 +221,91 @@ class TestFormKernel:
             want = np.einsum("ni,kij,nj->nk", xs, form.coeffs, ys)
             scale = np.einsum("ni,kij,nj->nk", np.abs(xs), np.abs(form.coeffs), np.abs(ys))
             assert np.all(np.abs(form.bilinear(xs, ys) - want) <= 8.0 * EPS * scale), dim
+
+
+# Row entries where a diagonal first stage could lose a dense one's bits:
+# signed zeros, subnormals, products that overflow, and non-finite values.
+_FINITE_EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2e-308, 1e308, -1e308)
+_NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+def _bits(values):
+    return values.view(np.int64)
+
+
+@st.composite
+def _diagonal_cases(draw):
+    """A diagonal form, with ±0 among its diagonal entries, and two batches
+    of rows, from one row to just past two row blocks, salted with edge
+    values."""
+    dim, codim = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    block = next(row_blocks(10**9, codim * dim)).stop
+    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([block, block + 1, 2 * block + 1])))
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    diag = np.array(draw(st.lists(entry, min_size=codim * dim, max_size=codim * dim)))
+    coeffs = np.zeros((codim, dim, dim))
+    coeffs[:, range(dim), range(dim)] = diag.reshape(codim, dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite_rate = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    non_finite_rate = draw(st.sampled_from([0.0, 1e-5, 0.05]))
+
+    def rows():
+        out = rng.standard_normal((n, dim)) * rng.choice([1.0, 1e-160, 1e-300, 1e150], (n, dim))
+        for rate, edges in ((finite_rate, _FINITE_EDGES), (non_finite_rate, _NON_FINITE)):
+            salted = rng.random((n, dim)) < rate
+            out[salted] = rng.choice(edges, salted.sum())
+        return out
+
+    return QuadraticForm(coeffs), rows(), rows()
+
+
+class TestDiagonalForm:
+    """A form with diagonal matrices skips ``form_rows``' dense first stage
+    and keeps its bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_diagonal_cases())
+    def test_diagonal_form_matches_the_dense_stage_across_block_edges(self, case):
+        form, xs, ys = case
+        assert form.diag is not None
+        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, form.flat, xs)))
+        assert np.array_equal(
+            _bits(form.bilinear(xs, ys)), _bits(form_rows(xs, form.flat, ys))
+        )
+
+    def test_diagonal_form_is_fp_silent_on_overflow_and_non_finite_rows(self):
+        form = QuadraticForm(np.stack([np.diag([1e300, -2.0, 0.0]), np.diag([-0.0, 1e-320, 3.0])]))
+        xs = np.array(
+            [
+                [1e300, 1.0, 2.0],
+                [np.inf, 1.0, 0.0],
+                [-1.0, np.nan, 2.0],
+                [0.0, 1.0, -np.inf],
+                [-5e-324, -0.0, 1e-300],
+            ]
+        )
+        ys = xs[::-1].copy()
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, pairs = form(xs), form.bilinear(xs, ys)
+        assert np.array_equal(_bits(values), _bits(form_rows(xs, form.flat, xs)))
+        assert np.array_equal(_bits(pairs), _bits(form_rows(xs, form.flat, ys)))
+
+    def test_diagonal_form_routing_follows_the_off_diagonal_entries(self):
+        assert np.array_equal(QuadraticForm(np.eye(3)).diag, np.ones((1, 3)))
+        tiny = np.eye(3)
+        tiny[0, 2] = tiny[2, 0] = 5e-324
+        assert QuadraticForm(tiny).diag is None
+        assert random_symmetric_form(euclidean(3), euclidean(2), seed=1).diag is None
+        signed = np.full((2, 3, 3), -0.0)
+        signed[:, range(3), range(3)] = [[1.0, -3.0, 0.5], [-0.0, 2.0, 7.0]]
+        form = QuadraticForm(signed)
+        assert np.array_equal(form.diag, signed[:, range(3), range(3)])
+        xs = np.random.default_rng(3).standard_normal((50, 3)) * 1e-162
+        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, form.flat, xs)))
 
 
 class TestResiduals:
