@@ -17,11 +17,12 @@ which takes only a call that fills more than one row block
 no fewer than 8 values, so it holds at most 16,384 pairs up to dim 8.
 :func:`sample_pairs_restricted` is the same fold, kept whole.
 
-All randomness flows through counter-based Philox generators keyed on
-``(seed, stream_tag)``.  Distinct purposes (the two halves of a restricted
-pair, extraction probes, shell pairs) get distinct tags, so the stream
-consumed by one routine can never shift the values produced by another,
-and equal seeds give bitwise-equal output across runs.
+All randomness flows through SFC64 generators, one stream per
+``(seed, stream_tag)``, seeded by a ``SeedSequence`` of the seed whose spawn
+key is the tag (:func:`generator`).  Distinct purposes (the two halves of a
+restricted pair, extraction probes, shell pairs) get distinct tags, so the
+stream consumed by one routine can never shift the values produced by
+another, and equal seeds give bitwise-equal output across runs.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleDomainError, ParameterError
 
-# Stream tags combined with the user seed to key a Philox generator.
-# One tag per sampling purpose; never reuse a tag for a new purpose.  Tag 1
-# (single-vector ball draws) is retired and is never reused.
+# Stream tags: each is the spawn key that, with the user seed, seeds one
+# SFC64 stream (see generator).  One tag per sampling purpose; never reuse a
+# tag for a new purpose.  Tag 1 (single-vector ball draws) is retired and is
+# never reused.
 STREAM_PAIR_X = 2
 STREAM_PAIR_Y = 3
 STREAM_PROBES = 4
@@ -87,10 +89,16 @@ def check_count(name: str, value) -> int:
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
-    """Philox generator keyed on (seed, stream); independent across streams."""
-    return np.random.Generator(
-        np.random.Philox(key=[np.uint64(check_seed(seed)), np.uint64(stream)])
-    )
+    """The SFC64 generator of ``(seed, stream)``: seeded by
+    ``SeedSequence(seed, spawn_key=(stream,))``, so streams are independent.
+
+    The spawn key enters the seed's hash apart from the seed's own 32-bit
+    words, so no ``(seed, stream)`` gives another's stream, as a seed list
+    ``[seed, stream]`` could.  This is the one place that names the bit
+    generator.
+    """
+    sequence = np.random.SeedSequence(check_seed(seed), spawn_key=(stream,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 @dataclass(frozen=True, eq=False)
@@ -534,9 +542,22 @@ def _pair_radii(d: float, sampler: Sampler):
     s_lo, s_hi = max(1.0 - t, 0.0), min(1.0, 2.0 - t)
     ramp = (s_hi * s_hi - s_lo * s_lo) / 2.0
     u = rng_x.uniform(0.0, ramp + s_lo, sampler.count)
-    a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
-    b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
-    del u
+    flat = u > ramp
+    # a is t - 1 + sqrt(s_lo^2 + 2u) on the ramp and t + (u - ramp) on the
+    # flat, each step in place on the operands of those expressions (x + y
+    # and y + x round alike), so the peak before b's draw is two floats and
+    # a mask a pair.
+    a = np.multiply(u, 2.0)
+    a += s_lo * s_lo
+    np.sqrt(a, out=a)
+    a += t - 1.0
+    u -= ramp
+    u += t
+    np.copyto(a, u, where=flat)
+    del flat
+    low = np.maximum(np.subtract(t, a, out=u), 0.0, out=u)
+    b = rng_y.uniform(low, 1.0)
+    del u, low
     a *= R
     b *= R
     return (a, b), (rng_x, rng_y)

@@ -15,11 +15,14 @@ Each entry is one ``quadlab`` command line or one library call:
 
 A report is digested without its ``runtime_ms`` line, an emitted CSV as
 written, and a library report as its sorted JSON.  ``portable`` entries go
-only through ``+ - * /``, ``sqrt``, Philox and the BLAS-free row kernels
-(``row_sums`` and the einsums of ``form_rows``), which give the same bits
-on every CPU and numpy build; an integer power from 1 to 8 (the p-norm's
-coordinate powers, the exponent scan, the ``cube`` map, the decay noise)
-is a product chain (``space._power``), so it is portable too.  One
+only through ``+ - * /``, ``sqrt``, draws from SFC64 streams seeded by
+``SeedSequence`` spawn keys (``space.generator``) and the BLAS-free row
+kernels (``row_sums`` and the einsums of ``form_rows``), which give the
+same bits on every CPU (numpy does not promise a ``Generator``'s stream
+across its versions; ``test_space.py`` pins the first draws); an integer
+power from 1 to 8 (the p-norm's coordinate powers, the exponent scan, the
+``cube`` map, the decay noise) is a product chain (``space._power``), so
+it is portable too.  One
 exception: an accepted ``detect-ip`` reports LAPACK's ``eigvalsh`` as
 ``gram_min_eigenvalue``, whose last bit may differ by BLAS core type in
 larger dims, though not at the dims 2 and 3 pinned here.  ``libm`` entries

@@ -28,7 +28,7 @@ from quadlab import (
     weighted_quadratic,
 )
 from quadlab.quadratic import derivation_chain_defects
-from quadlab.space import form_rows, row_blocks
+from quadlab.space import _pair_radii, form_rows, row_blocks
 
 _PARAMS = equation_params("1/3")
 
@@ -156,11 +156,11 @@ def _sha256(*arrays):
     return digest.hexdigest()
 
 
-# Digests of 3.5 blocks of sampled pairs, taken before samplers ran in blocks.
+# Digests of 3.5 blocks of sampled pairs drawn from SFC64 streams.
 _SAMPLE_DIGESTS = {
-    "euclidean": "047c070d71c91c44343116c8680bd4127a12c243c747e4bfba78a7cd05ba517e",
-    "sup": "251c94f33b7fb1d7573c77463fa67f8daa4a91e7015d7f72f93b66f63c5b2bff",
-    "weighted": "3e4b7b44a4d4736f1043bd6748bb6989ab9f4b549acc607bd5d8b8541888a6be",
+    "euclidean": "714ef2b041b379367989d829a80f7d8b58579acc2f3147f11a3c97f0216e8e90",
+    "sup": "a2313db1894ef8b104fe9a949869e5414e3c1675059ad666aebb0d41b4bad895",
+    "weighted": "e3ebcb03b4ce1b30fe815301e59fd5c27619a7d6e15e144359eb7b58891293f5",
 }
 
 
@@ -182,6 +182,17 @@ def _peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_radii_peak_at_about_32_bytes_a_pair():
+    """While b is drawn, the radii hold a, b's lower bounds, numpy's width of
+    each range and b itself, 8 bytes a pair each; the whole-batch
+    temporaries of the plain expressions (2u, the root, both branches,
+    t - a) took 40."""
+    _pair_radii(1.0, Sampler.restricted_pairs(1, 1000, 2.0))  # one-time allocations
+    count = 200_000
+    sampler = Sampler.restricted_pairs(1, count, 2.0)
+    assert _peak_bytes(lambda: _pair_radii(1.0, sampler)) <= 34 * count
 
 
 def test_peak_memory_stays_near_the_samples():

@@ -1,6 +1,7 @@
 """Norm evaluation and sampler contracts."""
 
 import copy
+import hashlib
 import json
 import pickle
 import sys
@@ -476,6 +477,43 @@ class TestSamplers:
                 Sampler.restricted_pairs(seed=0, count=4, radius_max=radius)
 
 
+_STREAM_TAGS = [v for k, v in vars(space_module).items() if k.startswith("STREAM_")]
+
+# Seeds on both sides of the 32-bit word boundaries of SeedSequence's entropy.
+_EDGE_SEEDS = [0, 1, 2, 5, 2**32 - 1, 2**32, 2**32 + 2, 5 + 2 * 2**32, 2**64 - 1]
+
+# sha256 of the first 16 standard normals, then of the first 16 uniforms on
+# [0, 1), of generator(1, tag) for each tag in _STREAM_TAGS order, as
+# little-endian float64.  numpy does not promise Generator streams across
+# versions; this is the digest that would show a change.
+_GENERATOR_STREAM_DIGEST = "c0f2dc7910209da40bd6e85aae888d50ccb0af5aa76cf892656e0c227b2afe00"
+
+
+def test_equal_keys_give_one_generator_stream():
+    for seed in (0, 7, 2**64 - 1):
+        for tag in _STREAM_TAGS:
+            a, b = space_module.generator(seed, tag), space_module.generator(seed, tag)
+            assert a.standard_normal(64).tobytes() == b.standard_normal(64).tobytes()
+            assert a.uniform(size=64).tobytes() == b.uniform(size=64).tobytes()
+
+
+def test_every_seed_and_tag_keys_its_own_generator_stream():
+    firsts = {
+        space_module.generator(seed, tag).standard_normal()
+        for seed in _EDGE_SEEDS
+        for tag in _STREAM_TAGS
+    }
+    assert len(firsts) == len(_EDGE_SEEDS) * len(_STREAM_TAGS)
+
+
+def test_generator_streams_keep_their_pinned_bytes():
+    digest = hashlib.sha256()
+    for tag in _STREAM_TAGS:
+        digest.update(space_module.generator(1, tag).standard_normal(16).astype("<f8").tobytes())
+        digest.update(space_module.generator(1, tag).uniform(size=16).astype("<f8").tobytes())
+    assert digest.hexdigest() == _GENERATOR_STREAM_DIGEST
+
+
 def _never_called(rows):
     raise AssertionError("the map ran before its count was checked")
 
@@ -717,6 +755,17 @@ def _serial_radii(d, sampler):
     a = np.where(u <= ramp, t - 1.0 + np.sqrt(s_lo * s_lo + 2.0 * u), t + (u - ramp))
     b = rng_y.uniform(np.maximum(t - a, 0.0), 1.0)
     return (R * a, R * b), (rng_x, rng_y)
+
+
+@pytest.mark.parametrize("d", [0.0, 1.0, 2.95, 3.9])
+def test_radii_drawn_in_place_keep_the_expressions_bits(d):
+    sampler = Sampler.restricted_pairs(1, 200_000, 2.0)
+    radii, rngs = space_module._pair_radii(d, sampler)
+    want, want_rngs = _serial_radii(d, sampler)
+    assert all(np.array_equal(g, w) for g, w in zip(_bits(radii), _bits(want)))
+    # Both generators are left where the expressions leave them.
+    for rng, want_rng in zip(rngs, want_rngs):
+        assert rng.standard_normal(8).tobytes() == want_rng.standard_normal(8).tobytes()
 
 
 def _serial_pairs(space, d, sampler):

@@ -549,10 +549,12 @@ class TestCertify:
         # Some probes past the first failing one fail at an earlier doubling;
         # the warning still names the lowest failing probe, and the
         # iteration count covers only the probes before it, as extracting
-        # probe by probe and stopping at the first error did.
+        # probe by probe and stopping at the first error did.  Seed 1 draws
+        # probes whose first failure is probe 4 (about one seed in five gives
+        # such a case, with the first failure past probe 0).
         f = _blowup_map()
         params, sp = equation_params("1/2"), euclidean(2)
-        sampler = Sampler.restricted_pairs(59, 100, 2.0)
+        sampler = Sampler.restricted_pairs(1, 100, 2.0)
         cert = certify(f, params, 1.0, sp, sampler)
         xs, *_ = sample_pairs_restricted(sp, 1.0, sampler)
         probes = _probes(sp, sampler, xs, 32)
