@@ -22,8 +22,7 @@ same bits on every CPU (numpy does not promise a ``Generator``'s stream
 across its versions; ``test_space.py`` pins the first draws); an integer
 power from 1 to 8 (the p-norm's coordinate powers, the exponent scan, the
 ``cube`` map, the decay noise) is a product chain (``space._power``), so
-it is portable too.  One
-exception: an accepted ``detect-ip`` reports LAPACK's ``eigvalsh`` as
+it is portable too.  One exception: an accepted ``detect-ip`` reports LAPACK's ``eigvalsh`` as
 ``gram_min_eigenvalue``, whose last bit may differ by BLAS core type in
 larger dims, though not at the dims 2 and 3 pinned here.  ``libm`` entries
 also go through numpy's ``pow`` or ``sin``, whose last bit follows numpy's
