@@ -178,8 +178,9 @@ def make_quadratic(space_in: SpaceSpec, space_out: SpaceSpec, coeffs) -> Quadrat
     """Exact quadratic form between the two spaces.
 
     ``coeffs`` is (codim, dim, dim), or (dim, dim) when the codomain is a
-    line.  Asymmetric inputs are symmetrized with a warning (only the
-    symmetric part of each matrix is observable through the form).
+    line.  Entries must be finite.  Asymmetric inputs are symmetrized with a
+    warning (only the symmetric part of each matrix is observable through
+    the form).
     """
     arr = np.asarray(coeffs, dtype=np.float64)
     if arr.ndim == 2:
@@ -189,13 +190,16 @@ def make_quadratic(space_in: SpaceSpec, space_out: SpaceSpec, coeffs) -> Quadrat
         raise DimensionMismatchError(
             f"coefficients must have shape {expected}, got {arr.shape}"
         )
-    sym = (arr + arr.transpose(0, 2, 1)) / 2.0
-    if not np.array_equal(arr, sym):
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("coefficient matrices must be finite")
+    if not np.array_equal(arr, arr.transpose(0, 2, 1)):
         warnings.warn(
             "coefficient matrices were not symmetric; using the symmetric part",
             stacklevel=2,
         )
-    return QuadraticForm(coeffs=sym)
+        # Halves first: the sum of two entries near the float64 limit overflows.
+        arr = arr / 2.0 + arr.transpose(0, 2, 1) / 2.0
+    return QuadraticForm(coeffs=arr)
 
 
 def make_perturbed(form: QuadraticForm, noise: NoiseModel) -> MapHandle:

@@ -153,16 +153,23 @@ class QuadraticForm:
     """Vector-valued quadratic map stored as one symmetric matrix per output.
 
     ``coeffs`` has shape (codim, dim, dim) with each slice exactly symmetric;
-    evaluation sends x to the vector ``(x^T B_k x)_k``.  ``flat`` is the same
-    matrices side by side, shape (dim, codim * dim), and ``diag``, shape
-    (codim, dim), their diagonals when every off-diagonal entry is zero
-    (-0.0 included) and ``None`` otherwise, both as :func:`form_rows` takes
-    them: a diagonal form skips the dense first stage, with the same bits.
+    evaluation sends x to the vector ``(x^T B_k x)_k``.  The form evaluates
+    each bitwise distinct slice once (-0.0 and +0.0 are distinct), so the
+    identity form stacked over several outputs evaluates one.  ``flat`` is
+    the m distinct matrices side by side in first-appearance order, shape
+    (dim, m * dim), and ``diag``, shape (m, dim), their diagonals when every
+    off-diagonal entry is zero (-0.0 included) and ``None`` otherwise, both
+    as :func:`form_rows` takes them: a diagonal form skips the dense first
+    stage, with the same bits.  ``columns``, shape (codim,), names the
+    distinct slice each output reads.  A slice's column from
+    :func:`form_rows` has the same bits whatever slices sit beside it, so
+    copying it to every output that reads it changes no value.
     """
 
     coeffs: np.ndarray
     flat: np.ndarray = field(init=False, repr=False)
     diag: np.ndarray | None = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=np.float64)
@@ -172,19 +179,29 @@ class QuadraticForm:
             raise DimensionMismatchError(
                 f"coefficients must have shape (codim, dim, dim), got {arr.shape}"
             )
-        if not np.array_equal(arr, arr.transpose(0, 2, 1)):
-            raise ParameterError("coefficient matrices must be exactly symmetric")
+        # Finiteness first: NaN is unequal to itself, so a NaN slice would
+        # fail the symmetry test.
         if not np.all(np.isfinite(arr)):
             raise ParameterError("coefficient matrices must be finite")
+        if not np.array_equal(arr, arr.transpose(0, 2, 1)):
+            raise ParameterError("coefficient matrices must be exactly symmetric")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        flat = arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
+        # Slices compare by their bytes, which tell -0.0 from +0.0.  The
+        # column numbers count up in first-appearance order, so the first
+        # occurrence of each is that distinct slice's first appearance.
+        seen: dict[bytes, int] = {}
+        columns = np.array([seen.setdefault(b.tobytes(), len(seen)) for b in arr], dtype=np.intp)
+        columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
+        slices = arr[np.unique(columns, return_index=True)[1]]
+        flat = slices.transpose(1, 0, 2).reshape(arr.shape[1], -1)
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
         diag = None
-        if not arr[:, ~np.eye(arr.shape[1], dtype=bool)].any():
-            diag = np.diagonal(arr, axis1=1, axis2=2).copy()
+        if not slices[:, ~np.eye(arr.shape[1], dtype=bool)].any():
+            diag = np.diagonal(slices, axis1=1, axis2=2).copy()
             diag.flags.writeable = False
         object.__setattr__(self, "diag", diag)
 
@@ -199,13 +216,13 @@ class QuadraticForm:
     def __call__(self, x):
         rows, single = as_rows(x, self.domain_dim)
         out = form_rows(rows, self.flat, rows, self.diag)
-        return out[0] if single else out
+        return out[0][self.columns] if single else out[:, self.columns]
 
     def bilinear(self, x, y):
         """The symmetric bilinear map (x, y) -> (x^T B_k y)_k."""
         xs, ys, single = pair_rows(x, y, self.domain_dim)
         out = form_rows(xs, self.flat, ys, self.diag)
-        return out[0] if single else out
+        return out[0][self.columns] if single else out[:, self.columns]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -966,6 +967,29 @@ class TestMapAndFormParsing:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: profile result is not finite; no report written\n"
+
+    def test_huge_symmetric_form_is_accepted_as_given(self, capsys):
+        # The two triangles' sum would overflow; the form is finite and symmetric.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, _ = run_cli(
+                capsys,
+                "residual", "--dim", "2", "--form", "1e308,0;0,1",
+                "--x", "1e-200,0", "--y", "0,1",
+            )
+        assert code == 0
+        assert report["results"]["q_residual_norm"] == 0.0
+
+    def test_non_finite_form_is_named_non_finite(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report, captured = run_cli(
+                capsys,
+                "residual", "--dim", "2", "--form", "nan,0;0,1", "--x", "1,0", "--y", "0,1",
+            )
+        assert code == 2
+        assert report is None
+        assert captured.err == "error: coefficient matrices must be finite\n"
 
     def test_random_form_scale_parses(self, capsys):
         code, report, _ = run_cli(

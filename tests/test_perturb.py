@@ -274,6 +274,28 @@ class TestGenerators:
             warnings.simplefilter("error")
             make_quadratic(euclidean(2), euclidean(1), [[1.0, 2.0], [2.0, 5.0]])
 
+    def test_make_quadratic_keeps_huge_symmetric_entries_silently(self):
+        # Entries near the float64 limit would overflow a sum of the two triangles.
+        coeffs = [[1e308, -1.7e308], [-1.7e308, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            form = make_quadratic(euclidean(2), euclidean(1), coeffs)
+        assert np.array_equal(form.coeffs[0], coeffs)
+
+    def test_make_quadratic_symmetrizes_huge_entries_without_overflow(self):
+        with pytest.warns(UserWarning):
+            form = make_quadratic(euclidean(2), euclidean(1), [[1.0, 1.7e308], [1.5e308, 1.0]])
+        assert form.coeffs[0, 0, 1] == form.coeffs[0, 1, 0] == 1.6e308
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_make_quadratic_rejects_non_finite_without_a_symmetry_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="finite"):
+                make_quadratic(euclidean(2), euclidean(1), [[bad, 0.0], [0.0, 1.0]])
+            with pytest.raises(ParameterError, match="finite"):
+                make_quadratic(euclidean(2), euclidean(1), [[1.0, bad], [0.0, 1.0]])
+
     def test_make_quadratic_shape_check(self):
         with pytest.raises(Exception):
             make_quadratic(euclidean(3), euclidean(1), np.ones((2, 2)))

@@ -25,6 +25,7 @@ from quadlab import (
     residual_gq,
     residual_q,
 )
+from quadlab import cli
 from quadlab.errors import DimensionMismatchError
 from quadlab.space import form_rows, row_blocks
 
@@ -115,6 +116,14 @@ class TestQuadraticForm:
     def test_rejects_asymmetric(self):
         with pytest.raises(ParameterError):
             QuadraticForm(np.array([[1.0, 2.0], [0.0, 5.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_as_non_finite(self, bad):
+        # NaN is unequal to itself, so a symmetry test first would misname it.
+        with pytest.raises(ParameterError, match="finite"):
+            QuadraticForm(np.array([[bad]]))
+        with pytest.raises(ParameterError, match="finite"):
+            QuadraticForm(np.array([[1.0, bad], [bad, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
@@ -233,21 +242,15 @@ def _bits(values):
     return values.view(np.int64)
 
 
-@st.composite
-def _diagonal_cases(draw):
-    """A diagonal form, with ±0 among its diagonal entries, and two batches
-    of rows, from one row to just past two row blocks, salted with edge
-    values."""
-    dim, codim = draw(st.integers(1, 9)), draw(st.integers(1, 3))
-    block = next(row_blocks(10**9, codim * dim)).stop
-    n = draw(st.one_of(st.integers(1, 40), st.sampled_from([block, block + 1, 2 * block + 1])))
-    entry = st.one_of(
-        st.sampled_from([0.0, -0.0, 1.0, -2.5]),
-        st.floats(allow_nan=False, allow_infinity=False),
-    )
-    diag = np.array(draw(st.lists(entry, min_size=codim * dim, max_size=codim * dim)))
-    coeffs = np.zeros((codim, dim, dim))
-    coeffs[:, range(dim), range(dim)] = diag.reshape(codim, dim)
+def _dense_flat(form):
+    """All of ``form.coeffs`` side by side, as :func:`form_rows` takes them:
+    the dense first stage over every slice, repeats included."""
+    return form.coeffs.transpose(1, 0, 2).reshape(form.domain_dim, -1)
+
+
+def _salted_batches(draw, n, dim):
+    """Two batches of n rows at scales from 1e-300 to 1e150, salted with
+    edge values."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     finite_rate = draw(st.sampled_from([0.0, 0.05, 0.5]))
     non_finite_rate = draw(st.sampled_from([0.0, 1e-5, 0.05]))
@@ -259,7 +262,33 @@ def _diagonal_cases(draw):
             out[salted] = rng.choice(edges, salted.sum())
         return out
 
-    return QuadraticForm(coeffs), rows(), rows()
+    return rows(), rows()
+
+
+def _block_edge_count(draw, width):
+    """A batch size from one row to just past two row blocks of ``width``
+    values a row."""
+    block = next(row_blocks(10**9, width)).stop
+    return draw(st.one_of(st.integers(1, 40), st.sampled_from([block, block + 1, 2 * block + 1])))
+
+
+_COEFF_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _diagonal_cases(draw):
+    """A diagonal form, with ±0 among its diagonal entries, and two batches
+    of rows, from one row to just past two row blocks, salted with edge
+    values."""
+    dim, codim = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    n = _block_edge_count(draw, codim * dim)
+    diag = np.array(draw(st.lists(_COEFF_ENTRY, min_size=codim * dim, max_size=codim * dim)))
+    coeffs = np.zeros((codim, dim, dim))
+    coeffs[:, range(dim), range(dim)] = diag.reshape(codim, dim)
+    return (QuadraticForm(coeffs), *_salted_batches(draw, n, dim))
 
 
 class TestDiagonalForm:
@@ -271,10 +300,9 @@ class TestDiagonalForm:
     def test_diagonal_form_matches_the_dense_stage_across_block_edges(self, case):
         form, xs, ys = case
         assert form.diag is not None
-        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, form.flat, xs)))
-        assert np.array_equal(
-            _bits(form.bilinear(xs, ys)), _bits(form_rows(xs, form.flat, ys))
-        )
+        flat = _dense_flat(form)
+        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, flat, xs)))
+        assert np.array_equal(_bits(form.bilinear(xs, ys)), _bits(form_rows(xs, flat, ys)))
 
     def test_diagonal_form_is_fp_silent_on_overflow_and_non_finite_rows(self):
         form = QuadraticForm(np.stack([np.diag([1e300, -2.0, 0.0]), np.diag([-0.0, 1e-320, 3.0])]))
@@ -291,8 +319,9 @@ class TestDiagonalForm:
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             values, pairs = form(xs), form.bilinear(xs, ys)
-        assert np.array_equal(_bits(values), _bits(form_rows(xs, form.flat, xs)))
-        assert np.array_equal(_bits(pairs), _bits(form_rows(xs, form.flat, ys)))
+        flat = _dense_flat(form)
+        assert np.array_equal(_bits(values), _bits(form_rows(xs, flat, xs)))
+        assert np.array_equal(_bits(pairs), _bits(form_rows(xs, flat, ys)))
 
     def test_diagonal_form_routing_follows_the_off_diagonal_entries(self):
         assert np.array_equal(QuadraticForm(np.eye(3)).diag, np.ones((1, 3)))
@@ -305,7 +334,72 @@ class TestDiagonalForm:
         form = QuadraticForm(signed)
         assert np.array_equal(form.diag, signed[:, range(3), range(3)])
         xs = np.random.default_rng(3).standard_normal((50, 3)) * 1e-162
-        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, form.flat, xs)))
+        assert np.array_equal(_bits(form(xs)), _bits(form_rows(xs, _dense_flat(form), xs)))
+
+
+@st.composite
+def _repeated_slice_cases(draw):
+    """A form of 1 to 4 slices that repeat a drawn pattern of as many base
+    matrices, and two batches of rows salted with edge values, across the
+    row blocks of the form's distinct slices.  A base is dense or diagonal
+    with a zero at a drawn (i, j) and (j, i), or the base before it with
+    that zero's sign flipped: the same values in distinct bits."""
+    dim, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    bases = []
+    for _ in range(k):
+        if bases and draw(st.booleans()):
+            prev, (i, j) = bases[-1]
+            base = prev.copy()
+            base[i, j] = base[j, i] = -prev[i, j]
+        else:
+            i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+            entries = draw(st.lists(_COEFF_ENTRY, min_size=dim * dim, max_size=dim * dim))
+            upper = np.array(entries).reshape(dim, dim)
+            base = np.where(np.triu(np.ones((dim, dim), dtype=bool)), upper, upper.T)
+            if draw(st.booleans()):
+                base = np.where(np.eye(dim, dtype=bool), base, 0.0)
+            base[i, j] = base[j, i] = draw(st.sampled_from([0.0, -0.0]))
+        bases.append((base, (i, j)))
+    pattern = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    coeffs = np.stack([bases[b][0] for b in pattern])
+    distinct = len({piece.tobytes() for piece in coeffs})
+    n = _block_edge_count(draw, distinct * dim)
+    return (QuadraticForm(coeffs), *_salted_batches(draw, n, dim))
+
+
+class TestRepeatedSlices:
+    """A form evaluates each bitwise distinct slice once and copies its
+    column to every output that reads it, with the bits of a form of that
+    one slice."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_repeated_slice_cases())
+    def test_repeated_slices_give_each_output_its_one_slice_bits(self, case):
+        form, xs, ys = case
+        coeffs = form.coeffs
+        keys = [piece.tobytes() for piece in coeffs]
+        assert list(form.columns) == [sorted(set(keys), key=keys.index).index(key) for key in keys]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, pairs = form(xs), form.bilinear(xs, ys)
+            for k in range(len(coeffs)):
+                alone = QuadraticForm(coeffs[k : k + 1])
+                assert np.array_equal(_bits(values[:, k]), _bits(alone(xs)[:, 0])), k
+                assert np.array_equal(_bits(pairs[:, k]), _bits(alone.bilinear(xs, ys)[:, 0])), k
+
+    def test_repeated_slices_of_the_identity_form_are_one_slice(self):
+        form = cli._form_from({"form": "identity", "dim": 4, "codim": 3, "seed": 0})
+        assert form.codomain_dim == 3
+        assert form.columns.tolist() == [0, 0, 0]
+        assert np.array_equal(form.flat, np.eye(4))
+        assert np.array_equal(form.diag, np.ones((1, 4)))
+
+    def test_repeated_slices_keep_signed_zeros_apart(self):
+        coeffs = np.zeros((4, 2, 2))
+        coeffs[1] = coeffs[3] = -0.0
+        form = QuadraticForm(coeffs)
+        assert form.columns.tolist() == [0, 1, 0, 1]
+        assert form.flat.shape == (2, 4)
 
 
 class TestResiduals:
