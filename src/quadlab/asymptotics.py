@@ -27,6 +27,7 @@ from .space import (
     _rows_at_radii,
     _settled,
     check_count,
+    check_real,
     generator,
     norm_eval,
 )
@@ -164,8 +165,7 @@ def asymptotic_verdict(profile: ShellProfile, decay_tol: float) -> AsymptoticVer
     monotonicity check covers the last half.  Raises
     :class:`ParameterError` for profiles with fewer than four shells.
     """
-    if not np.isfinite(decay_tol) or decay_tol <= 0:
-        raise ParameterError(f"decay_tol must be finite and > 0, got {decay_tol!r}")
+    decay_tol = check_real("decay_tol", decay_tol, "> 0")
     deltas = np.asarray(profile.deltas, dtype=np.float64)
     k = deltas.shape[0]
     if k < _MIN_SHELLS:
@@ -191,6 +191,6 @@ def asymptotic_verdict(profile: ShellProfile, decay_tol: float) -> AsymptoticVer
         verdict=verdict,
         tail_max=tail_max,
         tail_window=int(tail_window),
-        decay_tol=float(decay_tol),
+        decay_tol=decay_tol,
         nondecreasing_last_half=nondecreasing,
     )

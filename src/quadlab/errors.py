@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Everything user-facing raises one of these instead of a bare ValueError so
-the command-line layer can map failures onto its exit-code contract.
+the command-line layer can map failures onto its exit-code contract.  A bad
+count, seed, real or coefficient array raises :class:`ParameterError` from
+its one check in :mod:`quadlab.space`, never a TypeError or OverflowError.
 """
 
 

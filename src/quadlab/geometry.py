@@ -20,6 +20,7 @@ from .space import (
     SpaceSpec,
     _power,
     blockwise,
+    check_real,
     fold_pairs_restricted,
     form_rows,
     norm_eval,
@@ -96,8 +97,7 @@ def detect_inner_product(
     (:func:`~quadlab.space.fold_pairs_restricted`); a rejected verdict
     drops both.
     """
-    if not np.isfinite(tol) or tol <= 0:
-        raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
+    tol = check_real("tol", tol, "> 0")
 
     def defects(x, y, nx, ny):
         """The raw and normalized defects of each pair, shape (rows, 2)."""
@@ -145,7 +145,7 @@ def detect_inner_product(
         recovered_gram=gram,
         bilinearity_defect=bil_defect,
         gram_min_eigenvalue=min_eig,
-        tol=float(tol),
+        tol=tol,
         sample_count=sampler.count,
         seed=sampler.seed,
         space=summary,
@@ -167,12 +167,10 @@ class Exponents:
 
     def __post_init__(self):
         for name in ("p", "q", "u", "v"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value == 0.0:
-                raise ParameterError(
-                    f"exponent {name} must be finite and nonzero, got {value}"
-                )
-            object.__setattr__(self, name, float(value))
+            value = check_real(f"exponent {name}", getattr(self, name))
+            if value == 0.0:
+                raise ParameterError(f"exponent {name} must be nonzero, got {value}")
+            object.__setattr__(self, name, value)
 
     def astuple(self) -> tuple[float, float, float, float]:
         return (self.p, self.q, self.u, self.v)
@@ -327,8 +325,7 @@ def exponent_scan(
     """
     if not grid:
         raise ParameterError("exponent grid must be nonempty")
-    if not np.isfinite(tol) or tol <= 0:
-        raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
+    tol = check_real("tol", tol, "> 0")
     xs, ys, *own = sample_pairs_restricted(space, 0.0, sampler)
     norms = _pattern_norms(space, params, xs, ys, own)
     # Only the norms are used below: freeing the pairs makes room for the powers.
@@ -352,7 +349,7 @@ def exponent_scan(
         entries.append(ScanEntry(exps, sup, excluded))
     return ExponentScanTable(
         entries=entries,
-        tol=float(tol),
+        tol=tol,
         sample_count=sampler.count,
         seed=sampler.seed,
     )

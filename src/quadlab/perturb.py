@@ -25,6 +25,8 @@ from .space import (
     SpaceSpec,
     _power,
     as_rows,
+    check_finite_array,
+    check_real,
     check_seed,
     generator,
     norm_eval,
@@ -84,19 +86,14 @@ class NoiseModel:
             raise ParameterError(
                 f"unknown noise kind {self.kind!r}; expected one of {_NOISE_KINDS}"
             )
-        if not np.isfinite(self.c):
-            raise ParameterError(f"noise amplitude must be finite, got {self.c!r}")
-        if not np.isfinite(self.delta) or self.delta < 0:
-            raise ParameterError(f"noise bound delta must be finite and >= 0, got {self.delta!r}")
+        object.__setattr__(self, "c", check_real("noise amplitude", self.c))
+        object.__setattr__(self, "delta", check_real("noise bound delta", self.delta, ">= 0"))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.kind == "decay" and (not np.isfinite(self.alpha) or self.alpha <= 0):
-            raise ParameterError(f"decay exponent alpha must be > 0, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", check_real("decay exponent alpha", self.alpha, "> 0"))
         if self.freq is not None:
-            w = np.asarray(self.freq, dtype=np.float64)
-            if w.ndim != 1 or not np.all(np.isfinite(w)):
-                raise ParameterError("sine frequency must be a finite vector")
-            w = w.copy()
-            w.flags.writeable = False
+            w = check_finite_array("sine frequency", self.freq)
+            if w.ndim != 1:
+                raise DimensionMismatchError(f"sine frequency must be a vector, got {w.shape}")
             object.__setattr__(self, "freq", w)
         elif self.kind == "sine":
             raise ParameterError("sine noise needs a frequency vector")
@@ -107,19 +104,19 @@ class NoiseModel:
 
     @classmethod
     def constant(cls, c: float) -> "NoiseModel":
-        return cls(kind="constant", c=float(c))
+        return cls(kind="constant", c=c)
 
     @classmethod
     def uniform_bounded(cls, delta: float, seed: int) -> "NoiseModel":
-        return cls(kind="uniform_bounded", delta=float(delta), seed=seed)
+        return cls(kind="uniform_bounded", delta=delta, seed=seed)
 
     @classmethod
     def decay(cls, c: float, alpha: float = 1.0) -> "NoiseModel":
-        return cls(kind="decay", c=float(c), alpha=float(alpha))
+        return cls(kind="decay", c=c, alpha=alpha)
 
     @classmethod
     def sine(cls, c: float, freq) -> "NoiseModel":
-        return cls(kind="sine", c=float(c), freq=np.asarray(freq, dtype=np.float64))
+        return cls(kind="sine", c=c, freq=freq)
 
 
 @lru_cache(maxsize=64)
@@ -182,7 +179,7 @@ def make_quadratic(space_in: SpaceSpec, space_out: SpaceSpec, coeffs) -> Quadrat
     warning (only the symmetric part of each matrix is observable through
     the form).
     """
-    arr = np.asarray(coeffs, dtype=np.float64)
+    arr = check_finite_array("coefficient matrices", coeffs)
     if arr.ndim == 2:
         arr = arr[None, :, :]
     expected = (space_out.dim, space_in.dim, space_in.dim)
@@ -190,8 +187,6 @@ def make_quadratic(space_in: SpaceSpec, space_out: SpaceSpec, coeffs) -> Quadrat
         raise DimensionMismatchError(
             f"coefficients must have shape {expected}, got {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("coefficient matrices must be finite")
     if not np.array_equal(arr, arr.transpose(0, 2, 1)):
         warnings.warn(
             "coefficient matrices were not symmetric; using the symmetric part",
@@ -219,13 +214,11 @@ def make_odd_witness(matrix) -> MapHandle:
     but leave a nonzero weighted-equation residual unless they vanish;
     they witness that the weighted equation genuinely constrains odd parts.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
+    mat = check_finite_array("witness matrix", matrix)
     if mat.ndim == 1:
         mat = mat[None, :]
-    if mat.ndim != 2 or not np.all(np.isfinite(mat)):
-        raise DimensionMismatchError(
-            f"witness matrix must be finite of shape (codim, dim), got {mat.shape}"
-        )
+    if mat.ndim != 2:
+        raise DimensionMismatchError(f"witness matrix must be (codim, dim), got {mat.shape}")
     # (dim, codim), the layout form_rows' first stage takes.
     cols = mat.T.copy()
     cols.flags.writeable = False
@@ -242,8 +235,7 @@ def random_symmetric_form(
     space_in: SpaceSpec, space_out: SpaceSpec, seed: int, scale: float = 1.0
 ) -> QuadraticForm:
     """Seeded random quadratic form with standard-normal symmetric parts."""
-    if not np.isfinite(scale):
-        raise ParameterError(f"scale must be finite, got {scale!r}")
+    scale = check_real("scale", scale)
     rng = generator(seed, STREAM_FORMS)
     raw = rng.standard_normal((space_out.dim, space_in.dim, space_in.dim))
     sym = scale * (raw + raw.transpose(0, 2, 1)) / 2.0

@@ -27,6 +27,8 @@ from .space import (
     as_rows,
     blockwise,
     check_count,
+    check_finite_array,
+    check_real,
     fold_pairs_restricted,
     form_rows,
     norm_eval,
@@ -83,8 +85,8 @@ class EquationParams:
     rational: Fraction | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.r) or not np.isfinite(self.s):
-            raise ParameterError(f"weights must be finite, got r={self.r!r}, s={self.s!r}")
+        for name in ("r", "s"):
+            object.__setattr__(self, name, check_real(f"weight {name}", getattr(self, name)))
         if self.r == 0.0 or self.s == 0.0:
             raise ParameterError(
                 f"weights must both be nonzero (r={self.r}, s={self.s}); "
@@ -140,11 +142,11 @@ def equation_params(r) -> EquationParams:
         except ValueError:
             raise ParameterError(f"cannot parse weight {text!r} as a number") from None
         return equation_params(value)
+    if isinstance(r, (int, np.integer)) and not isinstance(r, bool):
+        r = Fraction(int(r))
     if isinstance(r, Fraction):
-        return EquationParams(r=float(r), s=float(1 - r), rational=r)
-    if isinstance(r, (int, np.integer)):
-        return equation_params(Fraction(int(r)))
-    value = float(r)
+        return EquationParams(r=r, s=1 - r, rational=r)
+    value = check_real("weight r", r)
     return EquationParams(r=value, s=1.0 - value)
 
 
@@ -172,21 +174,15 @@ class QuadraticForm:
     columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=np.float64)
+        arr = check_finite_array("coefficient matrices", self.coeffs)
         if arr.ndim == 2:
             arr = arr[None, :, :]
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise DimensionMismatchError(
                 f"coefficients must have shape (codim, dim, dim), got {arr.shape}"
             )
-        # Finiteness first: NaN is unequal to itself, so a NaN slice would
-        # fail the symmetry test.
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("coefficient matrices must be finite")
         if not np.array_equal(arr, arr.transpose(0, 2, 1)):
             raise ParameterError("coefficient matrices must be exactly symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         # Slices compare by their bytes, which tell -0.0 from +0.0.  The
         # column numbers count up in first-appearance order, so the first

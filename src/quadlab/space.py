@@ -88,6 +88,39 @@ def check_count(name: str, value) -> int:
     return int(value)
 
 
+# The bounds check_real takes, by the text its message gives them.
+_REAL_BOUNDS = {"": lambda v: True, ">= 0": lambda v: v >= 0.0, "> 0": lambda v: v > 0.0}
+
+
+def check_real(name: str, value, bound: str = "") -> float:
+    """``value`` as a Python float; :class:`ParameterError` naming ``name``
+    unless it is a finite real number (a bool is not) within ``bound``: ``""``,
+    ``">= 0"`` or ``"> 0"``.  It is compared with the float64 range before it
+    is converted, so an int too large for a float never reaches ``float()``."""
+    within = _REAL_BOUNDS[bound]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        # As a Python value: numpy compares a float32 in float32, where the limit overflows.
+        plain = value.item() if isinstance(value, np.generic) else value
+        if -sys.float_info.max <= plain <= sys.float_info.max and within(float(plain)):
+            return float(plain)
+    suffix = f" and {bound}" if bound else ""
+    raise ParameterError(f"{name} must be finite{suffix}, got {value!r}")
+
+
+def check_finite_array(name: str, value) -> np.ndarray:
+    """``value`` as a read-only float64 copy; :class:`ParameterError`
+    naming ``name`` unless every entry is finite, also when ``value`` does
+    not convert (a string, a ragged list).  Shapes are the caller's test."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ParameterError(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
 def generator(seed: int, stream: int) -> np.random.Generator:
     """The SFC64 generator of ``(seed, stream)``: seeded by
     ``SeedSequence(seed, spawn_key=(stream,))``, so streams are independent.
@@ -131,19 +164,15 @@ class SpaceSpec:
                 f"unknown norm kind {self.norm_kind!r}; expected one of {_NORM_KINDS}"
             )
         if self.norm_kind == "p":
-            if self.p is None or not np.isfinite(self.p) or self.p <= 0:
-                raise ParameterError(f"p-norm needs finite p > 0, got {self.p!r}")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", check_real("p-norm exponent", self.p, "> 0"))
         elif self.p is not None:
             raise ParameterError("p is only meaningful for norm_kind='p'")
         if self.norm_kind == "weighted":
-            g = np.asarray(self.gram, dtype=np.float64)
+            g = check_finite_array("gram matrix", self.gram)
             if g.shape != (self.dim, self.dim):
                 raise DimensionMismatchError(
                     f"gram matrix must be ({self.dim}, {self.dim}), got {g.shape}"
                 )
-            if not np.all(np.isfinite(g)):
-                raise ParameterError("gram matrix entries must be finite")
             if not np.array_equal(g, g.T):
                 raise ParameterError("gram matrix must be exactly symmetric")
             eigs = np.linalg.eigvalsh(g)
@@ -151,8 +180,6 @@ class SpaceSpec:
                 raise ParameterError(
                     f"gram matrix must be positive definite (min eigenvalue {eigs.min():.3e})"
                 )
-            g = g.copy()
-            g.flags.writeable = False
             object.__setattr__(self, "gram", g)
         elif self.gram is not None:
             raise ParameterError("gram is only meaningful for norm_kind='weighted'")
@@ -184,7 +211,7 @@ def p_norm(dim: int, p: float) -> SpaceSpec:
 
 def weighted_quadratic(gram) -> SpaceSpec:
     """R^dim with norm sqrt(x^T G x) for symmetric positive-definite G."""
-    g = np.asarray(gram, dtype=np.float64)
+    g = check_finite_array("gram matrix", gram)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError(f"gram matrix must be square, got shape {g.shape}")
     return SpaceSpec(dim=g.shape[0], norm_kind="weighted", gram=g)
@@ -386,12 +413,7 @@ class Sampler:
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "count", check_count("count", self.count))
-        radius = self.radius_max
-        # Comparing before converting keeps ints too large for a float out.
-        real = isinstance(radius, numbers.Real) and not isinstance(radius, bool)
-        if not real or not 0 < radius <= sys.float_info.max:
-            raise ParameterError(f"radius_max must be finite and > 0, got {radius!r}")
-        object.__setattr__(self, "radius_max", float(radius))
+        object.__setattr__(self, "radius_max", check_real("radius_max", self.radius_max, "> 0"))
 
     @classmethod
     def restricted_pairs(cls, seed: int, count: int, radius_max: float) -> "Sampler":
@@ -523,12 +545,10 @@ def _pair_radii(d: float, sampler: Sampler):
     The x half (``a``, then its directions) comes from the ``STREAM_PAIR_X``
     generator and the y half (``b``, then its directions) from the
     ``STREAM_PAIR_Y`` one, so the halves can be drawn at once without moving
-    a bit.  Raises :class:`ParameterError` for a negative or non-finite
-    ``d``, and :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty
-    or measure-zero domain).
+    a bit.  ``d`` is the float :func:`fold_pairs_restricted` checked;
+    raises :class:`InfeasibleDomainError` when ``d >= 2 * R`` (an empty or
+    measure-zero domain).
     """
-    if not np.isfinite(d) or d < 0:
-        raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
     R = sampler.radius_max
     if d >= 2.0 * R:
         raise InfeasibleDomainError(
@@ -614,7 +634,7 @@ def fold_pairs_restricted(
     rounding leaves a few ulp off the domain are pulled inside
     (:func:`_settled`); :class:`InfeasibleDomainError` is raised when a
     direction's norm overflows or a row stays off the domain, and
-    :func:`_pair_radii` checks ``d``.  ``fn`` maps pair rows and their norms (``nx``, ``ny``:
+    :func:`check_real` checks ``d``.  ``fn`` maps pair rows and their norms (``nx``, ``ny``:
     the ones the rows were checked on, re-taken for rows pulled inside) to
     one value row each ((N,) or (N, k)) and must give a row the same bits in
     any run of rows.  Its users: ``certify``, ``verify_czerwik``,
@@ -641,6 +661,7 @@ def fold_pairs_restricted(
     and ``fn`` on its earlier and its later half, so an earlier chunk's
     ``fn`` error comes before a later chunk's sampling error.
     """
+    d = check_real("restriction threshold d", d, ">= 0")
     radii, rngs = _pair_radii(d, sampler)
     R, n, dim = sampler.radius_max, sampler.count, space.dim
     room = (2.0 * R - d) / 4.0

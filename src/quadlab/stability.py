@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ExtractionError, ParameterError
+from .errors import DimensionMismatchError, ExtractionError
 from .quadratic import EquationParams, Report, as_map, as_map_on, residual_gq, residual_q
 from .space import (
     STREAM_PROBES,
@@ -24,6 +24,7 @@ from .space import (
     SpaceSpec,
     _rows_at_radii,
     check_count,
+    check_real,
     fold_pairs_restricted,
     generator,
     norm_eval,
@@ -82,17 +83,15 @@ def stability_constants(params: EquationParams, d: float, delta: float) -> Stabi
     * ``C_global     = 19 * shape * delta``
     * ``C_approx     = C_global / 2``
     """
-    if not np.isfinite(d) or d < 0:
-        raise ParameterError(f"restriction threshold d must be finite and >= 0, got {d!r}")
-    if not np.isfinite(delta) or delta < 0:
-        raise ParameterError(f"defect bound delta must be finite and >= 0, got {delta!r}")
+    d = check_real("restriction threshold d", d, ">= 0")
+    delta = check_real("defect bound delta", delta, ">= 0")
     inv_r = 1.0 / abs(params.r)
     near = 4.0 * d * (inv_r + abs(1.0 - inv_r))
     shape = (2.0 + abs(params.r) + abs(params.s)) / abs(params.rs)
     c_global = 19.0 * shape * delta
     return StabilityConstants(
-        d=float(d),
-        delta=float(delta),
+        d=d,
+        delta=delta,
         near_origin_bound=near,
         global_q_bound=4.0 * near,
         c_restricted=4.0 * shape * delta,
@@ -170,15 +169,6 @@ class BatchExtraction:
         )
 
 
-def _extraction_map(f, max_iters, tol):
-    """``f`` as a map handle, with the extraction controls checked."""
-    handle = as_map(f)
-    check_count("max_iters", max_iters)
-    if not np.isfinite(tol) or tol <= 0:
-        raise ParameterError(f"tol must be finite and > 0, got {tol!r}")
-    return handle
-
-
 def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) -> BatchExtraction:
     """Pointwise dyadic limit ``lim_n f(2^n x) / 4^n`` at every row of ``points``.
 
@@ -189,7 +179,8 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
     instead of raising.  Every row's record is bit for bit what
     :func:`extract_quadratic` gives for that row alone.
     """
-    handle = _extraction_map(f, max_iters, tol)
+    handle = as_map(f)
+    max_iters, tol = check_count("max_iters", max_iters), check_real("tol", tol, "> 0")
     rows = np.asarray(points, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != handle.domain_dim:
         raise DimensionMismatchError(
@@ -235,9 +226,7 @@ def extract_quadratic_batch(f, points, max_iters: int = 26, tol: float = 1e-10) 
     limits[failed] = np.nan
     # Quarter-ratio geometric tail: sum_{k>=1} dev * 4^-k = dev / 3.
     tail = np.where(failed, np.nan, last / 3.0)
-    return BatchExtraction(
-        base, limits, iterations, converged, deviations, tail, failed_at, float(tol)
-    )
+    return BatchExtraction(base, limits, iterations, converged, deviations, tail, failed_at, tol)
 
 
 def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
@@ -249,7 +238,8 @@ def extract_quadratic(f, x, max_iters: int = 26, tol: float = 1e-10):
     A non-finite evaluation raises :class:`ExtractionError` carrying the
     diagnostics gathered so far.
     """
-    handle = _extraction_map(f, max_iters, tol)
+    handle = as_map(f)
+    max_iters, tol = check_count("max_iters", max_iters), check_real("tol", tol, "> 0")
     point = np.asarray(x, dtype=np.float64)
     if point.ndim != 1 or point.shape[0] != handle.domain_dim:
         raise DimensionMismatchError(
@@ -371,6 +361,9 @@ def certify(
     visibly uneven maps, and non-converged extractions.
     """
     probe_count = check_count("probe_count", probe_count)
+    max_iters, tol = check_count("max_iters", max_iters), check_real("tol", tol, "> 0")
+    if delta_override is not None:
+        delta_override = check_real("delta_override", delta_override, ">= 0")
     handle = as_map_on(f, space)
     warnings_: list[str] = []
     if params.small_rs:
@@ -387,11 +380,7 @@ def certify(
     fold = _restricted_residuals(handle, params, d, space, sampler, keep_samples)
     delta_hat = float(fold.sup)
     if delta_override is not None:
-        if not np.isfinite(delta_override) or delta_override < 0:
-            raise ParameterError(
-                f"delta_override must be finite and >= 0, got {delta_override!r}"
-            )
-        delta_used = float(delta_override)
+        delta_used = delta_override
         delta_source = "override"
     else:
         delta_used = delta_hat
@@ -428,7 +417,7 @@ def certify(
 
     return StabilityCertificate(
         params=params,
-        d=float(d),
+        d=constants.d,
         constants=constants,
         delta_hat=delta_hat,
         delta_source=delta_source,
@@ -490,6 +479,7 @@ def verify_czerwik(
     limit for each ``t`` in ``_HOMOGENEITY_SCALES``.
     """
     probe_count = check_count("probe_count", probe_count)
+    max_iters, tol = check_count("max_iters", max_iters), check_real("tol", tol, "> 0")
     handle = as_map_on(f, space)
     warnings_: list[str] = []
     if space.is_quasi_norm:

@@ -955,6 +955,23 @@ class TestMapAndFormParsing:
         assert code == 2
         assert captured.err == f"error: {flag} must be a positive integer, got 0\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # 10**400 / 3 has no float: the weight check runs before float().
+            (("--r", f"{10**400}/3"), f"weight r must be finite, got Fraction({10**400}, 3)"),
+            (("--map", "odd:nan,0"), "witness matrix must be finite"),
+        ],
+        ids=["overflowing-rational-weight", "non-finite-witness"],
+    )
+    def test_input_without_finite_floats_is_one_error_line(self, capsys, flags, message):
+        code, report, captured = run_cli(
+            capsys, "residual", "--dim", "2", "--x", "1,0", "--y", "0,1", *flags
+        )
+        assert code == 2
+        assert report is None and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_non_finite_result_is_one_stderr_line(self):
         # The overflow inside the run must not leak numpy warnings.  Run in a
         # fresh interpreter: pytest would capture warnings before stderr.

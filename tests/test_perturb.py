@@ -17,6 +17,7 @@ from quadlab import (
     noise_values,
     random_symmetric_form,
 )
+from quadlab.errors import DimensionMismatchError
 from quadlab.perturb import (
     _GAMMA,
     _MIX_1,
@@ -259,6 +260,15 @@ class TestValidation:
             build()
 
 
+def test_sine_frequency_non_finite_entry_is_not_a_shape_error():
+    with pytest.raises(ParameterError) as err:
+        NoiseModel.sine(1.0, [np.nan, 0.0])
+    assert type(err.value) is ParameterError
+    assert str(err.value) == "sine frequency must be finite"
+    with pytest.raises(DimensionMismatchError):
+        NoiseModel.sine(1.0, [[1.0, 0.0]])
+
+
 class TestGenerators:
     def test_make_quadratic_symmetrizes_with_warning(self):
         space = euclidean(2)
@@ -319,6 +329,14 @@ class TestGenerators:
         rng = np.random.default_rng(10)
         xs = rng.standard_normal((50, 2))
         assert np.array_equal(f(-xs), -f(xs))
+
+    def test_odd_witness_non_finite_entry_is_not_a_shape_error(self):
+        with pytest.raises(ParameterError) as err:
+            make_odd_witness([[np.nan, 0.0]])
+        assert type(err.value) is ParameterError
+        assert str(err.value) == "witness matrix must be finite"
+        with pytest.raises(DimensionMismatchError):
+            make_odd_witness(np.ones((1, 2, 2)))
 
     def test_odd_witness_row_vector_input(self):
         f = make_odd_witness([3.0, 4.0])

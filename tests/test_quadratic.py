@@ -86,6 +86,24 @@ class TestEquationParams:
         with pytest.raises(ParameterError):
             equation_params("1/0")
 
+    @pytest.mark.parametrize(
+        "r, shown",
+        [
+            (Fraction(10**400, 3), Fraction(10**400, 3)),
+            # An int goes exact, as its Fraction.
+            (10**400, Fraction(10**400)),
+            (True, True),
+            (None, None),
+            (1j, 1j),
+        ],
+        ids=["huge-fraction", "huge-int", "True", "None", "1j"],
+    )
+    def test_weight_without_a_finite_float_is_a_parameter_error(self, r, shown):
+        # The exact branches are checked before float(): 10**400 / 3 has none.
+        with pytest.raises(ParameterError) as err:
+            equation_params(r)
+        assert str(err.value) == f"weight r must be finite, got {shown!r}"
+
 
 class TestQuadraticForm:
     def test_eval_oracle(self):

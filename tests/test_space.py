@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,20 +16,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlab import (
+    EquationParams,
     Exponents,
     InfeasibleDomainError,
     MapHandle,
     NoiseModel,
     ParameterError,
+    QuadraticForm,
     Sampler,
+    ShellProfile,
     SpaceSpec,
+    asymptotic_verdict,
     certify,
     derivation_chain_check,
+    detect_inner_product,
     equation_params,
     euclidean,
+    exponent_scan,
     extract_quadratic_batch,
     gq_norm_defect,
+    make_odd_witness,
     make_perturbed,
+    make_quadratic,
     noise_values,
     norm_eval,
     p_norm,
@@ -37,10 +46,13 @@ from quadlab import (
     residual_gq,
     sample_pairs_restricted,
     shell_delta_profile,
+    stability_constants,
     sup_norm,
     verify_czerwik,
     weighted_quadratic,
 )
+from quadlab import asymptotics as asymptotics_module
+from quadlab import perturb as perturb_module
 from quadlab import quadratic as quadratic_module
 from quadlab import space as space_module
 from quadlab import stability as stability_module
@@ -467,14 +479,6 @@ class TestSamplers:
             with pytest.raises(ParameterError, match=message):
                 call()
 
-    def test_bad_count_and_radius(self):
-        with pytest.raises(ParameterError):
-            Sampler.restricted_pairs(seed=0, count=0, radius_max=1.0)
-        # Not finite and positive, or not a real number at all (a bool is
-        # not a radius; 10**400 has no float).
-        for radius in (0.0, -1.0, np.inf, np.nan, 10**400, "2", None, True, np.bool_(True), 1j):
-            with pytest.raises(ParameterError):
-                Sampler.restricted_pairs(seed=0, count=4, radius_max=radius)
 
 
 _STREAM_TAGS = [v for k, v in vars(space_module).items() if k.startswith("STREAM_")]
@@ -558,6 +562,221 @@ def test_every_count_is_a_positive_int_and_not_a_bool(site, value):
     with pytest.raises(ParameterError) as err:
         call(value)
     assert str(err.value) == f"{name} must be a positive integer, got {value!r}"
+
+
+_HALF = equation_params("1/2")
+_FORM = QuadraticForm([[[1.0, 0.0], [0.0, 2.0]]])
+_PROFILE = ShellProfile(n_min=1, n_max=4, deltas=np.zeros(4), per_shell_count=1, seed=0)
+
+
+def _weights(r):
+    """The weights (r, 1 - r), with s = 1/2 where 1 - r is not defined."""
+    try:
+        s = 1 - r
+    except TypeError:
+        s = 0.5
+    return EquationParams(r=r, s=s)
+
+
+# Every real parameter a caller passes, by entry point: the name its message
+# gives, its bound, and a call that passes it to the map ``f`` and gives the
+# value as stored (None where nothing stores it).  Each is checked before
+# any sampling or map call.
+REAL_SITES = {
+    "p_norm": ("p-norm exponent", "> 0", lambda v, f: p_norm(2, v).p),
+    "Sampler": ("radius_max", "> 0", lambda v, f: Sampler.restricted_pairs(0, 4, v).radius_max),
+    "stability_constants-d": (
+        "restriction threshold d",
+        ">= 0",
+        lambda v, f: stability_constants(_HALF, v, 1.0).d,
+    ),
+    "stability_constants-delta": (
+        "defect bound delta",
+        ">= 0",
+        lambda v, f: stability_constants(_HALF, 1.0, v).delta,
+    ),
+    "certify-d": (
+        "restriction threshold d",
+        ">= 0",
+        lambda v, f: certify(f, _HALF, v, euclidean(2), _PAIRS).d,
+    ),
+    "certify-tol": (
+        "tol",
+        "> 0",
+        lambda v, f: certify(f, _HALF, 1.0, euclidean(2), _PAIRS, tol=v).tol,
+    ),
+    "certify-delta_override": (
+        "delta_override",
+        ">= 0",
+        lambda v, f: certify(f, _HALF, 1.0, euclidean(2), _PAIRS, delta_override=v).constants.delta,
+    ),
+    "extract_quadratic_batch": (
+        "tol",
+        "> 0",
+        lambda v, f: extract_quadratic_batch(f, np.ones((1, 2)), tol=v).tol,
+    ),
+    "verify_czerwik": (
+        "tol",
+        "> 0",
+        lambda v, f: verify_czerwik(f, euclidean(2), _PAIRS, tol=v) and None,
+    ),
+    "detect_inner_product": (
+        "tol",
+        "> 0",
+        lambda v, f: detect_inner_product(euclidean(2), _PAIRS, tol=v).tol,
+    ),
+    "exponent_scan": (
+        "tol",
+        "> 0",
+        lambda v, f: exponent_scan(euclidean(2), _HALF, [Exponents(2, 2, 2, 2)], _PAIRS, v).tol,
+    ),
+    "Exponents-p": ("exponent p", "", lambda v, f: Exponents(v, 1, 1, 1).p),
+    "Exponents-v": ("exponent v", "", lambda v, f: Exponents(1, 1, 1, v).v),
+    "asymptotic_verdict": (
+        "decay_tol",
+        "> 0",
+        lambda v, f: asymptotic_verdict(_PROFILE, v).decay_tol,
+    ),
+    "NoiseModel-c": ("noise amplitude", "", lambda v, f: NoiseModel.constant(v).c),
+    "NoiseModel-delta": (
+        "noise bound delta",
+        ">= 0",
+        lambda v, f: NoiseModel.uniform_bounded(v, 0).delta,
+    ),
+    "NoiseModel-alpha": (
+        "decay exponent alpha",
+        "> 0",
+        lambda v, f: NoiseModel.decay(1.0, v).alpha,
+    ),
+    "random_symmetric_form": (
+        "scale",
+        "",
+        lambda v, f: random_symmetric_form(euclidean(2), euclidean(1), 0, scale=v) and None,
+    ),
+    "EquationParams": ("weight r", "", lambda v, f: _weights(v).r),
+}
+
+_NOT_FINITE_REALS = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "10**400": 10**400,
+    "True": True,
+    "np.True_": np.bool_(True),
+    "'1'": "1",
+    "None": None,
+    "1j": 1j,
+}
+_OUT_OF_BOUND = {"": {}, ">= 0": {"-1.0": -1.0}, "> 0": {"0": 0, "-1.0": -1.0}}
+# delta_override=None is the default: no override.
+_REJECTED_REALS = {
+    f"{site}-{key}": (site, value)
+    for site, (_, bound, _) in REAL_SITES.items()
+    for key, value in {**_NOT_FINITE_REALS, **_OUT_OF_BOUND[bound]}.items()
+    if (site, key) != ("certify-delta_override", "None")
+}
+
+
+def _no_sampling(*_):
+    raise AssertionError("sampling began before the parameter was checked")
+
+
+@pytest.mark.parametrize("site, value", _REJECTED_REALS.values(), ids=_REJECTED_REALS)
+def test_every_real_parameter_is_finite_within_its_bound_and_not_a_bool(
+    monkeypatch, site, value
+):
+    for module in (space_module, stability_module, perturb_module, asymptotics_module):
+        monkeypatch.setattr(module, "generator", _no_sampling)
+    name, bound, call = REAL_SITES[site]
+    with pytest.raises(ParameterError) as err:
+        call(value, _UNUSED_MAP)
+    suffix = f" and {bound}" if bound else ""
+    assert str(err.value) == f"{name} must be finite{suffix}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_every_real_parameter_is_stored_as_a_python_float(site, value):
+    stored = REAL_SITES[site][2](value, _FORM)
+    if stored is not None:
+        assert type(stored) is float and stored == float(value)
+
+
+# Every coefficient array a caller passes, by entry point: the name its
+# message gives, a valid array, a call that builds from it, and what the
+# built object keeps of it.
+ARRAY_SITES = {
+    "SpaceSpec": (
+        "gram matrix",
+        [[2.0, 0.5], [0.5, 1.0]],
+        lambda a: SpaceSpec(2, "weighted", gram=a),
+        lambda space: space.gram,
+    ),
+    "weighted_quadratic": (
+        "gram matrix",
+        [[2.0, 0.5], [0.5, 1.0]],
+        weighted_quadratic,
+        lambda space: space.gram,
+    ),
+    "QuadraticForm": (
+        "coefficient matrices",
+        [[[1.0, 2.0], [2.0, 3.0]]],
+        QuadraticForm,
+        lambda form: form.coeffs,
+    ),
+    "make_quadratic": (
+        "coefficient matrices",
+        [[[1.0, 2.0], [2.0, 3.0]]],
+        lambda a: make_quadratic(euclidean(2), euclidean(1), a),
+        lambda form: form.coeffs,
+    ),
+    "NoiseModel-freq": (
+        "sine frequency",
+        [1.0, 2.0],
+        lambda a: NoiseModel.sine(1.0, a),
+        lambda model: model.freq,
+    ),
+    "make_odd_witness": (
+        "witness matrix",
+        [[1.0, 2.0]],
+        make_odd_witness,
+        lambda witness: witness(np.eye(2)),
+    ),
+}
+
+
+def _with_first_entry(valid, entry):
+    bad = np.array(valid)
+    bad.flat[0] = entry
+    return bad
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda valid: _with_first_entry(valid, np.nan),
+        lambda valid: _with_first_entry(valid, np.inf),
+        lambda valid: "x",
+        lambda valid: [[1.0, 2.0], [3.0]],
+    ],
+    ids=["nan", "inf", "string", "ragged"],
+)
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_coefficient_array_is_finite(site, bad):
+    name, valid, build, _ = ARRAY_SITES[site]
+    with pytest.raises(ParameterError) as err:
+        build(bad(valid))
+    assert str(err.value) == f"{name} must be finite"
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_every_coefficient_array_is_stored_as_a_copy(site):
+    _, valid, build, kept = ARRAY_SITES[site]
+    given = np.array(valid)
+    built = build(given)
+    before = np.array(kept(built))
+    given[...] = 7.0
+    assert np.array_equal(kept(built), before)
 
 
 class TestRestrictedPairs:
